@@ -16,11 +16,9 @@
 //
 //   objects  : one thread over N resident replicas (N/128 chains of 128),
 //              random version/staleness probes with a head Refresh every
-//              16th op, gauge rescans throttled via
-//              SetGaugeRefreshInterval. The table's O(1) sharded lookups
-//              and the throttled O(N) gauge scan are exactly what keeps
-//              this curve flat; before PR 8 every refresh rescanned every
-//              object under the global lock.
+//              16th op. The table's O(1) sharded lookups, and replication
+//              gauges that are computed only when scraped, keep the per-op
+//              cost independent of N; no protocol path rescans the table.
 //
 // The JSON's "scale" section records both curves for CI.
 #include <benchmark/benchmark.h>
@@ -132,10 +130,6 @@ double RunThreadSeries(long threads) {
 double RunObjectSeries(long objects) {
   SitePair pair;
   if (!pair.ok) return 0;
-  // The point of the series is table scale, not gauge scale: throttle the
-  // O(N) replication-gauge rescan so each op measures the sharded lookups.
-  pair.provider->SetGaugeRefreshInterval(100 * kMilli);
-  pair.demander->SetGaugeRefreshInterval(100 * kMilli);
 
   std::vector<core::Ref<test::Node>> all;
   std::vector<core::Ref<test::Node>> heads;

@@ -251,6 +251,7 @@ struct Shell {
     if (cmd == "metrics") {
       std::string format;
       in >> format;
+      site->RefreshTelemetry();  // pull-time gauges, as /metrics does
       auto& reg = obiwan::MetricsRegistry::Default();
       std::fputs(
           (format == "prom" ? reg.DumpPrometheus() : reg.DumpText()).c_str(),
@@ -565,6 +566,7 @@ int main(int argc, char** argv) {
   }
   if (dump_stats) {
     std::printf("\n--- metrics ---\n");
+    shell.site->RefreshTelemetry();
     std::fputs(obiwan::MetricsRegistry::Default().DumpText().c_str(), stdout);
   }
   if (!flight_dump.empty()) {

@@ -1,5 +1,6 @@
 // Replication-state introspection: report assembly (Site::Inspect and the
-// gauges it keeps fresh) and the JSON / text / DOT renderers.
+// replication gauges, which are computed only when read) and the JSON /
+// text / DOT renderers.
 #include "core/inspect.h"
 
 #include <algorithm>
@@ -141,22 +142,6 @@ void Site::UpdateReplicationGauges() {
     }
   }
   telemetry_.leases_expiring->Set(expiring);
-
-  last_gauge_refresh_.store(now, std::memory_order_relaxed);
-}
-
-void Site::MaybeUpdateReplicationGauges() {
-  // The gauge rescan is O(objects); protocol paths call this throttled
-  // variant so a million-object site is not re-walked on every get/put.
-  // The default interval of 0 keeps the historical eager behaviour.
-  const Nanos interval = gauge_refresh_interval_.load(std::memory_order_relaxed);
-  if (interval <= 0) {
-    UpdateReplicationGauges();
-    return;
-  }
-  const Nanos last = last_gauge_refresh_.load(std::memory_order_relaxed);
-  if (last >= 0 && clock_.Now() - last < interval) return;
-  UpdateReplicationGauges();
 }
 
 void Site::EnsureGraphIds() {

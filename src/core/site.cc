@@ -459,12 +459,11 @@ ProxyId Site::NewProxyInLocked(ObjectId target, const net::Address* user) {
     return it->second;
   }
   ProxyId pin{id_, next_pin_++};
-  auto [it, inserted] =
-      proxy_ins_.emplace(pin, ProxyInEntry{target, {}, /*cluster=*/false, 0});
-  (void)inserted;
+  ProxyInEntry& entry = proxy_ins_[pin];
+  entry.target = target;
   pin_by_target_.emplace(target, pin);
-  TouchPin(it->second);
-  register_user(it->second);
+  TouchPin(entry);
+  register_user(entry);
   telemetry_.proxy_ins_created->Inc();
   telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   clock_.Sleep(proxy_export_cost_);
@@ -475,11 +474,12 @@ ProxyId Site::NewClusterProxyIn(ObjectId root, std::vector<ObjectId> members,
                                 const net::Address* user) {
   std::lock_guard lock(pins_mutex_);
   ProxyId pin{id_, next_pin_++};
-  auto [it, inserted] = proxy_ins_.emplace(
-      pin, ProxyInEntry{root, std::move(members), /*cluster=*/true, 0});
-  (void)inserted;
-  TouchPin(it->second);
-  if (user != nullptr) it->second.users.push_back(*user);
+  ProxyInEntry& entry = proxy_ins_[pin];
+  entry.target = root;
+  entry.members = std::move(members);
+  entry.cluster = true;
+  TouchPin(entry);
+  if (user != nullptr) entry.users.push_back(*user);
   telemetry_.proxy_ins_created->Inc();
   telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   clock_.Sleep(proxy_export_cost_);
@@ -506,7 +506,6 @@ std::size_t Site::CollectExpiredProxyIns() {
     }
     telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   }
-  UpdateReplicationGauges();
   return collected;
 }
 
@@ -752,7 +751,6 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
     reply.objects.push_back(std::move(rec));
   }
 
-  MaybeUpdateReplicationGauges();
   {
     std::lock_guard lock(mutex_);
     SyncHolderGaugesLocked();
@@ -961,7 +959,6 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
     std::lock_guard lock(mutex_);
     CollectDueRetriesLocked(outbound);
   }
-  MaybeUpdateReplicationGauges();
 
   DispatchNotifications(std::move(outbound));
 
@@ -1105,7 +1102,6 @@ Status Site::MarkMasterUpdated(ObjectId id) {
     std::lock_guard lock(mutex_);
     CollectDueRetriesLocked(outbound);
   }
-  MaybeUpdateReplicationGauges();
   DispatchNotifications(std::move(outbound));
   return Status::Ok();
 }
@@ -1433,7 +1429,6 @@ Status Site::ServeInvalidate(const InvalidateRequest& req) {
     invalidated.push_back(oid);
     received.emplace_back(oid, e->known_master_version);
   }
-  MaybeUpdateReplicationGauges();
   if (JourneySink* journey = journey_sink()) {
     // Holder-side receive stamp, keyed by the same (id, version) the
     // provider minted; the apply hop lands later, when the refresh brings
@@ -1561,18 +1556,12 @@ Result<std::shared_ptr<Shareable>> Site::DemandThrough(
   GetRequest req{descriptor.pin, root, mode, refresh};
   wire::Writer body;
   wire::Encode(body, req);
-  Result<Bytes> reply_result =
+  OBIWAN_ASSIGN_OR_RETURN(
+      Bytes reply_bytes,
       TimedRequest(telemetry_.op_get, descriptor.provider,
                    AsView(rmi::WrapRequest(rmi::MessageKind::kGet, body,
                                            TraceContext::Current(),
-                                           DeadlineBudget(), address())));
-  if (!reply_result.ok()) {
-    // The provider is unreachable: held replicas keep ageing, and the gauges
-    // must show it even though nothing was materialized.
-    MaybeUpdateReplicationGauges();
-    return reply_result.status();
-  }
-  Bytes reply_bytes = std::move(*reply_result);
+                                           DeadlineBudget(), address()))));
   telemetry_.replication_bytes_in->Inc(reply_bytes.size());
   wire::Reader r(AsView(reply_bytes));
   GetReply reply = wire::Decode<GetReply>(r);
@@ -1685,7 +1674,6 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const ProxyDescriptor& via,
     telemetry_.replicas_created->Inc();
   }
   telemetry_.replicas->Set(static_cast<std::int64_t>(table_.replica_count()));
-  MaybeUpdateReplicationGauges();
 
   if (reply.cluster) {
     std::lock_guard pins(pins_mutex_);
@@ -1889,7 +1877,6 @@ Status Site::PutItems(const ProxyDescriptor& provider,
       ++e->put_count;
     }
   }
-  MaybeUpdateReplicationGauges();
   return Status::Ok();
 }
 
@@ -2084,30 +2071,38 @@ Status Site::PrefetchAll(RefBase& ref) {
 }
 
 std::size_t Site::EvictIdleReplicas() {
-  // The fixed-point sweep needs a frozen view of every shard at once:
-  // evicting one replica can strand another (a list tail only referenced by
-  // the evicted node's ref field), possibly in a different shard.
+  // Idle = the table holds the only shared_ptr (use_count() == 1): no
+  // application Ref, no reference field of a live object, no in-flight
+  // batch. Erasing a replica releases its fields, which can strand the
+  // replicas they pointed at, in any shard (hence the world guard). A
+  // worklist re-checks only those targets, so a chain of n evicts in O(n).
+  // The sweep repeats until it finds nothing, because a cascade can also
+  // pass through a local object outside the table. Use counts only fall
+  // here, so removal order does not change the evicted set.
   ObjectTable::WorldGuard world(table_);
   std::size_t evicted = 0;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    std::vector<ObjectId> idle;
-    table_.ForEachReplica([&](ObjectId oid, ReplicaEntry& e) {
-      // use_count()==1 means the replica table holds the only shared_ptr:
-      // no application Ref, no reference field of any live object, and no
-      // in-flight batch holds it.
-      if (e.obj.use_count() == 1) idle.push_back(oid);
+  std::vector<ObjectId> work;
+  for (;;) {
+    table_.ForEachReplica([&](ObjectId oid, const ReplicaEntry& e) {
+      if (e.obj.use_count() == 1) work.push_back(oid);
     });
-    for (ObjectId oid : idle) {
-      if (table_.EraseReplica(oid)) {
-        ++evicted;
-        progress = true;
+    if (work.empty()) break;
+    while (!work.empty()) {
+      const ObjectId oid = work.back();
+      work.pop_back();
+      const ReplicaEntry* e = table_.Replica(oid);
+      if (e == nullptr || e->obj.use_count() != 1) continue;
+      // Popped only after the erase below, so each target is re-checked
+      // with this replica's reference already gone.
+      for (const RefFieldInfo& rf : e->obj->obiwan_class().refs()) {
+        const RefBase& rb = rf.get(*e->obj);
+        if (rb.IsLocal()) work.push_back(table_.PtrId(rb.local_raw()));
       }
+      table_.EraseReplica(oid);
+      ++evicted;
     }
   }
   telemetry_.replicas->Set(static_cast<std::int64_t>(table_.replica_count()));
-  UpdateReplicationGauges();
   return evicted;
 }
 

@@ -120,8 +120,9 @@ struct SiteTelemetry {
   Gauge* replicas;
   Gauge* proxy_ins;
 
-  // Replication-state gauges (refreshed by Site::UpdateReplicationGauges on
-  // the fault/put/push/invalidate paths and on every Inspect):
+  // Replication-state gauges, computed when read: Site::RefreshTelemetry
+  // (every /metrics and /healthz scrape) and Site::Inspect (kInspect,
+  // FleetMonitor) recompute them from the tables; no protocol path does:
   // obiwan_objects{role=master|replica|frontier} — topology by role, where
   // "frontier" counts distinct targets of unresolved proxy-outs;
   // obiwan_replica_staleness_versions{agg=max|p95} — how far behind the
@@ -424,21 +425,12 @@ class Site final : public rmi::Service {
   const std::string& admin_address() const { return admin_address_; }
 
   // Recompute every continuous gauge — table sizes, staleness/lease/role,
-  // holder health, uptime — from current state. The protocol paths refresh
-  // these on mutation; this hook exists for pull-based consumers (admin
-  // /metrics scrapes, FleetMonitor polls) so gauges are current even on a
-  // site that has been idle since the last mutation.
+  // holder health, uptime — from current state. Admin /metrics and /healthz
+  // scrapes call this first. The staleness/lease/role gauges are computed
+  // only here and in Inspect(), so a registry dump that skips both shows
+  // them as of the last such pull; every protocol operation stays
+  // O(batch) instead of rescanning the tables.
   void RefreshTelemetry();
-
-  // Throttle the O(objects) replication-gauge rescan the protocol paths
-  // (fault/put/push/invalidate) trigger after every mutation: with a
-  // non-zero interval, at most one rescan per interval runs on those paths
-  // (admin scrapes and Inspect still recompute eagerly). 0 — the default —
-  // keeps the old always-rescan behaviour. Large sites and benches set
-  // this so gauge maintenance stays O(1) per operation.
-  void SetGaugeRefreshInterval(Nanos interval) {
-    gauge_refresh_interval_.store(interval, std::memory_order_relaxed);
-  }
 
   // --- introspection -------------------------------------------------------------
 
@@ -536,6 +528,13 @@ class Site final : public rmi::Service {
   std::size_t replica_count() const;
   std::size_t proxy_in_count() const;
 
+  // ObjectTable::CheckConsistency under the world guard (records, pointer
+  // identity, holder index and counts agree), for tests and debug checks.
+  bool CheckTableConsistency() const {
+    ObjectTable::WorldGuard world(table_);
+    return table_.CheckConsistency();
+  }
+
   // Holder notifications executing right now across all fanout batches
   // (queue-depth sampling; see obs/profiler.h).
   std::size_t notify_inflight() const { return fanout_.in_flight(); }
@@ -628,12 +627,10 @@ class Site final : public rmi::Service {
   // Recompute the staleness/topology gauges (obiwan_objects{role},
   // obiwan_replica_staleness_versions max/p95, staleness age, expiring
   // leases) from the tables. O(objects + refs), locking shard by shard —
-  // call with no shard guard or leaf lock held (or with the world, from
-  // Inspect/snapshot paths). The Maybe variant is the protocol-path hook:
-  // it honours SetGaugeRefreshInterval and skips the scan while the
-  // previous refresh is newer than the interval.
+  // call with no shard guard or leaf lock held (or with the world, as
+  // Inspect does). Only the pull paths call it: RefreshTelemetry and
+  // Inspect.
   void UpdateReplicationGauges();
-  void MaybeUpdateReplicationGauges();
 
   // Inspect() body; call with the world held.
   InspectReport InspectLocked();
@@ -776,8 +773,6 @@ class Site final : public rmi::Service {
   std::atomic<std::uint64_t> next_object_{1};
   std::uint64_t next_pin_ = 1;  // under pins_mutex_
   Nanos created_at_ = 0;  // clock_ reading at construction, for the uptime gauge
-  std::atomic<Nanos> gauge_refresh_interval_{0};
-  std::atomic<Nanos> last_gauge_refresh_{-1};
   Nanos proxy_export_cost_ = 0;
   Nanos proxy_lease_ = 0;
   Nanos request_deadline_ = 0;  // 0 = transport default

@@ -165,7 +165,6 @@ Status Site::LoadSnapshot(BytesView snapshot) {
     });
   }
   SyncGauges();
-  UpdateReplicationGauges();
   {
     std::lock_guard lock(mutex_);
     SyncHolderGaugesLocked();
@@ -198,7 +197,7 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
   };
   std::vector<PendingRef> pending;
 
-  auto decode_object = [&](const std::string& class_name, ObjectId oid)
+  auto decode_object = [&](const std::string& class_name)
       -> Result<std::shared_ptr<Shareable>> {
     OBIWAN_ASSIGN_OR_RETURN(const ClassInfo* ci,
                             ClassRegistry::Instance().Find(class_name));
@@ -254,7 +253,7 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
     entry.last_update = r.Svarint();
     entry.gets_served = r.Varint();
     entry.puts_accepted = r.Varint();
-    OBIWAN_ASSIGN_OR_RETURN(entry.obj, decode_object(class_name, oid));
+    OBIWAN_ASSIGN_OR_RETURN(entry.obj, decode_object(class_name));
     table_.EmplaceMaster(oid, std::move(entry));
   }
 
@@ -277,7 +276,7 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
     entry.last_sync = r.Svarint();
     entry.sync_count = r.Varint();
     entry.put_count = r.Varint();
-    OBIWAN_ASSIGN_OR_RETURN(entry.obj, decode_object(class_name, oid));
+    OBIWAN_ASSIGN_OR_RETURN(entry.obj, decode_object(class_name));
     table_.EmplaceReplica(oid, std::move(entry));
   }
 

@@ -340,10 +340,12 @@ TEST_F(StalenessTest, GaugesRiseAcrossDisconnectionAndResetAfterRefresh) {
             1);
 
   // Into the tunnel: the disconnection window. Time passes; a refresh
-  // attempt fails and the staleness age keeps growing.
+  // attempt fails and the staleness age keeps growing. The gauges are
+  // computed when read, so pull them the way a /metrics scrape does.
   network_->SetEndpointUp("pda", false);
   clock_.Sleep(5 * kSecond);
   EXPECT_FALSE(pda_->Refresh(*ref).ok());
+  pda_->RefreshTelemetry();
   EXPECT_GE(MaxGauge("obiwan_replica_staleness_age_ns", {"site=\"2\""}),
             5 * kSecond);
 

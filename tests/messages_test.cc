@@ -150,7 +150,7 @@ TEST(MessageCodec, PutRequestRoundTrip) {
 TEST(MessageCodec, PutReplyAndInvalidate) {
   PutReply reply{{4, 5, 6}};
   EXPECT_EQ(RoundTrip(reply).new_versions, (std::vector<std::uint64_t>{4, 5, 6}));
-  InvalidateRequest inv{{{1, 2}, {3, 4}}};
+  InvalidateRequest inv{{{1, 2}, {3, 4}}, {}};
   EXPECT_EQ(RoundTrip(inv).ids.size(), 2u);
 }
 

@@ -264,7 +264,11 @@ TEST(ObjectTableTest, ConcurrentMutationKeepsInvariants) {
         }
         (void)table.FindLocked(id);
         (void)table.PtrId(obj.get());
-        if (i % 3 == 0) table.EraseMaster(id);
+        if (i % 3 == 0) {
+          // Record mutators need the covering shard guard, like Emplace.
+          ObjectTable::ShardGuard guard(table, id);
+          table.EraseMaster(id);
+        }
         if (i % 64 == 0) {
           std::size_t count = 0;
           table.ForEachMaster([&count](ObjectId, const MasterEntry&) { ++count; });
@@ -340,6 +344,50 @@ TEST(ObjectTableSnapshot, Obi2RoundTripRebuildsPtrIdentityAndHolders) {
   EXPECT_TRUE(demander.IsStale(*ref));
   ASSERT_TRUE(demander.Refresh(*ref).ok());
   EXPECT_EQ(*demander.ReplicaVersion(*ref), *reborn.MasterVersion(head_id));
+}
+
+// A fault costs its batch, not the table: one Incremental(16) object fault
+// takes the same bounded number of site.shard acquisitions, across both
+// sites, whether 32 or 1952 replicas are resident. A single sweep of the
+// 64 shards on any protocol step of either site would break the bound.
+TEST(ObjectTableCost, FaultShardLocksScaleWithTheBatchNotTheTable) {
+#ifdef OBIWAN_NO_LOCK_TELEMETRY
+  GTEST_SKIP() << "lock telemetry is compiled out";
+#endif
+  net::LoopbackNetwork network;
+  core::Site provider(1, network.CreateEndpoint("p"));
+  core::Site demander(2, network.CreateEndpoint("d"));
+  ASSERT_TRUE(provider.Start().ok());
+  ASSERT_TRUE(demander.Start().ok());
+  provider.HostRegistry();
+  demander.UseRegistry("p");
+
+  auto head = test::MakeChain(2048, 8, "n");
+  ASSERT_TRUE(provider.Bind("list", head).ok());
+  auto remote = demander.Lookup<Node>("list");
+  ASSERT_TRUE(remote.ok());
+  auto ref = remote->Replicate(ReplicationMode::Incremental(16));
+  ASSERT_TRUE(ref.ok());
+
+  auto shard_acquisitions = [] {
+    return MetricsRegistry::Default().SumCounters(
+        "obiwan_lock_acquisitions_total", {{"name", "site.shard"}});
+  };
+  int measured = 0;
+  for (core::Ref<Node>* cursor = &*ref; !cursor->IsEmpty();
+       cursor = &cursor->get()->next) {
+    if (!cursor->IsProxy()) continue;
+    const std::size_t resident = demander.replica_count();
+    const std::uint64_t before = shard_acquisitions();
+    ASSERT_TRUE(cursor->Demand().ok());
+    const std::uint64_t cost = shard_acquisitions() - before;
+    if (resident == 32 || resident == 1952) {
+      EXPECT_LT(cost, 128u) << resident << " replicas resident";
+      ++measured;
+    }
+  }
+  EXPECT_EQ(measured, 2);
+  EXPECT_EQ(demander.replica_count(), 2048u);
 }
 
 // Real-socket soak (TSan flavour in CI): four threads hammer the sharded

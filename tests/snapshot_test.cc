@@ -2,6 +2,8 @@
 // (mobility across restarts).
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "obiwan.h"
 #include "test_objects.h"
 
@@ -87,6 +89,70 @@ TEST_F(EvictionTest, MastersAreNeverEvicted) {
   provider_->Export(obj);
   EXPECT_EQ(provider_->EvictIdleReplicas(), 0u);
   EXPECT_EQ(provider_->master_count(), 1u);
+}
+
+// Each erase re-checks only the replicas its reference fields pointed at, so
+// a chain evicts in time linear in its length. A table sweep per link would
+// be quadratic: seconds for this chain in an optimised build.
+TEST_F(EvictionTest, LongChainEvictsInLinearTime) {
+  constexpr std::size_t kLength = 20000;
+  auto head = test::MakeChain(kLength, 8, "n");
+  ASSERT_TRUE(provider_->Bind("list", head).ok());
+  auto remote = demander_->Lookup<Node>("list");
+  ASSERT_TRUE(remote.ok());
+  {
+    auto ref = remote->Replicate(ReplicationMode::Incremental(kLength));
+    ASSERT_TRUE(ref.ok());
+    ASSERT_EQ(demander_->replica_count(), kLength);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(demander_->EvictIdleReplicas(), kLength);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(demander_->replica_count(), 0u);
+  EXPECT_TRUE(demander_->CheckTableConsistency());
+}
+
+TEST_F(EvictionTest, ReplicaCycleStaysResident) {
+  auto a = std::make_shared<Node>();
+  auto b = std::make_shared<Node>();
+  a->next = b;
+  b->next = a;
+  ASSERT_TRUE(provider_->Bind("ring", a).ok());
+  auto remote = demander_->Lookup<Node>("ring");
+  ASSERT_TRUE(remote.ok());
+  {
+    auto ref = remote->Replicate(ReplicationMode::Incremental(2));
+    ASSERT_TRUE(ref.ok());
+    ASSERT_EQ((*ref)->next->next.get(), ref->get());
+  }
+  // Each replica is held by the other's reference field, so neither is ever
+  // the table's only owner: a cycle stays resident.
+  EXPECT_EQ(demander_->EvictIdleReplicas(), 0u);
+  EXPECT_EQ(demander_->replica_count(), 2u);
+  EXPECT_TRUE(demander_->CheckTableConsistency());
+}
+
+TEST_F(EvictionTest, CascadePassesThroughLocalObjectOutsideTheTable) {
+  auto head = test::MakeChain(4, 64, "n");
+  ASSERT_TRUE(provider_->Bind("list", head).ok());
+  auto remote = demander_->Lookup<Node>("list");
+  ASSERT_TRUE(remote.ok());
+  {
+    auto ref = remote->Replicate(ReplicationMode::Incremental(4));
+    ASSERT_TRUE(ref.ok());
+    // n0 -> local -> n1: an application object with no id, so not in the
+    // table, now holds the only field reference to n1..n3.
+    auto local = std::make_shared<Node>();
+    demander_->WithSiteLock([&] {
+      local->next = (*ref)->next;
+      (*ref)->next = local;
+    });
+  }
+  // Erasing n0 frees `local`, which frees n1; no replica field pointed at
+  // n1, so the repeated sweep finds it and the cascade goes on to n3.
+  EXPECT_EQ(demander_->EvictIdleReplicas(), 4u);
+  EXPECT_EQ(demander_->replica_count(), 0u);
+  EXPECT_TRUE(demander_->CheckTableConsistency());
 }
 
 class SnapshotTest : public ::testing::Test {

@@ -79,7 +79,7 @@ TEST(TruncationMatrix, EveryPrefixOfEveryMessageKind) {
   }
   {  // kInvalidate
     wire::Writer body;
-    wire::Encode(body, core::InvalidateRequest{{info.id}});
+    wire::Encode(body, core::InvalidateRequest{{info.id}, {}});
     requests.emplace_back("invalidate",
                           rmi::WrapRequest(rmi::MessageKind::kInvalidate, body));
   }

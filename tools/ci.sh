@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: build and test the tree four times —
-#   1. the plain Release-ish build (RelWithDebInfo, the default),
+#   1. the plain Release-ish build (RelWithDebInfo, the default), followed
+#      by a 1 s-per-workload run of perfbench/ whose correctness checks
+#      must pass,
 #   2. an AddressSanitizer build (OBIWAN_SANITIZE=address),
 #   3. an UndefinedBehaviorSanitizer build (OBIWAN_SANITIZE=undefined), and
 #   4. a ThreadSanitizer build (OBIWAN_SANITIZE=thread) running the
@@ -27,6 +29,14 @@ run_flavour() {
 }
 
 run_flavour release build-ci
+
+# The wall-clock benchmark (perfbench/, Release, TCP loopback) doubles as an
+# end-to-end check: every workload verifies its results (Touch sums, walk
+# labels and zero replicas left after eviction, holder and writer state equal
+# to the master's) and exits non-zero on a violation or a failed op.
+echo "=== [release] perfbench correctness run ==="
+python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0
+
 run_flavour asan build-asan -DOBIWAN_SANITIZE=address
 run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined
 
@@ -188,8 +198,8 @@ EOF
 # The scale bench records what the sharded table buys: throughput must not
 # fall as demander threads are added (disjoint chains hit disjoint shards;
 # refresh round trips overlap), and the object-count series must stay alive
-# up to 16k resident replicas (sharded O(1) lookups + throttled gauge
-# rescans keep the per-op cost flat).
+# up to 16k resident replicas (sharded O(1) lookups, and no protocol path
+# rescans the table, keep the per-op cost flat).
 echo "=== [bench] scale JSON ==="
 (cd build-ci && ./bench/bench_scale --benchmark_filter=SchemaOnly)
 python3 - build-ci/BENCH_scale.json <<'EOF'
@@ -495,4 +505,4 @@ print(f"admin endpoint: exposition OK ({len(types)} families, "
       f"{sum(f['samples'] for f in families.values())} samples), healthz OK")
 EOF
 
-echo "=== CI green: release + asan + ubsan + tsan + bench JSON + chrome trace + reconvergence + observatory + fleet + journeys + admin + contention ==="
+echo "=== CI green: release + perfbench + asan + ubsan + tsan + bench JSON + chrome trace + reconvergence + observatory + fleet + journeys + admin + contention ==="
