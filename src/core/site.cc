@@ -73,6 +73,16 @@ constexpr SiteCounterSpec kSiteCounters[] = {
      "Holders unregistered after consecutive notification failures"},
 };
 
+// Add each of `added` to a pin's user list once.
+void RegisterUsers(std::vector<net::Address>& users,
+                   std::span<const net::Address> added) {
+  for (const net::Address& addr : added) {
+    if (std::find(users.begin(), users.end(), addr) == users.end()) {
+      users.push_back(addr);
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -328,15 +338,6 @@ void Site::RefreshTelemetry() {
   SyncHolderGaugesLocked();
 }
 
-void Site::SetTailExemplarThreshold(Nanos threshold) {
-  for (SiteTelemetry::Op* op :
-       {&telemetry_.op_call, &telemetry_.op_get, &telemetry_.op_put,
-        &telemetry_.op_commit, &telemetry_.op_ping, &telemetry_.op_release,
-        &telemetry_.op_renew, &telemetry_.op_notify, &telemetry_.op_inspect}) {
-    op->latency->SetExemplarThreshold(threshold);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Naming
 // ---------------------------------------------------------------------------
@@ -351,39 +352,29 @@ void Site::UseRegistry(net::Address registry_address) {
   registry_client_.emplace(*transport_, std::move(registry_address));
 }
 
-Status Site::Bind(const std::string& name, const std::shared_ptr<Shareable>& obj) {
+Result<rmi::BoundObject> Site::AnchoredBinding(
+    const std::shared_ptr<Shareable>& obj) {
   if (!registry_client_) {
     return FailedPreconditionError("no registry configured (UseRegistry/HostRegistry)");
   }
-  rmi::BoundObject bo;
-  {
-    ObjectId oid = EnsureId(obj);
-    std::lock_guard lock(pins_mutex_);
-    ProxyId pin = NewProxyInLocked(oid, nullptr);
-    // A bound name is advertised indefinitely; its pin must not be swept by
-    // the lease collector while the registry still points at it.
-    auto& entry = proxy_ins_.at(pin);
-    entry.anchored = true;
-    entry.expires_at = 0;
-    bo = {address(), oid, pin, obj->obiwan_class().name()};
-  }
+  ObjectId oid = EnsureId(obj);
+  std::lock_guard lock(pins_mutex_);
+  ProxyId pin = NewProxyInLocked(oid, {});
+  // A bound name is advertised indefinitely; its pin must not be swept by
+  // the lease collector while the registry still points at it.
+  auto& entry = proxy_ins_.at(pin);
+  entry.anchored = true;
+  entry.expires_at = 0;
+  return rmi::BoundObject{address(), oid, pin, obj->obiwan_class().name()};
+}
+
+Status Site::Bind(const std::string& name, const std::shared_ptr<Shareable>& obj) {
+  OBIWAN_ASSIGN_OR_RETURN(rmi::BoundObject bo, AnchoredBinding(obj));
   return registry_client_->Bind(name, bo);
 }
 
 Status Site::Rebind(const std::string& name, const std::shared_ptr<Shareable>& obj) {
-  if (!registry_client_) {
-    return FailedPreconditionError("no registry configured (UseRegistry/HostRegistry)");
-  }
-  rmi::BoundObject bo;
-  {
-    ObjectId oid = EnsureId(obj);
-    std::lock_guard lock(pins_mutex_);
-    ProxyId pin = NewProxyInLocked(oid, nullptr);
-    auto& entry = proxy_ins_.at(pin);
-    entry.anchored = true;
-    entry.expires_at = 0;
-    bo = {address(), oid, pin, obj->obiwan_class().name()};
-  }
+  OBIWAN_ASSIGN_OR_RETURN(rmi::BoundObject bo, AnchoredBinding(obj));
   return registry_client_->Rebind(name, bo);
 }
 
@@ -438,24 +429,19 @@ void Site::TouchPin(ProxyInEntry& entry) {
   }
 }
 
-ProxyId Site::NewProxyIn(ObjectId target, const net::Address* user) {
+ProxyId Site::NewProxyIn(ObjectId target, std::span<const net::Address> users) {
   std::lock_guard lock(pins_mutex_);
-  return NewProxyInLocked(target, user);
+  return NewProxyInLocked(target, users);
 }
 
-ProxyId Site::NewProxyInLocked(ObjectId target, const net::Address* user) {
-  auto register_user = [&](ProxyInEntry& entry) {
-    if (user != nullptr && std::find(entry.users.begin(), entry.users.end(),
-                                     *user) == entry.users.end()) {
-      entry.users.push_back(*user);
-    }
-  };
+ProxyId Site::NewProxyInLocked(ObjectId target,
+                               std::span<const net::Address> users) {
   // Reuse an existing single-object proxy-in for the same target; repeated
   // gets of one object do not need distinct channels.
   if (auto it = pin_by_target_.find(target); it != pin_by_target_.end()) {
     ProxyInEntry& entry = proxy_ins_.at(it->second);
     TouchPin(entry);
-    register_user(entry);
+    RegisterUsers(entry.users, users);
     return it->second;
   }
   ProxyId pin{id_, next_pin_++};
@@ -463,7 +449,7 @@ ProxyId Site::NewProxyInLocked(ObjectId target, const net::Address* user) {
   entry.target = target;
   pin_by_target_.emplace(target, pin);
   TouchPin(entry);
-  register_user(entry);
+  RegisterUsers(entry.users, users);
   telemetry_.proxy_ins_created->Inc();
   telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   clock_.Sleep(proxy_export_cost_);
@@ -471,7 +457,7 @@ ProxyId Site::NewProxyInLocked(ObjectId target, const net::Address* user) {
 }
 
 ProxyId Site::NewClusterProxyIn(ObjectId root, std::vector<ObjectId> members,
-                                const net::Address* user) {
+                                std::span<const net::Address> users) {
   std::lock_guard lock(pins_mutex_);
   ProxyId pin{id_, next_pin_++};
   ProxyInEntry& entry = proxy_ins_[pin];
@@ -479,7 +465,7 @@ ProxyId Site::NewClusterProxyIn(ObjectId root, std::vector<ObjectId> members,
   entry.members = std::move(members);
   entry.cluster = true;
   TouchPin(entry);
-  if (user != nullptr) entry.users.push_back(*user);
+  RegisterUsers(entry.users, users);
   telemetry_.proxy_ins_created->Inc();
   telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   clock_.Sleep(proxy_export_cost_);
@@ -550,6 +536,62 @@ void Site::SetConsistencyPolicy(std::unique_ptr<ConsistencyPolicy> policy) {
   // all, so the swap is safe even against in-flight protocol traffic.
   ObjectTable::WorldGuard guard(table_);
   if (policy != nullptr) policy_ = std::move(policy);
+}
+
+// ---------------------------------------------------------------------------
+// Records: capture, export and bind references
+// ---------------------------------------------------------------------------
+
+std::vector<Site::RefSnap> Site::CaptureLocked(const Shareable& obj,
+                                               Bytes& fields) {
+  const ClassInfo& ci = obj.obiwan_class();
+  wire::Writer w;
+  ci.EncodeFields(obj, w);
+  fields = std::move(w).Take();
+  std::vector<RefSnap> snaps;
+  snaps.reserve(ci.refs().size());
+  for (const RefFieldInfo& rf : ci.refs()) {
+    const RefBase& rb = rf.get_const(obj);
+    snaps.push_back(RefSnap{rb.local(), rb.proxy()});
+  }
+  return snaps;
+}
+
+std::vector<RefEntry> Site::ExportRefs(
+    const std::vector<RefSnap>& snaps,
+    const std::unordered_set<ObjectId, ObjectIdHash>& inline_ids,
+    std::span<const net::Address> users) {
+  std::vector<RefEntry> refs;
+  refs.reserve(snaps.size());
+  for (const RefSnap& snap : snaps) {
+    if (snap.proxy != nullptr) {
+      refs.push_back(RefEntry::Proxy(snap.proxy->descriptor()));
+    } else if (snap.local == nullptr) {
+      refs.push_back(RefEntry::Null());
+    } else if (ObjectId tid = EnsureId(snap.local); inline_ids.contains(tid)) {
+      refs.push_back(RefEntry::Inline(tid));
+    } else {
+      refs.push_back(RefEntry::Proxy(DescriptorFor(
+          NewProxyIn(tid, users), tid, snap.local->obiwan_class().name())));
+    }
+  }
+  return refs;
+}
+
+bool Site::BindRef(RefBase& rb, const RefEntry& entry,
+                   std::shared_ptr<Shareable> local, ReplicationMode mode) {
+  if (entry.tag == RefEntry::Tag::kNull) {
+    rb.Reset();
+  } else if (local != nullptr) {
+    // The target is already present here: bind directly, no proxy-out.
+    rb.BindLocal(entry.target, std::move(local));
+  } else if (entry.tag == RefEntry::Tag::kInline) {
+    return false;
+  } else {
+    rb.BindProxy(std::make_shared<ProxyOut>(this, entry.proxy, mode));
+    telemetry_.proxy_outs_created->Inc();
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -647,36 +689,22 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
   }
 
   // --- serialize -------------------------------------------------------------
+  const std::span<const net::Address> user(&from, 1);
   GetReply reply;
   const bool shared_pair = req.mode.SharedProxyPair() && !req.refresh;
   if (shared_pair) {
-    ProxyId cpin = NewClusterProxyIn(batch_ids.front(), batch_ids, &from);
+    ProxyId cpin = NewClusterProxyIn(batch_ids.front(), batch_ids, user);
     reply.cluster = ClusterInfo{
         DescriptorFor(cpin, batch_ids.front(),
                       batch_objs.front()->obiwan_class().name()),
         batch_ids};
   }
 
-  // Per-reference snapshot taken under the object's shard guard; boundary
-  // resolution (EnsureId / NewProxyIn) happens after the guard is released.
-  struct RefSnap {
-    enum class Kind { kNull, kLocal, kProxy } kind = Kind::kNull;
-    std::shared_ptr<Shareable> local;
-    ProxyDescriptor proxy;
-  };
-
   reply.objects.reserve(batch_ids.size());
-  for (std::size_t i = 0; i < batch_ids.size(); ++i) {
-    ObjectId oid = batch_ids[i];
-    const std::shared_ptr<Shareable>& obj = batch_objs[i];
-    const ClassInfo& ci = obj->obiwan_class();
-
+  for (ObjectId oid : batch_ids) {
     ObjectRecord rec;
     rec.id = oid;
-    rec.class_name = ci.name();
-
-    std::vector<RefSnap> ref_snaps;
-    ref_snaps.reserve(ci.refs().size());
+    std::vector<RefSnap> snaps;
     {
       // One consistent snapshot per object: fields, version, policy data and
       // ref targets all read under the record's shard guard. Holder
@@ -685,29 +713,12 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
       // interleave with a concurrent DropHolder sweep, which holds both.
       ObjectTable::ShardGuard guard(table_, oid);
       OBIWAN_ASSIGN_OR_RETURN(MetaRef meta, FindMeta(oid));
+      rec.class_name = meta.obj->obiwan_class().name();
       rec.version = *meta.version;
       rec.policy_data = policy_->MakeGetData(
           MasterView{oid, *meta.version, *meta.policy_state, *meta.holders},
           from);
-
-      wire::Writer fields;
-      ci.EncodeFields(*obj, fields);
-      rec.fields = std::move(fields).Take();
-
-      for (const RefFieldInfo& rf : ci.refs()) {
-        RefBase& rb = rf.get(*obj);
-        RefSnap snap;
-        if (rb.IsLocal()) {
-          snap.kind = RefSnap::Kind::kLocal;
-          snap.local = rb.local();
-        } else if (rb.IsProxy()) {
-          // An unresolved proxy here: forward its descriptor so the demander
-          // faults straight to the original provider (replica chains).
-          snap.kind = RefSnap::Kind::kProxy;
-          snap.proxy = rb.proxy()->descriptor();
-        }
-        ref_snaps.push_back(std::move(snap));
-      }
+      snaps = CaptureLocked(*meta.obj, rec.fields);
 
       table_.LinkHolder(oid, from);
       if (MasterEntry* master = table_.Master(oid)) ++master->gets_served;
@@ -718,33 +729,12 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
         holder_health_[from].consecutive_failures = 0;
       }
     }
-
-    rec.refs.reserve(ref_snaps.size());
-    for (RefSnap& snap : ref_snaps) {
-      switch (snap.kind) {
-        case RefSnap::Kind::kNull:
-          rec.refs.push_back(RefEntry::Null());
-          break;
-        case RefSnap::Kind::kLocal: {
-          ObjectId tid = EnsureId(snap.local);
-          if (in_batch.contains(tid)) {
-            rec.refs.push_back(RefEntry::Inline(tid));
-          } else {
-            rec.refs.push_back(RefEntry::Proxy(DescriptorFor(
-                NewProxyIn(tid, &from), tid, snap.local->obiwan_class().name())));
-          }
-          break;
-        }
-        case RefSnap::Kind::kProxy:
-          rec.refs.push_back(RefEntry::Proxy(std::move(snap.proxy)));
-          break;
-      }
-    }
+    rec.refs = ExportRefs(snaps, in_batch, user);
 
     if (!req.refresh && !shared_pair) {
       // Incremental mode: the per-object proxy pair of §4.2, giving this
       // replica its individual put/refresh channel.
-      rec.provider = DescriptorFor(NewProxyIn(oid, &from), oid, rec.class_name);
+      rec.provider = DescriptorFor(NewProxyIn(oid, user), oid, rec.class_name);
     }
 
     telemetry_.objects_served->Inc();
@@ -767,11 +757,6 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
                  std::to_string(req.items.size()) + " item(s) from " + from +
                      (req.transactional ? " (tx)" : ""),
                  TraceContext::Current());
-  // Notifications (invalidations / pushes) are built under the batch's shard
-  // guards but sent after releasing them — network I/O under an object lock
-  // deadlocks when the recipient is served by another thread of this process.
-  std::vector<OutboundNotify> outbound;
-
   telemetry_.puts_served->Inc();
   Trace("put", "from " + from + ", " + std::to_string(req.items.size()) +
                     " item(s)" + (req.transactional ? " (tx)" : ""));
@@ -796,25 +781,22 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
   for (const PutItem& item : req.items) {
     batch_ids.push_back(item.id);
     for (const RefEntry& entry : item.refs) {
-      ObjectId tid;
-      if (entry.tag == RefEntry::Tag::kInline) {
-        tid = entry.target;
-      } else if (entry.tag == RefEntry::Tag::kProxy) {
-        tid = entry.proxy.target;
-      }
-      if (tid.valid() && !ref_targets.contains(tid)) {
-        ref_targets.emplace(tid, table_.FindLocked(tid));
+      if (entry.target.valid() && !ref_targets.contains(entry.target)) {
+        ref_targets.emplace(entry.target, table_.FindLocked(entry.target));
       }
     }
   }
+  auto ref_target = [&](ObjectId tid) -> std::shared_ptr<Shareable> {
+    auto it = ref_targets.find(tid);
+    return it != ref_targets.end() ? it->second : nullptr;
+  };
 
   PutReply reply;
-  struct NotifyGroup {
-    ObjectId id;
-    std::uint64_t version;  // master version the holders are now behind
-    std::vector<net::Address> recipients;
-  };
-  std::vector<NotifyGroup> groups;
+  // Notifications (invalidations / pushes) are collected under the batch's
+  // shard guards but published after releasing them — network I/O under an
+  // object lock deadlocks when the recipient is served by another thread of
+  // this process.
+  std::vector<UpdateGroup> groups;
 
   {
     // All item shards locked together (ascending order): a multi-object put
@@ -865,31 +847,11 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
 
       const auto& ref_infos = t.ci->refs();
       for (std::size_t j = 0; j < ref_infos.size(); ++j) {
-        RefBase& rb = ref_infos[j].get(*t.meta.obj);
         const RefEntry& entry = t.item->refs[j];
-        switch (entry.tag) {
-          case RefEntry::Tag::kNull:
-            rb.Reset();
-            break;
-          case RefEntry::Tag::kInline: {
-            if (auto local = ref_targets[entry.target]) {
-              rb.BindLocal(entry.target, std::move(local));
-            }
-            // Unresolvable id: the replica references an object this provider
-            // has never seen and supplied no channel for; keep the old ref.
-            break;
-          }
-          case RefEntry::Tag::kProxy: {
-            if (auto local = ref_targets[entry.proxy.target]) {
-              rb.BindLocal(entry.proxy.target, std::move(local));
-            } else {
-              rb.BindProxy(std::make_shared<ProxyOut>(this, entry.proxy,
-                                                      ReplicationMode::Incremental()));
-              telemetry_.proxy_outs_created->Inc();
-            }
-            break;
-          }
-        }
+        // An unresolvable inline id (an object this provider has never seen,
+        // with no channel supplied) keeps the old ref.
+        BindRef(ref_infos[j].get(*t.meta.obj), entry, ref_target(entry.target),
+                ReplicationMode::Incremental());
       }
 
       ++*t.meta.version;
@@ -904,7 +866,8 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
             std::max(replica->known_master_version, *t.meta.version);
       }
 
-      NotifyGroup group{t.item->id, *t.meta.version, {}};
+      UpdateGroup& group = groups.emplace_back(
+          UpdateGroup{t.item->id, *t.meta.version, {}});
       for (net::Address addr : policy_->AfterPut(
                MasterView{t.item->id, *t.meta.version, *t.meta.policy_state,
                           *t.meta.holders},
@@ -912,19 +875,39 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
                        AsView(t.item->policy_data)})) {
         if (addr != from) group.recipients.push_back(std::move(addr));
       }
-      if (!group.recipients.empty()) groups.push_back(std::move(group));
     }
   }
 
-  // Build each notification body *once per object* — under an
-  // updates-dissemination policy the new state itself travels instead of an
-  // invalidation — and share the wrapped frame across the object's holders.
   // An unreachable holder is retried with backoff and eventually dropped
   // (DispatchNotifications); its next put is still caught by the policy's
-  // version check. BuildPushRecord takes its own shard guard, so the batch
-  // guard above is already released.
+  // version check.
+  PublishUpdates(std::move(groups));
+  return reply;
+}
+
+Result<ObjectRecord> Site::BuildPushRecord(
+    ObjectId id, std::span<const net::Address> recipients) {
+  ObjectRecord rec;
+  rec.id = id;
+  std::vector<RefSnap> snaps;
+  {
+    ObjectTable::ShardGuard guard(table_, id);
+    OBIWAN_ASSIGN_OR_RETURN(MetaRef meta, FindMeta(id));
+    rec.class_name = meta.obj->obiwan_class().name();
+    rec.version = *meta.version;
+    snaps = CaptureLocked(*meta.obj, rec.fields);
+  }
+  // Nothing travels inline: every local target goes out as one shared pin
+  // that each recipient of this record can fault through.
+  rec.refs = ExportRefs(snaps, {}, recipients);
+  return rec;
+}
+
+void Site::PublishUpdates(std::vector<UpdateGroup> groups) {
+  std::vector<OutboundNotify> outbound;
   const bool push = policy_->PushUpdatesOnPut();
-  for (NotifyGroup& group : groups) {
+  for (UpdateGroup& group : groups) {
+    if (group.recipients.empty()) continue;
     wire::Writer body;
     if (push) {
       Result<ObjectRecord> record = BuildPushRecord(group.id, group.recipients);
@@ -959,93 +942,16 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
     std::lock_guard lock(mutex_);
     CollectDueRetriesLocked(outbound);
   }
-
   DispatchNotifications(std::move(outbound));
-
-  return reply;
-}
-
-Result<ObjectRecord> Site::BuildPushRecord(
-    ObjectId id, const std::vector<net::Address>& recipients) {
-  ObjectRecord rec;
-  rec.id = id;
-
-  // Snapshot fields + ref targets under the record's shard guard, then
-  // resolve boundary refs (EnsureId / NewProxyIn touch other shards and the
-  // pins mutex) with the guard released.
-  struct RefSnap {
-    enum class Kind { kNull, kLocal, kProxy } kind = Kind::kNull;
-    std::shared_ptr<Shareable> local;
-    ProxyDescriptor proxy;
-  };
-  std::vector<RefSnap> ref_snaps;
-  {
-    ObjectTable::ShardGuard guard(table_, id);
-    OBIWAN_ASSIGN_OR_RETURN(MetaRef meta, FindMeta(id));
-    const ClassInfo& ci = meta.obj->obiwan_class();
-    rec.class_name = ci.name();
-    rec.version = *meta.version;
-
-    wire::Writer fields;
-    ci.EncodeFields(*meta.obj, fields);
-    rec.fields = std::move(fields).Take();
-
-    ref_snaps.reserve(ci.refs().size());
-    for (const RefFieldInfo& rf : ci.refs()) {
-      RefBase& rb = rf.get(*meta.obj);
-      RefSnap snap;
-      if (rb.IsLocal()) {
-        snap.kind = RefSnap::Kind::kLocal;
-        snap.local = rb.local();
-      } else if (rb.IsProxy()) {
-        snap.kind = RefSnap::Kind::kProxy;
-        snap.proxy = rb.proxy()->descriptor();
-      }
-      ref_snaps.push_back(std::move(snap));
-    }
-  }
-
-  rec.refs.reserve(ref_snaps.size());
-  for (RefSnap& snap : ref_snaps) {
-    switch (snap.kind) {
-      case RefSnap::Kind::kNull:
-        rec.refs.push_back(RefEntry::Null());
-        break;
-      case RefSnap::Kind::kLocal: {
-        ObjectId tid = EnsureId(snap.local);
-        // One shared pin per target (NewProxyIn reuses through the index);
-        // every recipient of this record can fault through it, so they all
-        // become its users.
-        ProxyId pin = NewProxyIn(tid);
-        {
-          std::lock_guard pins(pins_mutex_);
-          ProxyInEntry& entry = proxy_ins_.at(pin);
-          for (const net::Address& addr : recipients) {
-            if (std::find(entry.users.begin(), entry.users.end(), addr) ==
-                entry.users.end()) {
-              entry.users.push_back(addr);
-            }
-          }
-        }
-        rec.refs.push_back(RefEntry::Proxy(
-            DescriptorFor(pin, tid, snap.local->obiwan_class().name())));
-        break;
-      }
-      case RefSnap::Kind::kProxy:
-        rec.refs.push_back(RefEntry::Proxy(std::move(snap.proxy)));
-        break;
-    }
-  }
-  return rec;
 }
 
 Status Site::MarkMasterUpdated(ObjectId id) {
   // A master mutated in place (through a local reference, not a put). Bump
   // its version and notify holders exactly as an accepted put would, so
   // remote replicas become observably stale.
-  std::vector<OutboundNotify> outbound;
-  std::uint64_t version = 0;
-  std::vector<net::Address> holders;
+  std::vector<UpdateGroup> updates(1);
+  UpdateGroup& update = updates.front();
+  update.id = id;
   {
     ObjectTable::ShardGuard guard(table_, id);
     MasterEntry* e = table_.Master(id);
@@ -1054,55 +960,17 @@ Status Site::MarkMasterUpdated(ObjectId id) {
     }
     ++e->version;
     e->last_update = clock_.Now();
-    version = e->version;
-    holders = e->holders;  // snapshot; notify outside the guard
+    update.version = e->version;
+    update.recipients = e->holders;  // snapshot; notify outside the guard
   }
-  Trace("update", ToString(id) + " now at version " + std::to_string(version));
+  Trace("update",
+        ToString(id) + " now at version " + std::to_string(update.version));
 
-  // BuildPushRecord takes the same shard's guard, so this runs after the
-  // bump above is released. A racing second bump just makes the pushed
+  // BuildPushRecord takes the same shard's guard, so publishing runs after
+  // the bump above is released. A racing second bump just makes the pushed
   // record carry an even newer version — the demander's monotonic apply
   // guard handles that.
-  const bool push = policy_->PushUpdatesOnPut();
-  if (!holders.empty()) {
-    wire::Writer body;
-    bool built = true;
-    if (push) {
-      Result<ObjectRecord> record = BuildPushRecord(id, holders);
-      if (record.ok()) {
-        wire::Encode(body, *record);
-      } else {
-        built = false;
-      }
-    } else {
-      wire::Encode(body, InvalidateRequest{{id}, {version}});
-    }
-    if (built) {
-      const std::size_t payload = body.size();
-      auto frame = std::make_shared<const Bytes>(rmi::WrapRequest(
-          push ? rmi::MessageKind::kPush : rmi::MessageKind::kInvalidate,
-          body, TraceContext::Current(), DeadlineBudget()));
-      // Local in-place edits mint journeys exactly like served puts.
-      JourneySink* journey = journey_sink();
-      if (journey != nullptr) {
-        const Nanos now = clock_.Now();
-        journey->OnPutCommit(id, version, now, holders.size(), push,
-                             TraceContext::Current());
-        for (const net::Address& addr : holders) {
-          journey->OnNotifyEnqueue(id, version, addr, now);
-        }
-      }
-      for (const net::Address& addr : holders) {
-        outbound.push_back(
-            OutboundNotify{addr, frame, payload, id, push, version});
-      }
-    }
-  }
-  {
-    std::lock_guard lock(mutex_);
-    CollectDueRetriesLocked(outbound);
-  }
-  DispatchNotifications(std::move(outbound));
+  PublishUpdates(std::move(updates));
   return Status::Ok();
 }
 
@@ -1390,17 +1258,19 @@ Status Site::ServeRenew(ProxyId pin) {
 }
 
 Status Site::RenewProxy(const ProxyDescriptor& descriptor) {
+  return SendPinRequest(telemetry_.op_renew, rmi::MessageKind::kRenew,
+                        descriptor);
+}
+
+Status Site::SendPinRequest(const SiteTelemetry::Op& op, rmi::MessageKind kind,
+                            const ProxyDescriptor& descriptor) {
   TraceContext::Scope span(TraceContext::CurrentOrNew(id_));
   wire::Writer body;
   wire::Encode(body, descriptor.pin);
-  OBIWAN_ASSIGN_OR_RETURN(
-      Bytes reply,
-      TimedRequest(telemetry_.op_renew, descriptor.provider,
-                   AsView(rmi::WrapRequest(rmi::MessageKind::kRenew, body,
-                                           TraceContext::Current(),
-                                           DeadlineBudget(), address()))));
-  (void)reply;
-  return Status::Ok();
+  return TimedRequest(op, descriptor.provider,
+                      AsView(rmi::WrapRequest(kind, body, TraceContext::Current(),
+                                              DeadlineBudget(), address())))
+      .status();
 }
 
 Status Site::ServeInvalidate(const InvalidateRequest& req) {
@@ -1686,12 +1556,7 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const ProxyDescriptor& via,
   for (std::size_t i = 0; i < reply.objects.size(); ++i) {
     if (!fresh[i]) continue;
     for (const RefEntry& entry : reply.objects[i].refs) {
-      ObjectId tid;
-      if (entry.tag == RefEntry::Tag::kInline) {
-        tid = entry.target;
-      } else if (entry.tag == RefEntry::Tag::kProxy) {
-        tid = entry.proxy.target;
-      }
+      const ObjectId tid = entry.target;
       if (tid.valid() && !present.contains(tid) && !resolved.contains(tid)) {
         resolved.emplace(tid, table_.FindLocked(tid));
       }
@@ -1712,30 +1577,9 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const ProxyDescriptor& via,
     ObjectTable::ShardGuard guard(table_, rec.id);
     const auto& ref_infos = obj->obiwan_class().refs();
     for (std::size_t j = 0; j < ref_infos.size(); ++j) {
-      RefBase& rb = ref_infos[j].get(*obj);
       const RefEntry& entry = rec.refs[j];
-      switch (entry.tag) {
-        case RefEntry::Tag::kNull:
-          rb.Reset();
-          break;
-        case RefEntry::Tag::kInline: {
-          std::shared_ptr<Shareable> target = lookup(entry.target);
-          if (target == nullptr) {
-            return DataLossError("dangling inline reference in batch");
-          }
-          rb.BindLocal(entry.target, std::move(target));
-          break;
-        }
-        case RefEntry::Tag::kProxy: {
-          if (auto local = lookup(entry.proxy.target)) {
-            // Already replicated here earlier: bind directly, no fault.
-            rb.BindLocal(entry.proxy.target, std::move(local));
-          } else {
-            rb.BindProxy(std::make_shared<ProxyOut>(this, entry.proxy, mode));
-            telemetry_.proxy_outs_created->Inc();
-          }
-          break;
-        }
+      if (!BindRef(ref_infos[j].get(*obj), entry, lookup(entry.target), mode)) {
+        return DataLossError("dangling inline reference in batch");
       }
     }
   }
@@ -1756,16 +1600,7 @@ Result<PutItem> Site::BuildPutItem(ObjectId id, bool read_only) {
   PutItem item;
   item.id = id;
   item.read_only = read_only;
-
-  // Snapshot fields + ref targets under the replica's shard guard; resolve
-  // boundary refs (EnsureId / ContainsMaster / NewProxyIn touch other shards
-  // and the pins mutex) with the guard released.
-  struct RefSnap {
-    enum class Kind { kNull, kLocal, kProxyTarget } kind = Kind::kNull;
-    std::shared_ptr<Shareable> local;
-    ObjectId proxy_target;
-  };
-  std::vector<RefSnap> ref_snaps;
+  std::vector<RefSnap> snaps;
   {
     ObjectTable::ShardGuard guard(table_, id);
     ReplicaEntry* e = table_.Replica(id);
@@ -1776,50 +1611,24 @@ Result<PutItem> Site::BuildPutItem(ObjectId id, bool read_only) {
     if (read_only) return item;  // validation-only: no state travels
     item.policy_data =
         policy_->MakePutData(ReplicaView{id, e->version, e->policy_state}, clock_);
-
-    const ClassInfo& ci = e->obj->obiwan_class();
-    wire::Writer fields;
-    ci.EncodeFields(*e->obj, fields);
-    item.fields = std::move(fields).Take();
-
-    ref_snaps.reserve(ci.refs().size());
-    for (const RefFieldInfo& rf : ci.refs()) {
-      RefBase& rb = rf.get(*e->obj);
-      RefSnap snap;
-      if (rb.IsLocal()) {
-        snap.kind = RefSnap::Kind::kLocal;
-        snap.local = rb.local();
-      } else if (rb.IsProxy()) {
-        snap.kind = RefSnap::Kind::kProxyTarget;
-        snap.proxy_target = rb.proxy()->target();
-      }
-      ref_snaps.push_back(std::move(snap));
-    }
+    snaps = CaptureLocked(*e->obj, item.fields);
   }
 
-  item.refs.reserve(ref_snaps.size());
-  for (RefSnap& snap : ref_snaps) {
-    switch (snap.kind) {
-      case RefSnap::Kind::kNull:
-        item.refs.push_back(RefEntry::Null());
-        break;
-      case RefSnap::Kind::kProxyTarget:
-        // Never resolved here; the provider still holds (or can reach) it.
-        item.refs.push_back(RefEntry::Inline(snap.proxy_target));
-        break;
-      case RefSnap::Kind::kLocal: {
-        ObjectId tid = EnsureId(snap.local);
-        if (table_.ContainsMaster(tid)) {
-          // The replica grew an edge to an object *we* master: hand the
-          // provider a proxy descriptor pointing back at us, making the new
-          // object reachable from the master graph.
-          item.refs.push_back(RefEntry::Proxy(DescriptorFor(
-              NewProxyIn(tid), tid, snap.local->obiwan_class().name())));
-        } else {
-          item.refs.push_back(RefEntry::Inline(tid));
-        }
-        break;
-      }
+  // Not ExportRefs: a put names every target by id, since the provider holds
+  // (or can reach) all of them, except an object this site masters — the
+  // replica grew an edge to it, and the provider can only reach it through a
+  // pin pointing back here.
+  item.refs.reserve(snaps.size());
+  for (const RefSnap& snap : snaps) {
+    if (snap.proxy != nullptr) {
+      item.refs.push_back(RefEntry::Inline(snap.proxy->target()));
+    } else if (snap.local == nullptr) {
+      item.refs.push_back(RefEntry::Null());
+    } else if (ObjectId tid = EnsureId(snap.local); table_.ContainsMaster(tid)) {
+      item.refs.push_back(RefEntry::Proxy(DescriptorFor(
+          NewProxyIn(tid), tid, snap.local->obiwan_class().name())));
+    } else {
+      item.refs.push_back(RefEntry::Inline(tid));
     }
   }
   return item;
@@ -2133,42 +1942,9 @@ Result<ProxyDescriptor> Site::ReplicaProvider(ObjectId id) const {
   return e->provider;
 }
 
-Result<PutReply> Site::SendCommit(const net::Address& provider, ProxyId pin,
-                                  std::vector<PutItem> items) {
-  PutRequest req{pin, std::move(items), /*transactional=*/true};
-  TraceContext::Scope flow(TraceContext::CurrentOrNew(id_));
-  SpanScope span(&sinks_, clock_, id_, "commit",
-                 std::to_string(req.items.size()) + " item(s) to " + provider,
-                 TraceContext::Current());
-  wire::Writer body;
-  wire::Encode(body, req);
-  telemetry_.puts_sent->Inc();
-  Bytes frame = rmi::WrapRequest(rmi::MessageKind::kCommit, body,
-                                 TraceContext::Current(), DeadlineBudget(),
-                                 address());
-  // Payload bytes, symmetric with the provider's Handle(kCommit).
-  telemetry_.replication_bytes_out->Inc(body.size());
-  OBIWAN_ASSIGN_OR_RETURN(
-      Bytes reply_bytes,
-      TimedRequest(telemetry_.op_commit, provider, AsView(frame)));
-  wire::Reader r(AsView(reply_bytes));
-  PutReply reply = wire::Decode<PutReply>(r);
-  OBIWAN_RETURN_IF_ERROR(r.status());
-  return reply;
-}
-
 Status Site::ReleaseProxy(const ProxyDescriptor& descriptor) {
-  TraceContext::Scope span(TraceContext::CurrentOrNew(id_));
-  wire::Writer body;
-  wire::Encode(body, descriptor.pin);
-  OBIWAN_ASSIGN_OR_RETURN(
-      Bytes reply,
-      TimedRequest(telemetry_.op_release, descriptor.provider,
-                   AsView(rmi::WrapRequest(rmi::MessageKind::kRelease, body,
-                                           TraceContext::Current(),
-                                           DeadlineBudget(), address()))));
-  (void)reply;
-  return Status::Ok();
+  return SendPinRequest(telemetry_.op_release, rmi::MessageKind::kRelease,
+                        descriptor);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -325,13 +326,6 @@ class Site final : public rmi::Service {
   // kFailedPrecondition if the site already holds objects.
   Status LoadSnapshot(BytesView snapshot);
 
-  // Low-level building block shared with the transaction layer. Read-only
-  // items carry only the base version (for commit-time validation).
-  Result<PutItem> BuildPutItem(ObjectId id, bool read_only = false);
-  // Send an already-built transactional batch to a provider.
-  Result<PutReply> SendCommit(const net::Address& provider, ProxyId pin,
-                              std::vector<PutItem> items);
-
   // Atomic (per provider) optimistic commit: validate that every object in
   // `reads` and `writes` is still at the version this site last synchronised
   // at, then apply the write states. Objects are grouped by provider; each
@@ -463,7 +457,6 @@ class Site final : public rmi::Service {
   // spans/events whether or not a tracer is attached, and is registered with
   // FlightRecorder::Global() for post-mortem Chrome-trace dumps.
   Tracer& flight_recorder() { return flight_; }
-  const TraceSinks& trace_sinks() const { return sinks_; }
 
   // Application hook for remotely triggered replica changes: fires after an
   // invalidation marks a replica stale (`stale`=true) and after a pushed
@@ -539,14 +532,6 @@ class Site final : public rmi::Service {
   // (queue-depth sampling; see obs/profiler.h).
   std::size_t notify_inflight() const { return fanout_.in_flight(); }
 
-  // Capture a trace/span exemplar on every op-latency observation at or
-  // above `threshold` (obiwan_rmi_client_latency_ns). The last few such
-  // tail observations are exposed with their trace ids on /metrics
-  // (OpenMetrics exemplars) and in the JSON dump — the bridge from "p99
-  // spiked" to the flight-recorder trace of one slow request. Negative
-  // disables capture.
-  void SetTailExemplarThreshold(Nanos threshold);
-
   // Local object (master or replica) by id, if present.
   Result<std::shared_ptr<Shareable>> FindLocal(ObjectId id) const;
 
@@ -575,17 +560,51 @@ class Site final : public rmi::Service {
   // a master of this site. Replicas keep their master's id.
   ObjectId EnsureId(const std::shared_ptr<Shareable>& obj);
 
-  // `user`, when given, is registered on the pin (see ProxyInEntry::users).
-  // Per-target pins are reused through pin_by_target_, so repeated gets and
-  // push-record builds share one pin instead of minting one per call.
-  // NewProxyIn locks the pins mutex itself; the Locked variant is for
-  // callers already holding it.
-  ProxyId NewProxyIn(ObjectId target, const net::Address* user = nullptr);
-  ProxyId NewProxyInLocked(ObjectId target, const net::Address* user);
+  // `users` are registered on the pin (see ProxyInEntry::users). Per-target
+  // pins are reused through pin_by_target_, so repeated gets and push-record
+  // builds share one pin instead of minting one per call. NewProxyIn locks
+  // the pins mutex itself; the Locked variant is for callers already
+  // holding it.
+  ProxyId NewProxyIn(ObjectId target, std::span<const net::Address> users = {});
+  ProxyId NewProxyInLocked(ObjectId target, std::span<const net::Address> users);
   ProxyId NewClusterProxyIn(ObjectId root, std::vector<ObjectId> members,
-                            const net::Address* user = nullptr);
+                            std::span<const net::Address> users);
   ProxyDescriptor DescriptorFor(ProxyId pin, ObjectId target,
                                 std::string class_name) const;
+
+  // Export `obj` under an anchored pin for a name-server binding.
+  Result<rmi::BoundObject> AnchoredBinding(const std::shared_ptr<Shareable>& obj);
+
+  // Send `descriptor.pin` to its provider as a kRenew or kRelease request.
+  Status SendPinRequest(const SiteTelemetry::Op& op, rmi::MessageKind kind,
+                        const ProxyDescriptor& descriptor);
+
+  // One reference field as read under its owner's shard guard: the local
+  // target or the unresolved proxy-out (both null for an empty ref).
+  struct RefSnap {
+    std::shared_ptr<Shareable> local;
+    std::shared_ptr<ProxyOut> proxy;
+  };
+  // Encode `obj`'s value fields into `fields` and snapshot its references.
+  // Caller holds `obj`'s shard guard; the snapshot is resolved (ExportRefs,
+  // BuildPutItem) after the guard is released, because resolving assigns
+  // ids and mints pins in other shards and under the pins mutex.
+  std::vector<RefSnap> CaptureLocked(const Shareable& obj, Bytes& fields);
+  // Outbound record refs, the one inline-or-proxy decision for gets and
+  // pushes: a local target in `inline_ids` travels inline, any other local
+  // target as its reused pin with `users` registered on it, and an
+  // unresolved proxy is forwarded so the receiver faults straight to the
+  // original provider (replica chains). No shard guard may be held.
+  std::vector<RefEntry> ExportRefs(
+      const std::vector<RefSnap>& snaps,
+      const std::unordered_set<ObjectId, ObjectIdHash>& inline_ids,
+      std::span<const net::Address> users);
+  // Bind one received reference field. `local` is the entry's target if it
+  // is present here (else null); an absent proxy target becomes a proxy-out
+  // in `mode`. Returns false, leaving `rb` untouched, when an inline entry's
+  // target is absent.
+  bool BindRef(RefBase& rb, const RefEntry& entry,
+               std::shared_ptr<Shareable> local, ReplicationMode mode);
 
   // Uniform provider-side metadata for masters and re-exported replicas.
   // The pointers alias the record inside the object table: the caller must
@@ -646,8 +665,26 @@ class Site final : public rmi::Service {
   // resolved reference travels as a proxy descriptor so any holder can
   // swizzle or fault it. Built once per fanout; `recipients` are registered
   // as users of every boundary pin the record references.
-  Result<ObjectRecord> BuildPushRecord(
-      ObjectId id, const std::vector<net::Address>& recipients);
+  Result<ObjectRecord> BuildPushRecord(ObjectId id,
+                                       std::span<const net::Address> recipients);
+
+  // Serialize replica `id` for a put. Read-only items carry only the base
+  // version (for commit-time validation).
+  Result<PutItem> BuildPutItem(ObjectId id, bool read_only);
+
+  // An update to publish: `id` reached master `version`, and `recipients`
+  // hold a copy that is now behind.
+  struct UpdateGroup {
+    ObjectId id;
+    std::uint64_t version = 0;
+    std::vector<net::Address> recipients;
+  };
+  // Notify every group's recipients — the new state itself under an
+  // updates-dissemination policy, a versioned invalidation otherwise — and
+  // send due retries along with them, all as one fanout batch. Each body is
+  // built once per group and its frame shared by the recipients. Takes shard
+  // guards (BuildPushRecord): call with none held.
+  void PublishUpdates(std::vector<UpdateGroup> groups);
 
   // One notification (invalidation or push) addressed to one holder. The
   // frame is shared across the whole fanout — built once per object.

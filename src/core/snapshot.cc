@@ -15,8 +15,6 @@ namespace {
 // "OBI2": version 2 added the per-pin user list (holder lifecycle).
 constexpr std::uint32_t kSnapshotMagic = 0x4F424932;
 
-enum class RefTag : std::uint8_t { kNull = 0, kLocal = 1, kProxy = 2 };
-
 }  // namespace
 
 Result<Bytes> Site::SaveSnapshot() {
@@ -33,22 +31,20 @@ Result<Bytes> Site::SaveSnapshot() {
     w.Varint(next_pin_);
   }
 
-  // Serialize one object's refs; assigns ids to local targets as needed.
+  // Serialize one object's refs as wire RefEntries: every local target is
+  // inline (it is in the snapshot too), every proxy-out its descriptor.
+  // Assigns ids to local targets as needed.
   auto encode_refs = [&](Shareable& obj) {
     const ClassInfo& ci = obj.obiwan_class();
-    w.Varint(ci.refs().size());
+    std::vector<RefEntry> refs;
+    refs.reserve(ci.refs().size());
     for (const RefFieldInfo& rf : ci.refs()) {
       RefBase& rb = rf.get(obj);
-      if (rb.IsEmpty()) {
-        w.U8(static_cast<std::uint8_t>(RefTag::kNull));
-      } else if (rb.IsLocal()) {
-        w.U8(static_cast<std::uint8_t>(RefTag::kLocal));
-        wire::Encode(w, EnsureId(rb.local()));
-      } else {
-        w.U8(static_cast<std::uint8_t>(RefTag::kProxy));
-        wire::Encode(w, rb.proxy()->descriptor());
-      }
+      refs.push_back(rb.IsLocal()   ? RefEntry::Inline(EnsureId(rb.local()))
+                     : rb.IsProxy() ? RefEntry::Proxy(rb.proxy()->descriptor())
+                                    : RefEntry::Null());
     }
+    wire::Encode(w, refs);
   };
 
   // Pre-pass: assign ids to every locally referenced object so the master
@@ -191,9 +187,7 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
 
   struct PendingRef {
     RefBase* ref;
-    RefTag tag;
-    ObjectId target;
-    ProxyDescriptor proxy;
+    RefEntry entry;
   };
   std::vector<PendingRef> pending;
 
@@ -205,27 +199,14 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
     Bytes fields = r.Blob();
     wire::Reader fr(AsView(fields));
     OBIWAN_RETURN_IF_ERROR(ci->DecodeFields(*obj, fr));
-    std::uint64_t ref_count = r.Varint();
-    if (ref_count != ci->refs().size()) {
+    auto refs = wire::Decode<std::vector<RefEntry>>(r);
+    OBIWAN_RETURN_IF_ERROR(r.status());
+    if (refs.size() != ci->refs().size()) {
       return DataLossError("snapshot ref count mismatch for " + class_name);
     }
-    for (std::uint64_t i = 0; i < ref_count && r.ok(); ++i) {
-      PendingRef p;
-      p.ref = &ci->refs()[i].get(*obj);
-      std::uint8_t tag = r.U8();
-      if (tag > 2) {
-        r.Fail("bad snapshot ref tag");
-        break;
-      }
-      p.tag = static_cast<RefTag>(tag);
-      if (p.tag == RefTag::kLocal) {
-        p.target = wire::Decode<ObjectId>(r);
-      } else if (p.tag == RefTag::kProxy) {
-        p.proxy = wire::Decode<ProxyDescriptor>(r);
-      }
-      pending.push_back(p);
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      pending.push_back(PendingRef{&ci->refs()[i].get(*obj), std::move(refs[i])});
     }
-    OBIWAN_RETURN_IF_ERROR(r.status());
     // No manual pointer-map insert: EmplaceMaster/EmplaceReplica register
     // the pointer identity (and the holder index) themselves.
     return obj;
@@ -308,28 +289,10 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
 
   // Second pass: swizzle.
   for (const PendingRef& p : pending) {
-    switch (p.tag) {
-      case RefTag::kNull:
-        p.ref->Reset();
-        break;
-      case RefTag::kLocal: {
-        std::shared_ptr<Shareable> target = table_.Find(p.target);
-        if (target == nullptr) {
-          return DataLossError("snapshot refers to missing object " +
-                               ToString(p.target));
-        }
-        p.ref->BindLocal(p.target, std::move(target));
-        break;
-      }
-      case RefTag::kProxy: {
-        if (auto local = table_.Find(p.proxy.target)) {
-          p.ref->BindLocal(p.proxy.target, std::move(local));
-        } else {
-          p.ref->BindProxy(
-              std::make_shared<ProxyOut>(this, p.proxy, ReplicationMode::Incremental()));
-        }
-        break;
-      }
+    if (!BindRef(*p.ref, p.entry, table_.Find(p.entry.target),
+                 ReplicationMode::Incremental())) {
+      return DataLossError("snapshot refers to missing object " +
+                           ToString(p.entry.target));
     }
   }
   return Status::Ok();

@@ -374,6 +374,34 @@ TEST_F(FanoutSimTest, SharedPinReleaseKeepsOtherHolders) {
   ASSERT_TRUE(site("h2").Refresh(ref2).ok());  // the pin still serves
 }
 
+// A pushed record's boundary pin is shared by all of its recipients, so
+// every recipient must be registered on it: one holder's release must not
+// tear the pin down under another that has yet to fault through it.
+TEST_F(FanoutSimTest, PushedBoundaryPinServesEveryRecipient) {
+  hub_->SetConsistencyPolicy(std::make_unique<PushUpdates>());
+  auto head = std::make_shared<Node>();
+  ASSERT_TRUE(hub_->Bind("head", head).ok());
+  const ObjectId oid = hub_->Export(head);
+
+  AddSite("h1", 2);
+  AddSite("h2", 3);
+  auto ref1 = Replicate("h1", "head");
+  auto ref2 = Replicate("h2", "head");
+
+  // Link a tail no holder has fetched: the push carries it as a pin.
+  auto tail = std::make_shared<Node>();
+  tail->label = "tail";
+  head->next = tail;
+  ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
+  ASSERT_TRUE(ref1.get()->next.IsProxy());
+  ASSERT_TRUE(ref2.get()->next.IsProxy());
+
+  ASSERT_TRUE(
+      site("h1").ReleaseProxy(ref1.get()->next.proxy()->descriptor()).ok());
+  ASSERT_TRUE(ref2.get()->next.Demand().ok());
+  EXPECT_EQ(ref2.get()->next.get()->label, "tail");
+}
+
 // 2. BuildPushRecord: repeated pushes must reuse boundary pins and build
 // the record once per fanout — provider pin tables must not grow.
 TEST_F(FanoutSimTest, RepeatedPushesKeepPinTableStable) {

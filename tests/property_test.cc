@@ -133,9 +133,9 @@ TEST_P(GraphPropertyTest, ReplicateFaultEverythingCheckInvariants) {
 
 TEST_P(GraphPropertyTest, PutRoundTripReproducesState) {
   const GraphCase& param = GetParam();
-  if (param.mode.SharedProxyPair()) {
-    GTEST_SKIP() << "per-object put needs incremental mode";
-  }
+  // Cluster members share one proxy pair and can only be put as a whole
+  // (§4.3): those modes ship each replica's whole cluster.
+  const bool cluster = param.mode.SharedProxyPair();
 
   net::LoopbackNetwork network;
   core::Site provider(2, network.CreateEndpoint("s2"));
@@ -175,7 +175,7 @@ TEST_P(GraphPropertyTest, PutRoundTripReproducesState) {
     if (rb->IsEmpty() || !rb->IsLocal()) continue;
     auto* node = static_cast<Pair*>(rb->local_raw());
     if (!put_done.insert(node).second) continue;
-    ASSERT_TRUE(demander.Put(*rb).ok());
+    ASSERT_TRUE((cluster ? demander.PutCluster(*rb) : demander.Put(*rb)).ok());
     ref_queue.push_back(&node->left);
     ref_queue.push_back(&node->right);
   }

@@ -286,6 +286,52 @@ TEST_F(SnapshotTest, LoadRejectsWrongSiteAndNonEmptySite) {
             StatusCode::kFailedPrecondition);
 }
 
+// A snapshot of site 2 saved by an earlier build, on a VirtualClock: it holds
+// replica n0 {1,1} with an inline ref to replica n1 {1,2}, whose ref is a
+// proxy to n2 {1,3} at provider "p", and a local master {2,1} with a null
+// ref. Round trips inside one build would miss a format change made on both
+// the save and the load side; these fixed bytes do not.
+constexpr char kEarlierSnapshotHex[] =
+    "3249424f020201010201044e6f6465010000c0cf8c0800000300000001000201"
+    "01044e6f6465010001010101700101044e6f646500000001c0cf8c0801000502"
+    "6e300000010101020102044e6f6465010001010301700102044e6f6465000000"
+    "01c0cf8c08010005026e3100020102010201700103044e6f64650000";
+
+TEST_F(SnapshotTest, SnapshotFromAnEarlierBuildLoads) {
+  Bytes snapshot;
+  for (std::size_t i = 0; i + 1 < sizeof(kEarlierSnapshotHex); i += 2) {
+    snapshot.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(kEarlierSnapshotHex + i, 2), nullptr, 16)));
+  }
+  ASSERT_EQ(snapshot.size(), 124u);
+
+  core::Site restored(2, network_.CreateEndpoint("d"));
+  ASSERT_TRUE(restored.LoadSnapshot(AsView(snapshot)).ok());
+  EXPECT_EQ(restored.master_count(), 1u);
+  EXPECT_EQ(restored.replica_count(), 2u);
+  EXPECT_TRUE(restored.CheckTableConsistency());
+
+  auto n0 = restored.FindLocal(ObjectId{1, 1});
+  auto n1 = restored.FindLocal(ObjectId{1, 2});
+  ASSERT_TRUE(n0.ok() && n1.ok());
+  auto* head = static_cast<Node*>(n0->get());
+  EXPECT_EQ(head->label, "n0");
+  EXPECT_EQ(head->next.local_raw(), n1->get());  // inline ref
+  EXPECT_EQ(head->next.id(), (ObjectId{1, 2}));
+  auto* second = static_cast<Node*>(n1->get());
+  EXPECT_EQ(second->label, "n1");
+  ASSERT_TRUE(second->next.IsProxy());  // proxy ref
+  EXPECT_EQ(second->next.proxy()->target(), (ObjectId{1, 3}));
+  EXPECT_EQ(second->next.proxy()->descriptor().provider, "p");
+  auto channel = restored.ReplicaProvider(ObjectId{1, 1});
+  ASSERT_TRUE(channel.ok());
+  EXPECT_EQ(channel->provider, "p");
+
+  auto local = restored.FindLocal(ObjectId{2, 1});
+  ASSERT_TRUE(local.ok());
+  EXPECT_TRUE(static_cast<Node*>(local->get())->next.IsEmpty());  // null ref
+}
+
 TEST_F(SnapshotTest, TruncatedSnapshotFailsCleanly) {
   auto head = test::MakeChain(3, 32, "m");
   ASSERT_TRUE(provider_->Bind("list", head).ok());

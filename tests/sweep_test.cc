@@ -8,6 +8,8 @@
 //   - data integrity: every element's value arrives intact.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "obiwan.h"
 #include "test_objects.h"
 
@@ -17,12 +19,24 @@ namespace {
 using core::ReplicationMode;
 using test::Node;
 
+// gtest lists each case with the raw bytes of its parameter, and ctest takes
+// that listing as the test's name. The gaps after `kind` and `length` are
+// therefore spelled out as zeroed members: left as compiler padding they
+// hold stale stack bytes, and the names change from one build to the next.
 struct SweepCase {
+  SweepCase(ReplicationMode::Kind kind, std::uint32_t batch, int length,
+            std::size_t payload)
+      : kind(kind), batch(batch), length(length), payload(payload) {}
+
   ReplicationMode::Kind kind;
+  std::uint8_t unused_after_kind[3] = {};
   std::uint32_t batch;
   int length;
+  std::uint32_t unused_after_length = 0;
   std::size_t payload;
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>,
+              "SweepCase must have no padding bytes");
 
 class TraversalSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -172,9 +172,9 @@ for key in ("threads", "wait_share", "wall_ms", "contended", "site_p99_us"):
 assert all(0.0 <= w <= 1.0 for w in c["wait_share"]), \
     f"wait_share out of [0,1]: {c['wait_share']}"
 # The refactor's acceptance: the top-thread-count wait share must not
-# regress past the committed single-mutex baseline. (A small epsilon
-# absorbs scheduler noise on a loaded single-core CI box; the sharded
-# table typically lands far below the baseline, near zero.)
+# regress past the committed single-mutex baseline. (The 10% epsilon
+# absorbs scheduler noise on a loaded CI box; the sharded table typically
+# lands far below the baseline, near zero.)
 assert c["threads"] == baseline["threads"], \
     f"thread grid changed: {c['threads']} vs baseline {baseline['threads']}"
 budget = baseline["wait_share"][-1] * 1.10
@@ -216,11 +216,12 @@ assert len(s["obj_thr_kops"]) == len(s["objects"]), f"ragged obj_thr_kops: {s}"
 assert all(t > 0 for t in s["thr_kops"]), f"dead thread series: {s['thr_kops']}"
 assert all(t > 0 for t in s["obj_thr_kops"]), \
     f"dead object series: {s['obj_thr_kops']}"
-# Adding threads must not collapse throughput. On a single-core CI box the
-# CPU-bound share of the op mix cannot scale, so the curve drifts down with
-# scheduler overhead (~0.75x at T=8 observed); 0.6 leaves noise headroom
-# while still catching serialization collapse (threads convoying on one
-# lock, futex storms). On real multi-core hardware the ratio exceeds 1.
+# Adding threads must not collapse throughput. On the 4-core CI box the
+# curve rises, about 2.2x from 1 to 8 threads (Release, median of 5 runs).
+# Each point is one ~1 ms run, so the 0.6 floor leaves headroom for a noisy
+# point, and for a box with fewer cores than threads, where the CPU-bound
+# share of the op mix cannot scale, while still catching serialization
+# collapse (threads convoying on one lock, futex storms).
 assert s["thr_kops"][-1] >= 0.6 * s["thr_kops"][0], \
     f"throughput collapsed with threads: {s['thr_kops']}"
 print(f"BENCH_scale.json: scale OK (thr_kops={s['thr_kops']}, "
