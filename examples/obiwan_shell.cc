@@ -260,9 +260,9 @@ struct Shell {
     }
     if (cmd == "trace") {
       std::fputs(tracer.Dump().c_str(), stdout);
-      if (tracer.dropped() > 0) {
-        std::printf("  (%llu older events dropped)\n",
-                    static_cast<unsigned long long>(tracer.dropped()));
+      if (tracer.spans_dropped() > 0) {
+        std::printf("  (%llu older spans dropped)\n",
+                    static_cast<unsigned long long>(tracer.spans_dropped()));
       }
       return true;
     }

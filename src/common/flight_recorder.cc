@@ -49,8 +49,7 @@ std::string FlightRecorder::RenderLocked() const {
   // render keeps Unregister from racing us. (No site ever triggers a dump
   // while holding its own lock, so the FR-mutex -> site-lock order here
   // cannot invert.)
-  return obiwan::ChromeTraceJson(collector.MergedSpans(),
-                                 collector.MergedEvents(), other_data);
+  return obiwan::ChromeTraceJson(collector.MergedSpans(), other_data);
 }
 
 std::string FlightRecorder::ChromeTraceJson() const {

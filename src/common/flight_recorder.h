@@ -1,9 +1,9 @@
 // FlightRecorder: the process-wide registry of always-on per-site span
 // buffers, and the dump-on-failure hook.
 //
-// Every core::Site owns a small bounded Tracer that records its spans and
-// events whether or not a user tracer is attached — a black box holding the
-// last N steps of every site in the process. The recorder tracks those
+// Every core::Site owns a small bounded Tracer that records its spans whether
+// or not a user tracer is attached — a black box holding the last N steps of
+// every site in the process. The recorder tracks those
 // buffers and can render them all, merged on the shared clock, as Chrome
 // trace-event JSON at any moment:
 //

@@ -538,28 +538,39 @@ std::string MetricsRegistry::DumpPrometheus() const {
   return out;
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
+std::string JsonString(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
+  out.reserve(s.size() + 2);
+  out += '"';
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
-      default: out += c;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned char>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
+  out += '"';
   return out;
 }
+
+namespace {
 
 std::string JsonLabels(const MetricLabels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i != 0) out += ',';
-    out += '"' + JsonEscape(labels[i].first) + "\":\"" +
-           JsonEscape(labels[i].second) + '"';
+    out += JsonString(labels[i].first) + ":" + JsonString(labels[i].second);
   }
   out += '}';
   return out;
@@ -571,27 +582,24 @@ std::string MetricsRegistry::DumpJson() const {
   std::lock_guard lock(mutex_);
   std::string counters, gauges, histograms;
   for (const auto& e : entries_) {
+    const std::string head = "{\"name\":" + JsonString(e->name) +
+                             ",\"labels\":" + JsonLabels(e->labels);
     switch (e->type) {
       case Type::kCounter: {
         if (!counters.empty()) counters += ',';
-        counters += "{\"name\":\"" + JsonEscape(e->name) +
-                    "\",\"labels\":" + JsonLabels(e->labels) +
-                    ",\"value\":" + std::to_string(e->counter->Value()) + "}";
+        counters += head + ",\"value\":" +
+                    std::to_string(e->counter->Value()) + "}";
         break;
       }
       case Type::kGauge: {
         if (!gauges.empty()) gauges += ',';
-        gauges += "{\"name\":\"" + JsonEscape(e->name) +
-                  "\",\"labels\":" + JsonLabels(e->labels) +
-                  ",\"value\":" + std::to_string(e->gauge->Value()) + "}";
+        gauges += head + ",\"value\":" + std::to_string(e->gauge->Value()) + "}";
         break;
       }
       case Type::kHistogram: {
         const Histogram& h = *e->histogram;
         if (!histograms.empty()) histograms += ',';
-        histograms += "{\"name\":\"" + JsonEscape(e->name) +
-                      "\",\"labels\":" + JsonLabels(e->labels) +
-                      ",\"count\":" + std::to_string(h.Count()) +
+        histograms += head + ",\"count\":" + std::to_string(h.Count()) +
                       ",\"sum\":" + std::to_string(h.Sum()) +
                       ",\"max\":" + std::to_string(h.Max()) +
                       ",\"p50\":" + FormatDouble(h.P50()) +
@@ -612,8 +620,8 @@ std::string MetricsRegistry::DumpJson() const {
           if (i != 0) histograms += ',';
           histograms += "{\"value\":" + std::to_string(exemplars[i].value) +
                         ",\"bucket\":" + std::to_string(exemplars[i].bucket) +
-                        ",\"trace_id\":\"" + JsonEscape(ToString(exemplars[i].trace)) +
-                        "\",\"span_id\":" + std::to_string(exemplars[i].span) + "}";
+                        ",\"trace_id\":" + JsonString(ToString(exemplars[i].trace)) +
+                        ",\"span_id\":" + std::to_string(exemplars[i].span) + "}";
         }
         histograms += "]}";
         break;

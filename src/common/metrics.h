@@ -280,6 +280,11 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Entry>> entries_;
 };
 
+// `s` as a quoted JSON string: `"`, `\` and every byte below 0x20 escaped
+// (RFC 8259). The one string quoter behind DumpJson and every other JSON
+// export (Chrome traces, inspect reports, admin routes).
+std::string JsonString(std::string_view s);
+
 // Register the constant obiwan_build_info{version,flags} = 1 gauge, the
 // standard Prometheus idiom for detecting restarts and mixed-version fleets
 // (join any series against it by instance). Idempotent.

@@ -43,16 +43,6 @@ std::uint64_t SpanContext::Exchange(std::uint64_t id) {
 // Tracer
 // ---------------------------------------------------------------------------
 
-std::string TraceEvent::ToString() const {
-  std::string out = "[" + std::to_string(static_cast<double>(at) / kMilli) +
-                    "ms site " + std::to_string(site) + "] " + category +
-                    (detail.empty() ? "" : ": " + detail);
-  if (trace.valid()) {
-    out += " #" + std::to_string(trace.site) + ":" + std::to_string(trace.seq);
-  }
-  return out;
-}
-
 std::string Span::ToString() const {
   std::string out = "[" + std::to_string(static_cast<double>(begin) / kMilli) +
                     "ms +" +
@@ -75,59 +65,13 @@ void Tracer::UnlockAll() const {
   for (auto it = stripes_.rbegin(); it != stripes_.rend(); ++it) it->unlock();
 }
 
-void Tracer::Record(Nanos at, SiteId site, std::string_view category,
-                    std::string_view detail, TraceId trace) {
-  // Reserve the slot without any lock; only the write into it is serialized,
-  // and only against recorders that hash to the same stripe.
-  const std::uint64_t seq = total_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t slot = static_cast<std::size_t>(seq % capacity_);
-  std::lock_guard lock(StripeFor(slot));
-  TraceEvent& entry = ring_[slot];
-  entry.at = at;
-  entry.site = site;
-  entry.trace = trace;
-  // assign() reuses each slot's existing string capacity, so a warm ring
-  // records without allocating.
-  entry.category.assign(category);
-  entry.detail.assign(detail);
-}
-
 void Tracer::RecordSpan(const Span& span) {
   const std::uint64_t seq = span_total_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t slot = static_cast<std::size_t>(seq % capacity_);
   std::lock_guard lock(StripeFor(slot));
-  Span& entry = span_ring_[slot];
-  entry.id = span.id;
-  entry.parent = span.parent;
-  entry.trace = span.trace;
-  entry.site = span.site;
-  entry.begin = span.begin;
-  entry.end = span.end;
-  entry.category.assign(span.category);
-  entry.name.assign(span.name);
-  entry.failed = span.failed;
-}
-
-std::vector<TraceEvent> Tracer::Snapshot() const {
-  LockAll();
-  std::vector<TraceEvent> out;
-  const std::uint64_t total = total_.load(std::memory_order_relaxed);
-  const std::uint64_t count = std::min<std::uint64_t>(total, capacity_);
-  out.reserve(count);
-  const std::uint64_t start = total - count;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    out.push_back(ring_[(start + i) % capacity_]);
-  }
-  UnlockAll();
-  return out;
-}
-
-std::vector<TraceEvent> Tracer::SnapshotTrace(TraceId trace) const {
-  std::vector<TraceEvent> out = Snapshot();
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&](const TraceEvent& e) { return e.trace != trace; }),
-            out.end());
-  return out;
+  // Copy-assignment reuses each slot's string capacity, so a warm ring
+  // records without allocating.
+  span_ring_[slot] = span;
 }
 
 std::vector<Span> Tracer::SnapshotSpans() const {
@@ -154,17 +98,12 @@ std::vector<Span> Tracer::SnapshotTraceSpans(TraceId trace) const {
 
 void Tracer::Clear() {
   LockAll();
-  total_.store(0, std::memory_order_relaxed);
   span_total_.store(0, std::memory_order_relaxed);
   UnlockAll();
 }
 
 std::string Tracer::Dump() const {
   std::string out;
-  for (const TraceEvent& event : Snapshot()) {
-    out += event.ToString();
-    out += '\n';
-  }
   for (const Span& span : SnapshotSpans()) {
     out += span.ToString();
     out += '\n';

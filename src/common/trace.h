@@ -1,30 +1,30 @@
-// Event + span tracing: fixed-capacity rings of protocol events and causal
-// spans, plus the cross-site correlation context.
+// Span tracing: a fixed-capacity ring of causal spans, plus the cross-site
+// correlation context.
 //
 // Distributed flows (a fault cascading through a replica chain, an
 // invalidation fan-out) are hard to reconstruct from logs of interleaved
 // sites. A Tracer can be attached to any number of sites; each records its
-// protocol events (faults, gets, puts, calls, invalidations) with the site id
-// and a timestamp from its own clock, and Snapshot() returns the merged,
-// chronological view. The rings never allocate after construction beyond the
-// event strings themselves (slot strings are reused in place), and a site
-// without a tracer pays one pointer compare per event.
+// protocol steps as spans with the site id and timestamps from its own clock,
+// and SnapshotSpans() returns the merged view. The ring never allocates after
+// construction beyond the span strings themselves (slot strings are reused in
+// place), and a site without a tracer pays one pointer compare per span.
 //
-// Cross-site correlation: every event additionally carries the TraceId of the
+// A Span is a begin/end interval with a process-unique id and the id of the
+// span that was open on the same thread when it began. The paper's cascade —
+// RMI → fault → get → put — therefore records as a parent/child tree. A
+// point-in-time step (an error, a pushed update, a dropped holder) is a span
+// that begins and ends at once (RecordInstant), so it lands in that tree under
+// the step that caused it.
+//
+// Cross-site correlation: every span additionally carries the TraceId of the
 // distributed flow it belongs to. The id is allocated at the call origin
 // (TraceContext::NewId), travels in the RMI request envelope
 // (rmi/protocol.h), and is re-installed by the receiving dispatcher for the
 // duration of the handler — so a get served three sites down a replica chain
 // still records under the id of the fault that started it.
-// SnapshotTrace(id) filters the merged timeline back down to one flow.
-//
-// Spans add causality and duration on top of the flat events: a Span is a
-// begin/end interval with a process-unique id and the id of the span that was
-// open on the same thread when it began. The paper's cascade — RMI → fault →
-// get → put — therefore records as a parent/child tree, and because the
-// TraceId rides the envelope, a remote dispatch records as (part of) the flow
-// of the originating call. TraceCollector (trace_collector.h) merges spans
-// from many tracers into one timeline and exports Chrome trace-event JSON.
+// SnapshotTraceSpans(id) filters the timeline back down to one flow, and
+// TraceCollector (trace_collector.h) merges spans from many tracers into one
+// timeline and exports Chrome trace-event JSON.
 #pragma once
 
 #include <array>
@@ -42,16 +42,6 @@
 
 namespace obiwan {
 
-struct TraceEvent {
-  Nanos at = 0;
-  SiteId site = kInvalidSite;
-  TraceId trace;         // invalid when the event belongs to no remote flow
-  std::string category;  // "fault", "get", "put", "call", "invalidate", ...
-  std::string detail;
-
-  std::string ToString() const;
-};
-
 // A completed causal span: one timed step of a distributed cascade. `parent`
 // is the span that was open on the same thread when this one began (0 = no
 // enclosing span); with synchronous in-process delivery that links a server
@@ -64,7 +54,7 @@ struct Span {
   SiteId site = kInvalidSite;
   Nanos begin = 0;
   Nanos end = 0;
-  std::string category;  // "rmi", "dispatch", "fault", "get", "put", ...
+  std::string category;  // "rmi", "dispatch", "fault", "get", "error", ...
   std::string name;
   bool failed = false;
 
@@ -119,42 +109,25 @@ class SpanContext {
 
 class Tracer {
  public:
-  // `capacity` bounds both rings (events and spans) independently.
   explicit Tracer(std::size_t capacity = 1024)
       : capacity_(capacity == 0 ? 1 : capacity) {
-    ring_.resize(capacity_);
     span_ring_.resize(capacity_);
-    // All rings share one "tracer_ring" lock family: stripe contention is a
+    // All tracers share one "tracer_ring" lock family: stripe contention is a
     // recording-throughput ceiling worth watching, but per-stripe series
     // would be cardinality noise.
     for (auto& stripe : stripes_) stripe.Configure("tracer_ring");
   }
 
-  void Record(Nanos at, SiteId site, std::string_view category,
-              std::string_view detail, TraceId trace = {});
-
   // Record a *completed* span (SpanScope does this from its destructor).
   void RecordSpan(const Span& span);
 
-  // Events in arrival order (oldest first). The `dropped` counter tells how
-  // many older events the ring already evicted.
-  std::vector<TraceEvent> Snapshot() const;
-
-  // Only the events of one distributed flow, in arrival order — the
-  // reconstruction of a single end-to-end RMI/fault/reintegration cascade.
-  std::vector<TraceEvent> SnapshotTrace(TraceId trace) const;
-
-  // Completed spans in completion order (oldest first).
+  // Completed spans in completion order (oldest first); `spans_dropped`
+  // tells how many older spans the ring already evicted.
   std::vector<Span> SnapshotSpans() const;
+  // Only the spans of one distributed flow — the reconstruction of a single
+  // end-to-end RMI/fault/reintegration cascade.
   std::vector<Span> SnapshotTraceSpans(TraceId trace) const;
 
-  std::uint64_t dropped() const {
-    const std::uint64_t total = total_.load(std::memory_order_relaxed);
-    return total > capacity_ ? total - capacity_ : 0;
-  }
-  std::uint64_t total_recorded() const {
-    return total_.load(std::memory_order_relaxed);
-  }
   std::uint64_t spans_dropped() const {
     const std::uint64_t total = span_total_.load(std::memory_order_relaxed);
     return total > capacity_ ? total - capacity_ : 0;
@@ -165,7 +138,7 @@ class Tracer {
 
   void Clear();
 
-  // Render the snapshot as text: events first, then completed spans.
+  // Render the snapshot as text, one completed span per line.
   std::string Dump() const;
 
  private:
@@ -185,30 +158,20 @@ class Tracer {
 
   const std::size_t capacity_;
   mutable std::array<TrackedMutex, kStripes> stripes_;
-  std::vector<TraceEvent> ring_;
   std::vector<Span> span_ring_;
-  std::atomic<std::uint64_t> total_{0};       // events ever recorded
   std::atomic<std::uint64_t> span_total_{0};  // spans ever recorded
 };
 
 // Fan-out handle: a site records through one of these so its always-on
 // flight-recorder ring and an optionally attached shared tracer both see
-// every event and span. Copyable view semantics; the tracers must outlive
-// any recording through the sinks.
+// every span. Copyable view semantics; the tracers must outlive any
+// recording through the sinks.
 class TraceSinks {
  public:
   void SetFlight(Tracer* tracer) { flight_ = tracer; }
   void SetAttached(Tracer* tracer) { attached_ = tracer; }
-  Tracer* attached() const { return attached_; }
   bool active() const { return flight_ != nullptr || attached_ != nullptr; }
 
-  void Record(Nanos at, SiteId site, std::string_view category,
-              std::string_view detail, TraceId trace = {}) const {
-    if (flight_ != nullptr) flight_->Record(at, site, category, detail, trace);
-    if (attached_ != nullptr) {
-      attached_->Record(at, site, category, detail, trace);
-    }
-  }
   void RecordSpan(const Span& span) const {
     if (flight_ != nullptr) flight_->RecordSpan(span);
     if (attached_ != nullptr) attached_->RecordSpan(span);
@@ -241,5 +204,13 @@ class SpanScope {
   Clock* clock_ = nullptr;
   Span span_;
 };
+
+// A point-in-time step: a span that begins and ends at once, parented under
+// whatever span is open on this thread.
+inline void RecordInstant(const TraceSinks* sinks, Clock& clock, SiteId site,
+                          std::string_view category, std::string_view name,
+                          TraceId trace) {
+  SpanScope instant(sinks, clock, site, category, name, trace);
+}
 
 }  // namespace obiwan

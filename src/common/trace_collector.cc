@@ -8,36 +8,11 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/metrics.h"
+
 namespace obiwan {
 
 namespace {
-
-std::string JsonString(std::string_view in) {
-  std::string out = "\"";
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 // Chrome trace timestamps are microseconds; keep sub-microsecond precision so
 // virtual-clock spans a few ns apart stay ordered in the viewer.
@@ -78,16 +53,6 @@ class ChromeWriter {
       out += "}";
     }
     out += "}";
-    Append(std::move(out));
-  }
-
-  void Instant(const TraceEvent& e, int tid) {
-    std::string out = "{\"name\":" + JsonString(e.category);
-    out += ",\"ph\":\"i\",\"s\":\"t\"";
-    out += ",\"pid\":" + std::to_string(e.site);
-    out += ",\"tid\":" + std::to_string(tid);
-    out += ",\"ts\":" + Micros(e.at);
-    out += ",\"args\":{\"detail\":" + JsonString(e.detail) + "}}";
     Append(std::move(out));
   }
 
@@ -145,26 +110,8 @@ std::vector<Span> TraceCollector::MergedSpans() const {
   return out;
 }
 
-std::vector<TraceEvent> TraceCollector::MergedEvents() const {
-  std::vector<TraceEvent> out;
-  for (const Tracer* t : tracers_) {
-    std::vector<TraceEvent> events = t->Snapshot();
-    out.insert(out.end(), std::make_move_iterator(events.begin()),
-               std::make_move_iterator(events.end()));
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.at < b.at;
-                   });
-  return out;
-}
-
 std::string TraceCollector::DumpText() const {
   std::string out;
-  for (const TraceEvent& event : MergedEvents()) {
-    out += event.ToString();
-    out += '\n';
-  }
   for (const Span& span : MergedSpans()) {
     out += span.ToString();
     out += '\n';
@@ -173,7 +120,7 @@ std::string TraceCollector::DumpText() const {
 }
 
 std::string TraceCollector::ChromeTraceJson() const {
-  return obiwan::ChromeTraceJson(MergedSpans(), MergedEvents());
+  return obiwan::ChromeTraceJson(MergedSpans());
 }
 
 Status TraceCollector::WriteChromeTrace(const std::string& path) const {
@@ -185,21 +132,12 @@ Status TraceCollector::WriteChromeTrace(const std::string& path) const {
   return Status::Ok();
 }
 
-std::string ChromeTraceJson(std::vector<Span> spans,
-                            std::vector<TraceEvent> events) {
-  return ChromeTraceJson(std::move(spans), std::move(events), {});
-}
-
 std::string ChromeTraceJson(
-    std::vector<Span> spans, std::vector<TraceEvent> events,
+    std::vector<Span> spans,
     const std::vector<std::pair<std::string, std::string>>& other_data) {
   std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
     return a.begin != b.begin ? a.begin < b.begin : a.id < b.id;
   });
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.at < b.at;
-                   });
 
   // One tid per distributed flow, numbered in order of first appearance;
   // tid 0 holds everything recorded outside any flow.
@@ -237,11 +175,6 @@ std::string ChromeTraceJson(
     // Emit depth-first; clamp children into their parent's interval so the
     // B/E stream is well-nested even if clocks or ring eviction produced
     // slightly inconsistent endpoints.
-    struct Frame {
-      const Span* span;
-      Nanos lo;
-      Nanos hi;
-    };
     auto emit = [&](auto&& self, const Span* s, Nanos lo, Nanos hi) -> void {
       const Nanos b = std::clamp(s->begin, lo, hi);
       const Nanos e = std::clamp(s->end < b ? b : s->end, b, hi);
@@ -255,20 +188,12 @@ std::string ChromeTraceJson(
     }
   }
 
-  for (const TraceEvent& e : events) {
-    writer.Instant(e, tid_of(e.trace));
-  }
-
   // Name every process and flow the trace references.
   std::map<SiteId, bool> pids;
   std::map<FlowKey, TraceId> flows;
   for (const Span& s : spans) {
     pids[s.site] = true;
     flows[FlowKey{s.site, tid_of(s.trace)}] = s.trace;
-  }
-  for (const TraceEvent& e : events) {
-    pids[e.site] = true;
-    flows[FlowKey{e.site, tid_of(e.trace)}] = e.trace;
   }
   for (const auto& [pid, used] : pids) {
     (void)used;

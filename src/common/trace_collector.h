@@ -1,19 +1,18 @@
 // TraceCollector: merge the per-site tracers of a topology into one timeline
 // ordered on the (virtual) clock, and export it as Chrome trace-event JSON.
 //
-// Every site in a simulated or real topology records events and spans on its
-// own clock into its own Tracer (or a shared one). The collector is a cheap
-// view over any number of tracers: MergedSpans()/MergedEvents() snapshot them
-// all and sort on the begin timestamp, and ChromeTraceJson() renders the
-// result in the trace-event format that chrome://tracing and Perfetto load
-// directly:
+// Every site in a simulated or real topology records spans on its own clock
+// into its own Tracer (or a shared one). The collector is a cheap view over
+// any number of tracers: MergedSpans() snapshots them all and sorts on the
+// begin timestamp, and ChromeTraceJson() renders the result in the
+// trace-event format that chrome://tracing and Perfetto load directly:
 //
 //   - one "process" (pid) per site — pid 0 is the network / harness,
 //   - one "thread" (tid) per distributed flow (TraceId), tid 0 for spans
 //     recorded outside any flow,
 //   - B/E duration events for spans (children clamped into their parent so
-//     the viewer always sees a well-nested stack),
-//   - instant events ("i") for the flat TraceEvents, and
+//     the viewer always sees a well-nested stack; an instant is a zero-length
+//     pair), and
 //   - metadata events naming each process and flow.
 //
 // Timestamps are exported in microseconds on whatever clock the sites share;
@@ -35,12 +34,11 @@ class TraceCollector {
   // duplicates its records.
   void Attach(const Tracer* tracer);
 
-  // All spans / events across the attached tracers, sorted by begin time
-  // (ties broken by span id, which is allocation-ordered).
+  // All spans across the attached tracers, sorted by begin time (ties
+  // broken by span id, which is allocation-ordered).
   std::vector<Span> MergedSpans() const;
-  std::vector<TraceEvent> MergedEvents() const;
 
-  // Grep-friendly text timeline: merged events, then merged spans.
+  // Grep-friendly text timeline of the merged spans.
   std::string DumpText() const;
 
   std::string ChromeTraceJson() const;
@@ -50,16 +48,13 @@ class TraceCollector {
   std::vector<const Tracer*> tracers_;
 };
 
-// Render an arbitrary span/event set as Chrome trace-event JSON (the
-// collector and the flight recorder both go through this).
-std::string ChromeTraceJson(std::vector<Span> spans,
-                            std::vector<TraceEvent> events);
-
-// Same, with extra entries for the file's top-level "otherData" object —
-// (key, raw JSON value) pairs, e.g. a site's replica-table summary embedded
-// in a flight-recorder dump. The value string must already be valid JSON.
+// Render an arbitrary span set as Chrome trace-event JSON (the collector and
+// the flight recorder both go through this). `other_data` holds extra entries
+// for the file's top-level "otherData" object — (key, raw JSON value) pairs,
+// e.g. a site's replica-table summary embedded in a flight-recorder dump. The
+// value strings must already be valid JSON.
 std::string ChromeTraceJson(
-    std::vector<Span> spans, std::vector<TraceEvent> events,
-    const std::vector<std::pair<std::string, std::string>>& other_data);
+    std::vector<Span> spans,
+    const std::vector<std::pair<std::string, std::string>>& other_data = {});
 
 }  // namespace obiwan

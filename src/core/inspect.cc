@@ -7,37 +7,13 @@
 #include <cstdio>
 #include <unordered_set>
 
+#include "common/metrics.h"
 #include "core/site.h"
 #include "rmi/protocol.h"
 
 namespace obiwan::core {
 
 namespace {
-
-std::string JsonString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 std::string ToString(const ProxyId& id) {
   return "pin(" + std::to_string(id.site) + ":" + std::to_string(id.local) + ")";

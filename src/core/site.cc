@@ -600,11 +600,10 @@ bool Site::BindRef(RefBase& rb, const RefEntry& entry,
 
 Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req) {
   SpanScope span(&sinks_, clock_, id_, "serve.get",
-                 "root " + ToString(req.root) + " for " + from,
+                 "root " + ToString(req.root) + " for " + from +
+                     (req.refresh ? " (refresh)" : ""),
                  TraceContext::Current());
   telemetry_.gets_served->Inc();
-  Trace("get", "from " + from + ", root " + ToString(req.root) +
-                    (req.refresh ? " (refresh)" : ""));
 
   // Pin check + lease touch under the pins mutex only; the batch walk below
   // takes shard guards, which must never nest inside a leaf lock.
@@ -758,8 +757,6 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
                      (req.transactional ? " (tx)" : ""),
                  TraceContext::Current());
   telemetry_.puts_served->Inc();
-  Trace("put", "from " + from + ", " + std::to_string(req.items.size()) +
-                    " item(s)" + (req.transactional ? " (tx)" : ""));
 
   {
     std::lock_guard pins(pins_mutex_);
@@ -1372,7 +1369,6 @@ Result<Bytes> Site::ServeCall(const rmi::CallRequest& call) {
                  call.method + " on " + ToString(call.target),
                  TraceContext::Current());
   telemetry_.calls_served->Inc();
-  Trace("call", call.method + " on " + ToString(call.target));
   std::shared_ptr<Shareable> obj = table_.FindLocked(call.target);
   if (obj == nullptr) {
     return NotFoundError("call target not present: " + ToString(call.target));
@@ -1409,7 +1405,6 @@ Result<std::shared_ptr<Shareable>> Site::DemandThrough(
     // the fault without touching the network.
     if (auto local = table_.FindLocked(root)) return local;
     telemetry_.object_faults->Inc();
-    Trace("fault", ToString(root) + " via " + descriptor.provider);
     fault_span.emplace(&sinks_, clock_, id_, "fault",
                        ToString(root) + " via " + descriptor.provider,
                        TraceContext::Current());
@@ -1957,7 +1952,6 @@ Result<Bytes> Site::CallRaw(const net::Address& to, ObjectId target,
   SpanScope span(&sinks_, clock_, id_, "rmi", method + " on " + ToString(target),
                  TraceContext::Current());
   telemetry_.calls_sent->Inc();
-  Trace("rmi", method + " on " + ToString(target) + " at " + to);
   rmi::CallRequest call{target, method, std::move(args)};
   return TimedRequest(telemetry_.op_call, to,
                       AsView(rmi::EncodeCall(call, TraceContext::Current(),
@@ -1971,7 +1965,6 @@ Result<Bytes> Site::CallBatchRaw(const net::Address& to,
                  std::to_string(calls.size()) + " call(s) at " + to,
                  TraceContext::Current());
   telemetry_.calls_sent->Inc(calls.size());
-  Trace("rmi", "batch of " + std::to_string(calls.size()) + " at " + to);
   return TimedRequest(
       telemetry_.op_call, to,
       AsView(rmi::EncodeCallBatch(calls, TraceContext::Current(),

@@ -180,7 +180,7 @@ struct SiteTelemetry {
 
 class Site final : public rmi::Service {
  public:
-  // Spans/events the per-site flight recorder keeps for post-mortem dumps.
+  // Spans the per-site flight recorder keeps for post-mortem dumps.
   static constexpr std::size_t kFlightRecorderCapacity = 512;
 
   // The site takes ownership of its transport. `clock` is used for
@@ -448,13 +448,13 @@ class Site final : public rmi::Service {
   // failure time, not just spans.
   std::string ReplicaSummaryJson();
 
-  // Attach an event tracer (shared across sites to get a merged timeline).
+  // Attach a span tracer (shared across sites to get a merged timeline).
   // Pass nullptr to detach; the tracer must outlive the site while attached.
   // Independent of the always-on flight recorder ring below.
   void SetTracer(Tracer* tracer) { sinks_.SetAttached(tracer); }
 
   // The site's always-on bounded span buffer (black box): holds the last N
-  // spans/events whether or not a tracer is attached, and is registered with
+  // spans whether or not a tracer is attached, and is registered with
   // FlightRecorder::Global() for post-mortem Chrome-trace dumps.
   Tracer& flight_recorder() { return flight_; }
 
@@ -621,9 +621,10 @@ class Site final : public rmi::Service {
   void TouchPin(ProxyInEntry& entry);
 
   void Trace(std::string_view category, std::string_view detail) {
-    // Fans out to the flight-recorder ring (always on) and the attached
-    // tracer (when set) — a detached site keeps its black box.
-    sinks_.Record(clock_.Now(), id_, category, detail,
+    // An instant under the open span, fanned out to the flight-recorder ring
+    // (always on) and the attached tracer (when set) — a detached site keeps
+    // its black box.
+    RecordInstant(&sinks_, clock_, id_, category, detail,
                   TraceContext::Current());
   }
 
@@ -816,7 +817,7 @@ class Site final : public rmi::Service {
 
   SiteTelemetry telemetry_;
   FanoutPool fanout_;
-  // Always-on flight-recorder ring (last N spans/events of this site) plus
+  // Always-on flight-recorder ring (last N spans of this site) plus
   // the optional attached tracer, fanned out through sinks_.
   Tracer flight_{kFlightRecorderCapacity};
   TraceSinks sinks_;

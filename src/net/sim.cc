@@ -23,16 +23,16 @@ void SimNetwork::Unregister(const Address& address) { endpoints_.erase(address);
 void SimNetwork::SetEndpointUp(const Address& address, bool up) {
   endpoint_down_[address] = !up;
   if (sinks_.active()) {
-    sinks_.Record(clock_.Now(), kInvalidSite, "net.link",
-                  "endpoint " + address + (up ? " up" : " down"));
+    RecordInstant(&sinks_, clock_, kInvalidSite, "net.link",
+                  "endpoint " + address + (up ? " up" : " down"), {});
   }
 }
 
 void SimNetwork::SetLinkUp(const Address& a, const Address& b, bool up) {
   link_down_[PairKeyOf(a, b)] = !up;
   if (sinks_.active()) {
-    sinks_.Record(clock_.Now(), kInvalidSite, "net.link",
-                  "link " + a + " <-> " + b + (up ? " up" : " down"));
+    RecordInstant(&sinks_, clock_, kInvalidSite, "net.link",
+                  "link " + a + " <-> " + b + (up ? " up" : " down"), {});
   }
 }
 
@@ -96,10 +96,8 @@ Result<Bytes> SimNetwork::Deliver(const Address& from, const Address& to,
   auto fail = [&](const Status& status) {
     telemetry_.OnFailure(status);
     if (span.has_value()) span->MarkFailed();
-    if (sinks_.active()) {
-      sinks_.Record(clock_.Now(), kInvalidSite, "net.error", status.message(),
-                    TraceContext::Current());
-    }
+    RecordInstant(&sinks_, clock_, kInvalidSite, "net.error", status.message(),
+                  TraceContext::Current());
     return status;
   };
   if (!LinkUp(from, to)) {

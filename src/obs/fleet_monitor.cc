@@ -21,21 +21,6 @@ T NearestRank(std::vector<T> values, double p) {
   return values[rank - 1];
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ToJson(const FleetReport& r) {
@@ -56,14 +41,14 @@ std::string ToJson(const FleetReport& r) {
   for (std::size_t i = 0; i < r.hottest.size(); ++i) {
     const FleetHotObject& h = r.hottest[i];
     if (i) os << ",";
-    os << "{\"id\":\"" << h.id.site << ":" << h.id.local << "\",\"class\":\""
-       << JsonEscape(h.class_name) << "\",\"traffic\":" << h.traffic << "}";
+    os << "{\"id\":\"" << h.id.site << ":" << h.id.local << "\",\"class\":"
+       << JsonString(h.class_name) << ",\"traffic\":" << h.traffic << "}";
   }
   os << "],\"site_samples\":[";
   for (std::size_t i = 0; i < r.site_samples.size(); ++i) {
     const FleetSiteSample& s = r.site_samples[i];
     if (i) os << ",";
-    os << "{\"address\":\"" << JsonEscape(s.address) << "\",\"reachable\":"
+    os << "{\"address\":" << JsonString(s.address) << ",\"reachable\":"
        << (s.reachable ? "true" : "false") << ",\"site\":" << s.site
        << ",\"masters\":" << s.masters << ",\"replicas\":" << s.replicas
        << ",\"frontier\":" << s.frontier << ",\"stale\":" << s.stale

@@ -1,7 +1,6 @@
 #include "obs/journey.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "common/trace.h"
@@ -9,31 +8,6 @@
 namespace obiwan::obs {
 
 namespace {
-
-// Admin JSON only ever carries addresses and object/trace ids, but keep the
-// output well-formed even for hostile holder names.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string TraceLabel(const TraceId& trace) {
   if (!trace.valid()) return "";
@@ -61,7 +35,7 @@ void AppendJourney(std::ostream& os, const JourneyView& j) {
   for (std::size_t i = 0; i < j.hops.size(); ++i) {
     const JourneyHopView& hop = j.hops[i];
     if (i != 0) os << ',';
-    os << "{\"holder\":\"" << JsonEscape(hop.holder) << "\"";
+    os << "{\"holder\":" << JsonString(hop.holder);
     if (hop.enqueue >= 0) os << ",\"enqueue_ns\":" << hop.enqueue;
     if (hop.send >= 0) os << ",\"send_ns\":" << hop.send;
     if (hop.ack >= 0) os << ",\"ack_ns\":" << hop.ack;

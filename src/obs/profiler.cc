@@ -24,23 +24,23 @@ const std::vector<std::int64_t>& DepthBuckets() {
 }
 
 void AppendJsonQueue(std::string& out, const QueueSample& q, bool first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s{\"queue\":\"%s\",\"depth\":%" PRId64 "}",
-                first ? "" : ",", q.queue.c_str(), q.depth);
-  out += buf;
+  out += first ? "{\"queue\":" : ",{\"queue\":";
+  out += JsonString(q.queue) + ",\"depth\":" + std::to_string(q.depth) + "}";
 }
 
 void AppendJsonLock(std::string& out, const LockSiteReport& l, bool first) {
+  out += first ? "{\"name\":" : ",{\"name\":";
+  out += JsonString(l.name);
+  // Only numbers go through the fixed buffer.
   char buf[384];
   std::snprintf(
       buf, sizeof(buf),
-      "%s{\"name\":\"%s\",\"acquisitions\":%" PRIu64 ",\"contended\":%" PRIu64
+      ",\"acquisitions\":%" PRIu64 ",\"contended\":%" PRIu64
       ",\"wait_total_ns\":%" PRId64 ",\"hold_total_ns\":%" PRId64
       ",\"wait_max_ns\":%" PRId64 ",\"wait_p99_ns\":%.0f,\"waiters\":%" PRId64
       "}",
-      first ? "" : ",", l.name.c_str(), l.acquisitions, l.contended,
-      l.wait_total_ns, l.hold_total_ns, l.wait_max_ns, l.wait_p99_ns,
-      l.waiters);
+      l.acquisitions, l.contended, l.wait_total_ns, l.hold_total_ns,
+      l.wait_max_ns, l.wait_p99_ns, l.waiters);
   out += buf;
 }
 

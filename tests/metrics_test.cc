@@ -2,6 +2,7 @@
 // at bucket boundaries, exporter formats, aggregation, and concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -203,6 +204,20 @@ TEST(Registry, DumpJsonHasAllSections) {
   EXPECT_NE(json.find("\"gauges\":["), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":["), std::string::npos);
   EXPECT_NE(json.find("\"p50\":"), std::string::npos);
+}
+
+// RFC 8259: every byte below 0x20 must be escaped inside a JSON string, so
+// a tab or a raw control byte in a label value cannot break DumpJson.
+TEST(Registry, DumpJsonEscapesControlCharacters) {
+  MetricsRegistry reg;
+  reg.GetCounter("ctl_total", {{"path", "a\tb\x01" "c\r\"q\"\\"}}).Inc(1);
+  std::string json = reg.DumpJson();
+  EXPECT_NE(json.find("\"path\":\"a\\tb\\u0001c\\r\\\"q\\\"\\\\\""),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << json;
 }
 
 TEST(Registry, SummarizeHistogramsMergesBySubsetMatch) {

@@ -219,33 +219,91 @@ TEST(Span, TwoSiteCascadeNestsUnderOriginatingRmi) {
   }
 }
 
+// Point-in-time steps are spans that begin and end at once, parented under
+// the open span: a failed ping's `error` lands under its `rpc` span, the
+// network's `net.error` under its `net` span, and a link change made outside
+// any span is a root with no flow.
+TEST(Span, InstantsNestUnderTheEnclosingSpan) {
+  VirtualClock clock;
+  net::SimNetwork network(clock, net::kPaperLan);
+  core::Site caller(1, network.CreateEndpoint("ic"), clock);
+  core::Site callee(2, network.CreateEndpoint("ie"), clock);
+  ASSERT_TRUE(caller.Start().ok());
+  ASSERT_TRUE(callee.Start().ok());
+
+  Tracer tracer(64);
+  caller.SetTracer(&tracer);
+  network.SetTracer(&tracer);
+
+  network.SetEndpointUp("ie", false);
+  EXPECT_EQ(caller.Ping("ie").code(), StatusCode::kDisconnected);
+  caller.SetTracer(nullptr);
+  network.SetTracer(nullptr);
+
+  auto spans = tracer.SnapshotSpans();
+  auto find = [&](std::string_view category) -> const Span* {
+    for (const Span& s : spans) {
+      if (s.category == category) return &s;
+    }
+    return nullptr;
+  };
+  const Span* link = find("net.link");
+  const Span* rpc = find("rpc");
+  const Span* error = find("error");
+  const Span* net = find("net");
+  const Span* net_error = find("net.error");
+  ASSERT_NE(link, nullptr);
+  ASSERT_NE(rpc, nullptr);
+  ASSERT_NE(error, nullptr);
+  ASSERT_NE(net, nullptr);
+  ASSERT_NE(net_error, nullptr);
+
+  EXPECT_TRUE(rpc->failed);
+  EXPECT_EQ(error->parent, rpc->id);
+  EXPECT_EQ(error->site, 1u);
+  EXPECT_TRUE(error->trace.valid());
+  EXPECT_EQ(error->trace, rpc->trace);
+  EXPECT_EQ(error->duration(), 0);
+  EXPECT_NE(error->name.find("link down"), std::string::npos);
+
+  EXPECT_EQ(net_error->parent, net->id);
+  EXPECT_EQ(net_error->duration(), 0);
+
+  EXPECT_EQ(link->parent, 0u);
+  EXPECT_FALSE(link->trace.valid());
+  EXPECT_EQ(link->name, "endpoint ie down");
+}
+
 TEST(TraceCollector, MergesTracersInTimelineOrder) {
   Tracer t1(8);
   Tracer t2(8);
   Span s1{/*id=*/1, 0, {}, 1, /*begin=*/50, /*end=*/60, "a", "x", false};
   Span s2{/*id=*/2, 0, {}, 2, /*begin=*/10, /*end=*/40, "b", "y", false};
   Span s3{/*id=*/3, 0, {}, 1, /*begin=*/30, /*end=*/35, "c", "z", false};
+  // Instants: zero-length spans.
+  Span s4{/*id=*/4, 0, {}, 1, /*begin=*/20, /*end=*/20, "ev", "first", false};
+  Span s5{/*id=*/5, 0, {}, 2, /*begin=*/5, /*end=*/5, "ev", "earliest", false};
   t1.RecordSpan(s1);
   t1.RecordSpan(s3);
   t2.RecordSpan(s2);
-  t1.Record(20, 1, "ev", "first");
-  t2.Record(5, 2, "ev", "earliest");
+  t1.RecordSpan(s4);
+  t2.RecordSpan(s5);
 
   TraceCollector collector;
   collector.Attach(&t1);
   collector.Attach(&t2);
   auto spans = collector.MergedSpans();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0].id, 2u);
-  EXPECT_EQ(spans[1].id, 3u);
-  EXPECT_EQ(spans[2].id, 1u);
-  auto events = collector.MergedEvents();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].detail, "earliest");
-  EXPECT_LE(events[0].at, events[1].at);
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans[0].id, 5u);
+  EXPECT_EQ(spans[0].name, "earliest");
+  EXPECT_EQ(spans[1].id, 2u);
+  EXPECT_EQ(spans[2].id, 4u);
+  EXPECT_EQ(spans[3].id, 3u);
+  EXPECT_EQ(spans[4].id, 1u);
 
   std::string text = collector.DumpText();
   EXPECT_NE(text.find("earliest"), std::string::npos);
+  EXPECT_LT(text.find("earliest"), text.find("first"));
 }
 
 TEST(ChromeTrace, JsonIsWellFormedAndBalanced) {
@@ -256,10 +314,10 @@ TEST(ChromeTrace, JsonIsWellFormedAndBalanced) {
   // clamp it into the parent interval so the B/E stack stays well-nested.
   spans.push_back({2, 1, flow, 1, 50, 900, "get", "child", true});
   spans.push_back({3, 0, {}, 2, 200, 300, "put", "other-site", false});
-  std::vector<TraceEvent> events;
-  events.push_back({150, 1, flow, "fault", "obj(1:2)"});
+  // An instant under the rmi span: a zero-length span.
+  spans.push_back({4, 1, flow, 1, 150, 150, "fault", "obj(1:2)", false});
 
-  std::string json = ChromeTraceJson(spans, events);
+  std::string json = ChromeTraceJson(spans);
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
 
@@ -271,10 +329,17 @@ TEST(ChromeTrace, JsonIsWellFormedAndBalanced) {
     }
     return n;
   };
-  // Every span opens and closes; the instant event and metadata ride along.
-  EXPECT_EQ(count("\"ph\":\"B\""), 3u);
-  EXPECT_EQ(count("\"ph\":\"E\""), 3u);
-  EXPECT_EQ(count("\"ph\":\"i\""), 1u);
+  // Every span opens and closes, the instant as a zero-length pair with no
+  // special event type; metadata rides along.
+  EXPECT_EQ(count("\"ph\":\"B\""), 4u);
+  EXPECT_EQ(count("\"ph\":\"E\""), 4u);
+  EXPECT_EQ(count("\"ph\":\"i\""), 0u);
+  EXPECT_EQ(count("\"name\":\"obj(1:2)\",\"cat\":\"fault\",\"ph\":\"B\",\"pid\":1,"
+                  "\"tid\":1,\"ts\":0.150"),
+            1u);
+  EXPECT_EQ(count("\"name\":\"obj(1:2)\",\"cat\":\"fault\",\"ph\":\"E\",\"pid\":1,"
+                  "\"tid\":1,\"ts\":0.150"),
+            1u);
   EXPECT_GE(count("\"ph\":\"M\""), 2u);  // process + thread names
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("\"site 1\""), std::string::npos);

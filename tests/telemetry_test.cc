@@ -155,29 +155,29 @@ TEST(CrossSiteTrace, OneCorrelationIdSpansBothSites) {
   (void)(*ref)->next->Label();
 
   TraceId flow;
-  for (const auto& e : demander_trace.Snapshot()) {
-    if (e.category == "fault") flow = e.trace;  // newest fault wins
+  for (const auto& s : demander_trace.SnapshotSpans()) {
+    if (s.category == "fault") flow = s.trace;  // newest fault wins
   }
   ASSERT_TRUE(flow.valid());
   EXPECT_EQ(flow.site, 2u);  // allocated at the call origin — the demander
 
   // The provider recorded work under the very same id.
-  auto provider_events = provider_trace.SnapshotTrace(flow);
-  ASSERT_FALSE(provider_events.empty());
+  auto provider_spans = provider_trace.SnapshotTraceSpans(flow);
+  ASSERT_FALSE(provider_spans.empty());
   bool get_served = false;
-  for (const auto& e : provider_events) {
-    EXPECT_EQ(e.site, 1u);
-    EXPECT_EQ(e.trace, flow);
-    if (e.category == "get") get_served = true;
+  for (const auto& s : provider_spans) {
+    EXPECT_EQ(s.site, 1u);
+    EXPECT_EQ(s.trace, flow);
+    if (s.category == "serve.get") get_served = true;
   }
   EXPECT_TRUE(get_served);
 
   // And the demander's own flow view contains the originating fault.
-  auto demander_events = demander_trace.SnapshotTrace(flow);
+  auto demander_spans = demander_trace.SnapshotTraceSpans(flow);
   bool fault_seen = false;
-  for (const auto& e : demander_events) {
-    EXPECT_EQ(e.site, 2u);
-    if (e.category == "fault") fault_seen = true;
+  for (const auto& s : demander_spans) {
+    EXPECT_EQ(s.site, 2u);
+    if (s.category == "fault") fault_seen = true;
   }
   EXPECT_TRUE(fault_seen);
 
@@ -210,8 +210,8 @@ TEST(CrossSiteTrace, PutFlowSpansBothSites) {
   ASSERT_TRUE(demander.Put(*ref).ok());
 
   bool traced_put = false;
-  for (const auto& e : provider_trace.Snapshot()) {
-    if (e.category == "put" && e.trace.valid() && e.trace.site == 2) {
+  for (const auto& s : provider_trace.SnapshotSpans()) {
+    if (s.category == "serve.put" && s.trace.valid() && s.trace.site == 2) {
       traced_put = true;
     }
   }

@@ -1,8 +1,10 @@
-// Tracer tests: ring semantics and the merged cross-site protocol timeline.
+// Tracer tests: span-ring semantics and the merged cross-site protocol
+// timeline.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/trace.h"
@@ -12,57 +14,74 @@
 namespace obiwan {
 namespace {
 
+// A completed zero-length span at `at` carrying `name`.
+Span InstantSpan(Nanos at, SiteId site, std::string category,
+                 std::string name, TraceId trace = {}) {
+  Span span;
+  span.id = SpanContext::NextId();
+  span.trace = trace;
+  span.site = site;
+  span.begin = span.end = at;
+  span.category = std::move(category);
+  span.name = std::move(name);
+  return span;
+}
+
 TEST(Tracer, RecordsInOrder) {
   Tracer tracer(8);
-  tracer.Record(1, 1, "a", "first");
-  tracer.Record(2, 2, "b", "second");
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].detail, "first");
-  EXPECT_EQ(events[1].site, 2u);
-  EXPECT_EQ(tracer.dropped(), 0u);
+  tracer.RecordSpan(InstantSpan(1, 1, "a", "first"));
+  tracer.RecordSpan(InstantSpan(2, 2, "b", "second"));
+  auto spans = tracer.SnapshotSpans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "first");
+  EXPECT_EQ(spans[1].site, 2u);
+  EXPECT_EQ(tracer.spans_dropped(), 0u);
 }
 
 TEST(Tracer, RingEvictsOldest) {
   Tracer tracer(4);
   for (int i = 0; i < 10; ++i) {
-    tracer.Record(i, 1, "e", std::to_string(i));
+    tracer.RecordSpan(InstantSpan(i, 1, "e", std::to_string(i)));
   }
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].detail, "6");
-  EXPECT_EQ(events[3].detail, "9");
-  EXPECT_EQ(tracer.dropped(), 6u);
-  EXPECT_EQ(tracer.total_recorded(), 10u);
+  auto spans = tracer.SnapshotSpans();
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans[0].name, "6");
+  EXPECT_EQ(spans[3].name, "9");
+  EXPECT_EQ(tracer.spans_dropped(), 6u);
+  EXPECT_EQ(tracer.spans_recorded(), 10u);
 }
 
 TEST(Tracer, CapacityZeroIsUsable) {
   // Regression: capacity 0 must not divide by zero in the ring index; it
-  // coerces to a one-slot ring that keeps the newest event.
+  // coerces to a one-slot ring that keeps the newest span.
   Tracer tracer(0);
-  tracer.Record(1, 1, "e", "first");
-  tracer.Record(2, 1, "e", "second");
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].detail, "second");
-  EXPECT_EQ(tracer.dropped(), 1u);
-  EXPECT_EQ(tracer.total_recorded(), 2u);
+  tracer.RecordSpan(InstantSpan(1, 1, "e", "first"));
+  tracer.RecordSpan(InstantSpan(2, 1, "e", "second"));
+  auto spans = tracer.SnapshotSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "second");
+  EXPECT_EQ(tracer.spans_dropped(), 1u);
+  EXPECT_EQ(tracer.spans_recorded(), 2u);
 }
 
 TEST(Tracer, RecordTakesNonNulTerminatedViews) {
+  VirtualClock clock;
   Tracer tracer(4);
+  TraceSinks sinks;
+  sinks.SetAttached(&tracer);
   const std::string backing = "category-detail";
-  tracer.Record(1, 1, std::string_view(backing).substr(0, 8),
-                std::string_view(backing).substr(9));
-  auto events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].category, "category");
-  EXPECT_EQ(events[0].detail, "detail");
+  RecordInstant(&sinks, clock, 1, std::string_view(backing).substr(0, 8),
+                std::string_view(backing).substr(9), {});
+  auto spans = tracer.SnapshotSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].category, "category");
+  EXPECT_EQ(spans[0].name, "detail");
+  EXPECT_EQ(spans[0].duration(), 0);
 }
 
 TEST(Tracer, ConcurrentRecordKeepsEveryEventCounted) {
-  // Regression: Record from many threads must neither tear the ring indices
-  // nor lose events from the total counter.
+  // Regression: RecordSpan from many threads must neither tear the ring
+  // indices nor lose spans from the total counter.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
   Tracer tracer(64);
@@ -71,15 +90,16 @@ TEST(Tracer, ConcurrentRecordKeepsEveryEventCounted) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&tracer, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        tracer.Record(i, static_cast<SiteId>(t + 1), "c", std::to_string(i));
+        tracer.RecordSpan(
+            InstantSpan(i, static_cast<SiteId>(t + 1), "c", std::to_string(i)));
       }
     });
   }
   for (auto& w : writers) w.join();
-  EXPECT_EQ(tracer.total_recorded(),
+  EXPECT_EQ(tracer.spans_recorded(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(tracer.Snapshot().size(), 64u);
-  EXPECT_EQ(tracer.dropped(),
+  EXPECT_EQ(tracer.SnapshotSpans().size(), 64u);
+  EXPECT_EQ(tracer.spans_dropped(),
             static_cast<std::uint64_t>(kThreads) * kPerThread - 64);
 }
 
@@ -107,27 +127,27 @@ TEST(Tracer, SnapshotTraceFiltersOneFlow) {
   Tracer tracer(16);
   TraceId flow_a{1, 100};
   TraceId flow_b{2, 200};
-  tracer.Record(1, 1, "call", "a1", flow_a);
-  tracer.Record(2, 2, "get", "b1", flow_b);
-  tracer.Record(3, 2, "get", "a2", flow_a);
-  tracer.Record(4, 1, "put", "none");  // no flow
-  auto events = tracer.SnapshotTrace(flow_a);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].detail, "a1");
-  EXPECT_EQ(events[1].detail, "a2");
+  tracer.RecordSpan(InstantSpan(1, 1, "serve.call", "a1", flow_a));
+  tracer.RecordSpan(InstantSpan(2, 2, "serve.get", "b1", flow_b));
+  tracer.RecordSpan(InstantSpan(3, 2, "serve.get", "a2", flow_a));
+  tracer.RecordSpan(InstantSpan(4, 1, "serve.put", "none"));  // no flow
+  auto spans = tracer.SnapshotTraceSpans(flow_a);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "a1");
+  EXPECT_EQ(spans[1].name, "a2");
 }
 
 TEST(Tracer, ClearResets) {
   Tracer tracer(4);
-  tracer.Record(1, 1, "e", "x");
+  tracer.RecordSpan(InstantSpan(1, 1, "e", "x"));
   tracer.Clear();
-  EXPECT_TRUE(tracer.Snapshot().empty());
-  EXPECT_EQ(tracer.total_recorded(), 0u);
+  EXPECT_TRUE(tracer.SnapshotSpans().empty());
+  EXPECT_EQ(tracer.spans_recorded(), 0u);
 }
 
 TEST(Tracer, DumpRendersLines) {
   Tracer tracer(4);
-  tracer.Record(2 * kMilli, 3, "fault", "obj(1:2)");
+  tracer.RecordSpan(InstantSpan(2 * kMilli, 3, "fault", "obj(1:2)"));
   std::string dump = tracer.Dump();
   EXPECT_NE(dump.find("site 3"), std::string::npos);
   EXPECT_NE(dump.find("fault: obj(1:2)"), std::string::npos);
@@ -159,32 +179,33 @@ TEST(Tracer, MergedProtocolTimeline) {
   (*ref)->SetLabel("edit");
   ASSERT_TRUE(demander.Put(*ref).ok());
 
-  auto events = tracer.Snapshot();
-  ASSERT_FALSE(events.empty());
+  auto spans = tracer.SnapshotSpans();
+  ASSERT_FALSE(spans.empty());
 
   auto count = [&](std::string_view category, SiteId site) {
     int n = 0;
-    for (const auto& e : events) {
-      if (e.category == category && e.site == site) ++n;
+    for (const auto& s : spans) {
+      if (s.category == category && s.site == site) ++n;
     }
     return n;
   };
-  EXPECT_EQ(count("call", 1), 1);   // the RMI, served at the provider
-  EXPECT_EQ(count("get", 1), 2);    // initial replicate + fault
-  EXPECT_EQ(count("fault", 2), 1);  // recorded at the demander
-  EXPECT_EQ(count("put", 1), 1);
+  EXPECT_EQ(count("serve.call", 1), 1);  // the RMI, served at the provider
+  EXPECT_EQ(count("serve.get", 1), 2);   // initial replicate + fault
+  EXPECT_EQ(count("fault", 2), 1);       // recorded at the demander
+  EXPECT_EQ(count("serve.put", 1), 1);
 
-  // Timestamps are monotone (shared virtual clock).
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].at, events[i].at);
+  // Completion order on the shared virtual clock: end times are monotone
+  // (a parent begins before, but completes after, its children).
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LE(spans[i - 1].end, spans[i].end);
   }
 
   // Detached sites stop recording.
   provider.SetTracer(nullptr);
   demander.SetTracer(nullptr);
-  auto before = tracer.total_recorded();
+  auto before = tracer.spans_recorded();
   (void)remote->Invoke(&test::Node::Value);
-  EXPECT_EQ(tracer.total_recorded(), before);
+  EXPECT_EQ(tracer.spans_recorded(), before);
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ print("BENCH_fig4_rmi_vs_lmi.json: schema OK "
       f"({len(doc['series'])} series, {len(doc['rpc_latency_ns'])} ops)")
 EOF
 
-# The two-site cascade test, run with the flight recorder armed, must leave a
+# The two-site cascade test, exporting its shared tracer, must leave a
 # loadable Chrome trace: valid JSON, every B has a matching E (per pid/tid,
 # LIFO order), and the cascade's span categories are present.
 echo "=== [trace] two-site cascade Chrome trace ==="
@@ -91,38 +91,9 @@ TRACE_JSON="$(pwd)/build-ci/span_two_site.trace.json"
 rm -f "$TRACE_JSON"
 (cd build-ci && OBIWAN_SPAN_EXPORT="$TRACE_JSON" \
     ./tests/span_test --gtest_filter='*TwoSiteCascade*')
-python3 - "$TRACE_JSON" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-events = doc["traceEvents"]
-assert events, "empty traceEvents"
-stacks = {}
-begins = ends = 0
-for ev in events:
-    ph = ev["ph"]
-    key = (ev.get("pid"), ev.get("tid"))
-    if ph == "B":
-        begins += 1
-        stacks.setdefault(key, []).append(ev["name"])
-        assert ev["ts"] >= 0, f"negative ts in {ev}"
-    elif ph == "E":
-        ends += 1
-        stack = stacks.get(key)
-        assert stack, f"E without open B on {key}: {ev}"
-        top = stack.pop()
-        assert top == ev["name"], f"mismatched E on {key}: {ev['name']} != {top}"
-assert begins == ends, f"unbalanced: {begins} B vs {ends} E"
-for key, stack in stacks.items():
-    assert not stack, f"unclosed spans on {key}: {stack}"
-cats = {ev.get("cat") for ev in events}
-for needed in ("rmi", "dispatch", "fault", "get", "put"):
-    assert needed in cats, f"missing span category {needed!r}"
-pids = {ev["pid"] for ev in events if ev["ph"] in "BE"}
-assert len(pids) >= 2, f"expected spans from at least two sites, got {pids}"
-print(f"span_two_site.trace.json: {begins} spans well-nested across "
-      f"{len(pids)} processes, categories OK")
-EOF
+python3 tools/check_chrome_trace.py "$TRACE_JSON" --min-processes 2 \
+    --category rmi --category dispatch --category fault --category get \
+    --category put
 
 # The TCP pooling bench must report the pool actually amortizing connects:
 # the JSON's transport section records connects-per-call across the pooled
@@ -322,21 +293,25 @@ EOF
 
 # The replication observatory, exercised over real TCP: a provider shell
 # hosts a bound chain, a demander shell replicates part of it and writes its
-# frontier DOT on exit, and a third one-shot `--inspect` pulls the provider's
-# report through the kInspect RMI method as JSON. The JSON must match the
-# report schema and the DOT must parse as a well-formed frontier digraph.
-echo "=== [shell] replication observatory: inspect JSON + frontier DOT ==="
+# frontier DOT and its flight-recorder dump on exit, and a third one-shot
+# `--inspect` pulls the provider's report through the kInspect RMI method as
+# JSON. The JSON must match the report schema, the DOT must parse as a
+# well-formed frontier digraph, and the flight dump must be a balanced Chrome
+# trace of the replication (get, rpc, materialize) that carries the
+# demander's replica-table summary.
+echo "=== [shell] replication observatory: inspect JSON + frontier DOT + flight dump ==="
 SHELL_BIN=./build-ci/examples/obiwan_shell
 OBS_JSON="$(pwd)/build-ci/observatory.json"
 OBS_DOT="$(pwd)/build-ci/observatory.dot"
-rm -f "$OBS_JSON" "$OBS_DOT"
+FLIGHT_JSON="$(pwd)/build-ci/flight.json"
+rm -f "$OBS_JSON" "$OBS_DOT" "$FLIGHT_JSON"
 { printf 'host-registry\nbind todo inspect-me 3\n'; sleep 6; } | \
     "$SHELL_BIN" --site 1 --port 7461 >/dev/null &
 OBS_SERVER=$!
 sleep 1
 printf 'lookup todo\nreplicate todo 2\ninspect\nfrontier\n' | \
     "$SHELL_BIN" --site 2 --port 7462 --registry 127.0.0.1:7461 \
-    --frontier "$OBS_DOT" >/dev/null
+    --frontier "$OBS_DOT" --flight-dump "$FLIGHT_JSON" >/dev/null
 "$SHELL_BIN" --site 3 --port 7463 --registry 127.0.0.1:7461 \
     --inspect 127.0.0.1:7461 > "$OBS_JSON"
 kill "$OBS_SERVER" 2>/dev/null || true
@@ -382,6 +357,9 @@ print(f"observatory: inspect JSON schema OK ({len(doc['objects'])} objects, "
       f"{len(doc['pins'])} pins), frontier DOT OK "
       f"({len(nodes)} nodes, {len(edges)} edges)")
 EOF
+python3 tools/check_chrome_trace.py "$FLIGHT_JSON" \
+    --category get --category materialize --category rpc \
+    --other-data "site 2 state"
 
 # The embedded admin endpoint, served by a real shell over TCP: /metrics must
 # be well-formed Prometheus text exposition (every sample under a # TYPE,
@@ -506,4 +484,4 @@ print(f"admin endpoint: exposition OK ({len(types)} families, "
       f"{sum(f['samples'] for f in families.values())} samples), healthz OK")
 EOF
 
-echo "=== CI green: release + perfbench + asan + ubsan + tsan + bench JSON + chrome trace + reconvergence + observatory + fleet + journeys + admin + contention ==="
+echo "=== CI green: release + perfbench + asan + ubsan + tsan + bench JSON + chrome trace + reconvergence + observatory + flight dump + fleet + journeys + admin + contention ==="
