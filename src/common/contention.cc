@@ -23,6 +23,11 @@ namespace {
 // the site mutex links back to the flight recorder.
 constexpr Nanos kLockWaitExemplarThreshold = 100 * kMicro;
 
+// One outermost hold in this many, per instance, is timed; the others read
+// no clock. A timed hold is observed with the weight of the holds it stands
+// for, so obiwan_lock_hold_ns's count and sum still estimate every hold.
+constexpr std::uint64_t kHoldSampleEvery = 64;
+
 struct BoundStats {
   const MetricsRegistry* registry;
   std::string name;
@@ -67,7 +72,8 @@ LockStats* BindLockStats(MetricsRegistry& registry, const char* name) {
   stats->wait->SetExemplarThreshold(kLockWaitExemplarThreshold);
   stats->hold = &registry.GetHistogram(
       "obiwan_lock_hold_ns", labels, LockLatencyBuckets(),
-      "Lock hold time, outermost acquisition to final release");
+      "Lock hold time, outermost acquisition to final release; 1 in 64 "
+      "holds timed, each weighted by the holds it stands for");
   stats->contended = &registry.GetCounter(
       "obiwan_lock_contended_total", labels,
       "Acquisitions that found the lock held and had to block");
@@ -91,8 +97,6 @@ LockStats* BindLockStats(MetricsRegistry& registry, const char* name) {
   return stats;
 }
 
-#ifndef OBIWAN_NO_LOCK_TELEMETRY
-
 template <typename MutexT>
 void TrackedMutexImpl<MutexT>::Configure(const char* name, Clock& clock) {
   BindTo(MetricsRegistry::Default(), name, clock);
@@ -107,11 +111,16 @@ void TrackedMutexImpl<MutexT>::BindTo(MetricsRegistry& registry,
 
 template <typename MutexT>
 void TrackedMutexImpl<MutexT>::Acquired(const LockStats* stats) {
-  if (stats != nullptr) stats->acquisitions->Inc();
-  if (++depth_ == 1) {
-    hold_timed_ = stats != nullptr;
-    if (hold_timed_) held_since_ = clock_->Now();
-  }
+  ++depth_;
+  if (stats == nullptr) return;
+  stats->acquisitions->Inc();
+  if (depth_ != 1) return;
+  // Time outermost holds 0, 64, 128, ...: the first stands for itself, each
+  // later one for the kHoldSampleEvery holds since the previous timed one.
+  const std::uint64_t k = holds_++;
+  if (k % kHoldSampleEvery != 0) return;
+  hold_weight_ = k == 0 ? 1 : kHoldSampleEvery;
+  held_since_ = clock_->Now();
 }
 
 template <typename MutexT>
@@ -119,9 +128,7 @@ void TrackedMutexImpl<MutexT>::lock() {
   const LockStats* stats = stats_.load(std::memory_order_acquire);
   if (stats == nullptr) {
     mutex_.lock();
-  } else if (mutex_.try_lock()) {
-    // Uncontended: no clock reads beyond the hold timestamp.
-  } else {
+  } else if (!mutex_.try_lock()) {
     stats->contended->Inc();
     // The wait timestamp is read *before* announcing the waiter, so a test
     // that observes obiwan_lock_waiters == 1 knows the blocked thread is
@@ -144,22 +151,19 @@ bool TrackedMutexImpl<MutexT>::try_lock() {
 
 template <typename MutexT>
 void TrackedMutexImpl<MutexT>::unlock() {
-  Nanos held = -1;
-  const LockStats* stats = stats_.load(std::memory_order_acquire);
-  if (--depth_ == 0 && hold_timed_) {
-    held = clock_->Now() - held_since_;
-    hold_timed_ = false;
-  }
+  const std::uint64_t weight =
+      --depth_ == 0 ? std::exchange(hold_weight_, 0) : 0;
+  const Nanos held = weight != 0 ? clock_->Now() - held_since_ : 0;
   // Observe only after releasing: the histogram update must not stretch the
   // measured hold time or the critical section itself.
   mutex_.unlock();
-  if (held >= 0 && stats != nullptr) stats->hold->Observe(held);
+  if (weight != 0) {
+    stats_.load(std::memory_order_acquire)->hold->Observe(held, weight);
+  }
 }
 
 template class TrackedMutexImpl<std::mutex>;
 template class TrackedMutexImpl<std::recursive_mutex>;
-
-#endif  // OBIWAN_NO_LOCK_TELEMETRY
 
 std::vector<LockSiteReport> LockHotness(const MetricsRegistry& registry,
                                         std::size_t top_k) {

@@ -13,21 +13,18 @@
 //                                        acquisitions only; uncontended ones
 //                                        wait 0 by definition)
 //   obiwan_lock_hold_ns{name}            histogram of outermost-acquisition-
-//                                        to-final-release hold times
+//                                        to-final-release hold times; 1 in
+//                                        64 holds per instance is timed and
+//                                        weighted by the holds it stands for
 //   obiwan_lock_contended_total{name}    acquisitions that had to block
 //   obiwan_lock_acquisitions_total{name} all acquisitions
 //   obiwan_lock_waiters{name}            threads blocked right now
 //
 // Handles are resolved once at bind time (the only moment the registry lock
-// is taken); every acquisition after that costs one try_lock plus a couple of
-// relaxed atomic bumps, and the contended path adds two clock reads. Metrics
-// are shared per (registry, name): every Site's "site" mutex feeds one
-// obiwan_lock_wait_ns{name="site"} family, which keeps cardinality flat no
-// matter how many sites a bench spins up.
-//
-// Compile-time off switch: configure with -DOBIWAN_LOCK_TELEMETRY=OFF (which
-// defines OBIWAN_NO_LOCK_TELEMETRY) and the wrappers collapse to the bare
-// mutex — no atomics, no clock reads, no registry entries.
+// is taken). Only contended acquisitions and the sampled holds read the
+// clock. Metrics are shared per (registry, name): every Site's "site" mutex
+// feeds one obiwan_lock_wait_ns{name="site"} family, which keeps cardinality
+// flat no matter how many sites a bench spins up.
 #pragma once
 
 #include <atomic>
@@ -104,8 +101,6 @@ class LockWaitWindow {
   std::vector<std::uint64_t> last_counts_;
 };
 
-#ifndef OBIWAN_NO_LOCK_TELEMETRY
-
 // The instrumented wrapper. Three binding shapes:
 //   TrackedMutex m{"site"};              bind into MetricsRegistry::Default()
 //   TrackedMutex m; m.Configure("x");    deferred (array members)
@@ -142,11 +137,13 @@ class TrackedMutexImpl {
   MutexT mutex_;
   std::atomic<const LockStats*> stats_{nullptr};
   Clock* clock_ = nullptr;
-  // Touched only while mutex_ is held: recursion depth, and whether/when the
-  // outermost acquisition started the hold timer (binding can race an
-  // in-flight critical section, so unlock trusts hold_timed_, not stats_).
+  // Touched only while mutex_ is held: recursion depth, the count of
+  // outermost holds (which picks the timed ones), and the current hold's
+  // weight (0 = untimed) and start. Binding can race an in-flight critical
+  // section, so unlock trusts hold_weight_, not stats_.
   int depth_ = 0;
-  bool hold_timed_ = false;
+  std::uint64_t holds_ = 0;
+  std::uint64_t hold_weight_ = 0;
   Nanos held_since_ = 0;
 };
 
@@ -155,35 +152,5 @@ extern template class TrackedMutexImpl<std::recursive_mutex>;
 
 using TrackedMutex = TrackedMutexImpl<std::mutex>;
 using TrackedRecursiveMutex = TrackedMutexImpl<std::recursive_mutex>;
-
-#else  // OBIWAN_NO_LOCK_TELEMETRY
-
-// Zero-overhead build: the wrapper is the bare mutex. Configure/BindTo keep
-// their signatures so call sites compile unchanged.
-template <typename MutexT>
-class TrackedMutexImpl {
- public:
-  TrackedMutexImpl() = default;
-  explicit TrackedMutexImpl(const char*, Clock& = SystemClock::Instance()) {}
-
-  TrackedMutexImpl(const TrackedMutexImpl&) = delete;
-  TrackedMutexImpl& operator=(const TrackedMutexImpl&) = delete;
-
-  void Configure(const char*, Clock& = SystemClock::Instance()) {}
-  void BindTo(MetricsRegistry&, const char*,
-              Clock& = SystemClock::Instance()) {}
-
-  void lock() { mutex_.lock(); }
-  bool try_lock() { return mutex_.try_lock(); }
-  void unlock() { mutex_.unlock(); }
-
- private:
-  MutexT mutex_;
-};
-
-using TrackedMutex = TrackedMutexImpl<std::mutex>;
-using TrackedRecursiveMutex = TrackedMutexImpl<std::recursive_mutex>;
-
-#endif  // OBIWAN_NO_LOCK_TELEMETRY
 
 }  // namespace obiwan

@@ -21,13 +21,14 @@ Histogram::Histogram(std::vector<std::int64_t> bounds)
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
 }
 
-void Histogram::Observe(std::int64_t v) {
+void Histogram::Observe(std::int64_t v, std::uint64_t weight) {
   if (v < 0) v = 0;
   auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  buckets_[idx].fetch_add(weight, std::memory_order_relaxed);
+  count_.fetch_add(weight, std::memory_order_relaxed);
+  sum_.fetch_add(v * static_cast<std::int64_t>(weight),
+                 std::memory_order_relaxed);
   std::int64_t prev = max_.load(std::memory_order_relaxed);
   while (v > prev &&
          !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {

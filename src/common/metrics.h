@@ -84,7 +84,9 @@ class Histogram {
   // `bounds` must be non-empty and strictly ascending.
   explicit Histogram(std::vector<std::int64_t> bounds);
 
-  void Observe(std::int64_t v);
+  // Records `weight` observations of `v` at once: a sampled observation
+  // standing for the unsampled ones beside it.
+  void Observe(std::int64_t v, std::uint64_t weight = 1);
 
   // Observations >= `threshold` capture an exemplar when a trace is active.
   // Negative disables (the default — exemplars are opt-in per histogram).

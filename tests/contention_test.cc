@@ -124,6 +124,45 @@ TEST(ContentionLock, RecursiveHoldTimesOutermostAcquisition) {
             2u);
 }
 
+// A virtual clock that counts its reads.
+class CountingClock final : public Clock {
+ public:
+  Nanos Now() const override {
+    ++reads_;
+    return now_;
+  }
+  void Sleep(Nanos d) override { now_ += d; }
+  int reads() const { return reads_; }
+
+ private:
+  Nanos now_ = 0;
+  mutable int reads_ = 0;
+};
+
+TEST(ContentionLock, UncontendedAcquisitionsReadTheClockOnlyForSampledHolds) {
+  MetricsRegistry reg;
+  CountingClock clock;
+  TrackedMutex mutex;
+  mutex.BindTo(reg, "t_sampled", clock);
+
+  for (int i = 0; i < 1000; ++i) {
+    mutex.lock();
+    clock.Sleep(kMicro);
+    mutex.unlock();
+  }
+
+  // Holds 0, 64, ..., 960 are timed, with two reads each. Hold 0 stands for
+  // itself and each later one for 64, so the histogram counts 1 + 15 * 64.
+  EXPECT_EQ(clock.reads(), 32);
+  const auto hold = reg.SummarizeHistograms("obiwan_lock_hold_ns",
+                                            Named("t_sampled"));
+  EXPECT_EQ(hold.count, 961u);
+  EXPECT_EQ(hold.sum, 961 * kMicro);
+  EXPECT_EQ(
+      reg.SumCounters("obiwan_lock_acquisitions_total", Named("t_sampled")),
+      1000u);
+}
+
 // Thread-safe explicit clock for cross-thread determinism (VirtualClock is
 // single-threaded by design).
 class AtomicTestClock final : public Clock {

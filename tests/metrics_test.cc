@@ -114,6 +114,20 @@ TEST(Histogram, ResetZeroesEverything) {
   for (auto c : h.BucketCounts()) EXPECT_EQ(c, 0u);
 }
 
+TEST(Histogram, WeightedObserveCountsEveryRepresentedObservation) {
+  MetricsRegistry reg;
+  Histogram& h = reg.GetHistogram("sampled_ns", {}, {100, 200, 400, 800});
+  h.Observe(300, 64);
+  EXPECT_EQ(h.Count(), 64u);
+  EXPECT_EQ(h.Sum(), 300 * 64);
+  EXPECT_EQ(h.BucketCounts()[2], 64u);
+  EXPECT_EQ(h.Max(), 300);
+  const std::string prom = reg.DumpPrometheus();
+  EXPECT_NE(prom.find("sampled_ns_bucket{le=\"400\"} 64"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("sampled_ns_count 64"), std::string::npos) << prom;
+}
+
 TEST(ExponentialBucketsTest, GrowsByFactor) {
   auto bounds = ExponentialBuckets(1000, 2.0, 4);
   ASSERT_EQ(bounds.size(), 4u);

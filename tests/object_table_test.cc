@@ -351,9 +351,6 @@ TEST(ObjectTableSnapshot, Obi2RoundTripRebuildsPtrIdentityAndHolders) {
 // sites, whether 32 or 1952 replicas are resident. A single sweep of the
 // 64 shards on any protocol step of either site would break the bound.
 TEST(ObjectTableCost, FaultShardLocksScaleWithTheBatchNotTheTable) {
-#ifdef OBIWAN_NO_LOCK_TELEMETRY
-  GTEST_SKIP() << "lock telemetry is compiled out";
-#endif
   net::LoopbackNetwork network;
   core::Site provider(1, network.CreateEndpoint("p"));
   core::Site demander(2, network.CreateEndpoint("d"));

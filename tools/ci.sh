@@ -2,7 +2,8 @@
 # CI entry point: build and test the tree four times —
 #   1. the plain Release-ish build (RelWithDebInfo, the default), followed
 #      by a 1 s-per-workload run of perfbench/ whose correctness checks
-#      must pass,
+#      must pass, and by the lock telemetry tax gate (an uncontended
+#      TrackedMutex lock/unlock costs at most 3x the bare std::mutex),
 #   2. an AddressSanitizer build (OBIWAN_SANITIZE=address),
 #   3. an UndefinedBehaviorSanitizer build (OBIWAN_SANITIZE=undefined), and
 #   4. a ThreadSanitizer build (OBIWAN_SANITIZE=thread) running the
@@ -36,6 +37,28 @@ run_flavour release build-ci
 # to the master's) and exits non-zero on a violation or a failed op.
 echo "=== [release] perfbench correctness run ==="
 python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0
+
+# Lock telemetry is always on, so its uncontended cost is bounded in the one
+# binary that ships: bench_contention's tracked lock/unlock round against the
+# bare mutex it wraps, median of 5 repetitions each.
+echo "=== [release] lock telemetry tax ==="
+(cd build-ci && ./bench/bench_contention \
+    --benchmark_filter='BM_(Tracked|Plain)MutexLockUnlock$' \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+    --benchmark_out=BM_lock_tax.json --benchmark_out_format=json)
+python3 - build-ci/BM_lock_tax.json <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+median = {b["run_name"]: b["real_time"] for b in doc["benchmarks"]
+          if b.get("aggregate_name") == "median"}
+tracked = median["BM_TrackedMutexLockUnlock"]
+plain = median["BM_PlainMutexLockUnlock"]
+assert tracked <= 3 * plain, \
+    f"tracked lock/unlock {tracked:.1f} ns > 3x plain {plain:.1f} ns"
+print(f"lock tax OK: tracked {tracked:.1f} ns, plain {plain:.1f} ns "
+      f"({tracked / plain:.2f}x, bound 3x)")
+EOF
 
 run_flavour asan build-asan -DOBIWAN_SANITIZE=address
 run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined
