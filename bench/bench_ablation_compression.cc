@@ -66,13 +66,13 @@ RunResult Run(PayloadKind kind, bool compressed) {
 
   (void)provider.Bind("list", MakeList(kind));
   auto remote = demander.Lookup<test::Node>("list");
-  network.ResetStats();
+  const std::uint64_t bytes_before = WireBytes(network.telemetry());
 
   Stopwatch sw(clock);
   auto ref = remote->Replicate(core::ReplicationMode::Cluster(kListLength));
   benchmark::DoNotOptimize(ref);
-  return RunResult{sw.ElapsedMs(), network.stats().request_bytes +
-                                       network.stats().reply_bytes};
+  return RunResult{sw.ElapsedMs(),
+                   WireBytes(network.telemetry()) - bytes_before};
 }
 
 void PaperSeries() {

@@ -53,7 +53,7 @@ PolicyRun Run(const std::string& policy_name) {
   auto on_pda =
       *pda.Lookup<test::Node>("obj")->Replicate(core::ReplicationMode::Incremental(1));
 
-  network.ResetStats();
+  const std::uint64_t bytes_before = WireBytes(network.telemetry());
   int conflicts = 0;
   Stopwatch sw(clock);
   for (int round = 0; round < 50; ++round) {
@@ -71,8 +71,8 @@ PolicyRun Run(const std::string& policy_name) {
     }
   }
   return PolicyRun{sw.ElapsedMs(),
-                   network.stats().request_bytes + network.stats().reply_bytes,
-                   master.stats().invalidations_sent, conflicts};
+                   WireBytes(network.telemetry()) - bytes_before,
+                   master.telemetry().invalidations_sent->Value(), conflicts};
 }
 
 void PaperSeries() {

@@ -27,8 +27,9 @@ RunResult Run(core::ReplicationMode mode, std::size_t object_size) {
   auto head = test::MakeChain(kListLength, object_size, "n");
   (void)env.provider->Bind("list", head);
   auto remote = env.demander->Lookup<test::Node>("list");
-  env.network.ResetStats();
-  const auto pins_before = env.provider->stats().proxy_ins_created;
+  const std::uint64_t bytes_before = WireBytes(env.network.telemetry());
+  const std::uint64_t pins_before =
+      env.provider->telemetry().proxy_ins_created->Value();
 
   Stopwatch sw(env.clock);
   auto ref = remote->Replicate(mode);
@@ -37,9 +38,10 @@ RunResult Run(core::ReplicationMode mode, std::size_t object_size) {
     benchmark::DoNotOptimize((*cursor)->Touch());
     cursor = &cursor->get()->next;
   }
-  return RunResult{sw.ElapsedMs(),
-                   env.provider->stats().proxy_ins_created - pins_before,
-                   env.network.stats().request_bytes + env.network.stats().reply_bytes};
+  return RunResult{
+      sw.ElapsedMs(),
+      env.provider->telemetry().proxy_ins_created->Value() - pins_before,
+      WireBytes(env.network.telemetry()) - bytes_before};
 }
 
 void PaperSeries() {

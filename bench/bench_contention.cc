@@ -87,11 +87,11 @@ RunResult RunWorkload(long threads) {
         // Local burst: every thread walks its chain under its own object's
         // shard guard — the post-shard idiom for protecting application
         // reads against concurrent push/invalidate application. Before the
-        // sharded table this was WithSiteLock and every thread serialized on
-        // one mutex; now only threads whose chains hash to the same shard
-        // ever contend. The whole burst is one critical section, so each
-        // hold spans several scheduler preemption points and waiters pile up
-        // behind it whenever the lock is actually shared.
+        // sharded table every thread serialized on one site mutex here; now
+        // only threads whose chains hash to the same shard ever contend.
+        // The whole burst is one critical section, so each hold spans
+        // several scheduler preemption points and waiters pile up behind it
+        // whenever the lock is actually shared.
         demander.WithObjectLock(ref, [&] {
           std::int64_t sum = 0;
           for (int j = 0; j < kLocalBurst; ++j) {

@@ -401,11 +401,13 @@ std::pair<std::string, std::string> FleetConvergence() {
                 kMilli
           : -1;
   const obs::JourneyAlert alert = journeys.EvaluateAlerts();
+  const std::uint64_t superseded =
+      office.telemetry().notify_superseded->Value();
 
   std::printf("journeys minted %llu, completed %llu, notifies superseded %llu\n",
               static_cast<unsigned long long>(journeys.minted()),
               static_cast<unsigned long long>(journeys.completed()),
-              static_cast<unsigned long long>(office.stats().notify_superseded));
+              static_cast<unsigned long long>(superseded));
   if (have_measured) {
     std::printf("convergence: journey-measured %.1f ms vs polled %.1f ms "
                 "(aliasing error %.1f ms) | burn alert %s\n",
@@ -416,8 +418,7 @@ std::pair<std::string, std::string> FleetConvergence() {
   std::string journey = "\"journey\":{";
   journey += "\"minted\":" + std::to_string(journeys.minted());
   journey += ",\"completed\":" + std::to_string(journeys.completed());
-  journey += ",\"superseded_notifies\":" +
-             std::to_string(office.stats().notify_superseded);
+  journey += ",\"superseded_notifies\":" + std::to_string(superseded);
   journey += ",\"ttfr_ms_p95\":" + JsonNumber(pct(ttfr_ms, 0.95));
   journey += ",\"convergence_ms_p95\":" + JsonNumber(pct(conv_ms, 0.95));
   journey += ",\"measured_convergence_ms\":" + JsonNumber(measured_ms);

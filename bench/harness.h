@@ -73,6 +73,13 @@ struct PaperEnv {
   TraceSinks phase_sinks;  // records at SiteId 0 ("network/harness")
 };
 
+// Request plus reply payload bytes a network has carried so far. The
+// counters are monotonic, so one phase's traffic is the difference of two
+// reads.
+inline std::uint64_t WireBytes(const net::TrafficTelemetry& traffic) {
+  return traffic.request_bytes->Value() + traffic.reply_bytes->Value();
+}
+
 // Wraps one benchmark phase in a span at pid 0, so a traced run shows which
 // protocol activity belongs to which phase of the experiment.
 class PhaseSpan {

@@ -136,7 +136,8 @@ int main() {
   std::printf("\nreplicas on client at exit: %zu; object faults: %llu; "
               "simulated time: %.1f ms\n",
               player.replica_count(),
-              static_cast<unsigned long long>(player.stats().object_faults),
+              static_cast<unsigned long long>(
+                  player.telemetry().object_faults->Value()),
               static_cast<double>(clock.Now()) / kMilli);
   return 0;
 }

@@ -231,21 +231,19 @@ struct Shell {
       return true;
     }
     if (cmd == "stats") {
-      const core::SiteStats s = site->stats();
+      const core::SiteTelemetry& t = site->telemetry();
+      auto n = [](const Counter* c) {
+        return static_cast<unsigned long long>(c->Value());
+      };
       std::printf("masters %zu, replicas %zu, proxy-ins %zu\n",
                   site->master_count(), site->replica_count(),
                   site->proxy_in_count());
       std::printf("faults %llu, gets %llu/%llu, puts %llu/%llu, calls %llu/%llu\n",
-                  static_cast<unsigned long long>(s.object_faults),
-                  static_cast<unsigned long long>(s.gets_sent),
-                  static_cast<unsigned long long>(s.gets_served),
-                  static_cast<unsigned long long>(s.puts_sent),
-                  static_cast<unsigned long long>(s.puts_served),
-                  static_cast<unsigned long long>(s.calls_sent),
-                  static_cast<unsigned long long>(s.calls_served));
+                  n(t.object_faults), n(t.gets_sent), n(t.gets_served),
+                  n(t.puts_sent), n(t.puts_served), n(t.calls_sent),
+                  n(t.calls_served));
       std::printf("replication bytes in %llu, out %llu\n",
-                  static_cast<unsigned long long>(s.replication_bytes_in),
-                  static_cast<unsigned long long>(s.replication_bytes_out));
+                  n(t.replication_bytes_in), n(t.replication_bytes_out));
       return true;
     }
     if (cmd == "metrics") {

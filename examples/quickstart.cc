@@ -93,6 +93,7 @@ int main() {
 
   std::printf("replicas on client: %zu, object faults: %llu\n",
               client.replica_count(),
-              static_cast<unsigned long long>(client.stats().object_faults));
+              static_cast<unsigned long long>(
+                  client.telemetry().object_faults->Value()));
   return 0;
 }

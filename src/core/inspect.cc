@@ -1,6 +1,6 @@
 // Replication-state introspection: report assembly (Site::Inspect and the
-// replication gauges, which are computed only when read) and the JSON /
-// text / DOT renderers.
+// site gauges, which are computed only when read) and the JSON / text / DOT
+// renderers.
 #include "core/inspect.h"
 
 #include <algorithm>
@@ -57,13 +57,13 @@ std::string DotString(std::string_view s) {
 // Site: gauges and report assembly
 // ---------------------------------------------------------------------------
 
-void Site::UpdateReplicationGauges() {
+void Site::RefreshTelemetry() {
+  const Nanos now = clock_.Now();
+  telemetry_.uptime->Set(now - created_at_);
   telemetry_.objects_master->Set(
       static_cast<std::int64_t>(table_.master_count()));
   telemetry_.objects_replica->Set(
       static_cast<std::int64_t>(table_.replica_count()));
-
-  const Nanos now = clock_.Now();
 
   // Frontier = distinct targets of unresolved proxy-outs: where the
   // incremental wavefront currently stops. Two phases: collect candidate
@@ -108,16 +108,30 @@ void Site::UpdateReplicationGauges() {
   telemetry_.staleness_age_max->Set(age_max);
 
   std::int64_t expiring = 0;
-  if (proxy_lease_ > 0) {
+  {
     std::lock_guard pins(pins_mutex_);
-    for (const auto& [pin, entry] : proxy_ins_) {
-      if (!entry.anchored && entry.expires_at != 0 &&
-          entry.expires_at - now <= proxy_lease_ / 2) {
-        ++expiring;
+    telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
+    if (proxy_lease_ > 0) {
+      for (const auto& [pin, entry] : proxy_ins_) {
+        if (!entry.anchored && entry.expires_at != 0 &&
+            entry.expires_at - now <= proxy_lease_ / 2) {
+          ++expiring;
+        }
       }
     }
   }
   telemetry_.leases_expiring->Set(expiring);
+
+  std::int64_t suspect = 0;
+  std::lock_guard lock(mutex_);
+  for (const auto& [addr, health] : holder_health_) {
+    if (health.consecutive_failures != 0) ++suspect;
+  }
+  telemetry_.holders_active->Set(
+      static_cast<std::int64_t>(holder_health_.size()) - suspect);
+  telemetry_.holders_suspect->Set(suspect);
+  telemetry_.notify_retry_depth->Set(
+      static_cast<std::int64_t>(notify_retries_.size()));
 }
 
 void Site::EnsureGraphIds() {
@@ -270,7 +284,7 @@ InspectReport Site::Inspect() {
   // no-op their own guards under it.
   ObjectTable::WorldGuard world(table_);
   EnsureGraphIds();
-  UpdateReplicationGauges();
+  RefreshTelemetry();
   return InspectLocked();
 }
 

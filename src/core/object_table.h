@@ -32,10 +32,10 @@
 //      shard lock is ever acquired while a leaf lock is held.
 //
 // WorldGuard (all shards + all stripes) replaces the old recursive-mutex
-// semantics for whole-table operations (snapshot, Inspect, eviction,
-// WithSiteLock): while a thread owns the world, every ShardGuard /
-// BatchGuard / stripe guard it takes is a no-op, so site code can call
-// straight through helpers that normally lock.
+// semantics for whole-table operations (snapshot save and load, Inspect,
+// eviction, holder drops, Site::CheckTableConsistency): while a thread owns
+// the world, every ShardGuard / BatchGuard / stripe guard it takes is a
+// no-op, so site code can call straight through helpers that normally lock.
 #pragma once
 
 #include <algorithm>

@@ -17,59 +17,54 @@ namespace {
 // (virtual-time) calls.
 constexpr Nanos kDefaultTailExemplarThreshold = 1 * kMicro;
 
-// The single source of truth tying each SiteStats field to its registry
-// series. The constructor, Raw() and View() all walk this table, so the
-// legacy struct stays a thin adapter over the registry and a new counter is
-// one struct field plus one row here.
+// Each SiteTelemetry counter and its registry series; the constructor walks
+// this table, so a new counter is one handle plus one row here.
 struct SiteCounterSpec {
   Counter* SiteTelemetry::*handle;
-  std::uint64_t SiteStats::*field;
   const char* name;
   const char* help;
 };
 
 constexpr SiteCounterSpec kSiteCounters[] = {
-    {&SiteTelemetry::object_faults, &SiteStats::object_faults,
-     "obiwan_site_object_faults_total", "Proxy-out demands that went remote"},
-    {&SiteTelemetry::gets_sent, &SiteStats::gets_sent,
-     "obiwan_site_gets_sent_total", "Get requests issued"},
-    {&SiteTelemetry::gets_served, &SiteStats::gets_served,
-     "obiwan_site_gets_served_total", "Get requests served"},
-    {&SiteTelemetry::puts_sent, &SiteStats::puts_sent,
-     "obiwan_site_puts_sent_total", "Put/commit batches sent"},
-    {&SiteTelemetry::puts_served, &SiteStats::puts_served,
-     "obiwan_site_puts_served_total", "Put/commit batches served"},
-    {&SiteTelemetry::calls_sent, &SiteStats::calls_sent,
-     "obiwan_site_calls_sent_total", "Remote invocations issued"},
-    {&SiteTelemetry::calls_served, &SiteStats::calls_served,
-     "obiwan_site_calls_served_total", "Remote invocations served"},
-    {&SiteTelemetry::proxy_ins_created, &SiteStats::proxy_ins_created,
-     "obiwan_site_proxy_ins_created_total", "Provider-side proxy-ins created"},
-    {&SiteTelemetry::proxy_outs_created, &SiteStats::proxy_outs_created,
-     "obiwan_site_proxy_outs_created_total", "Demander-side proxy-outs created"},
-    {&SiteTelemetry::replicas_created, &SiteStats::replicas_created,
-     "obiwan_site_replicas_created_total", "Replicas materialized"},
-    {&SiteTelemetry::objects_served, &SiteStats::objects_served,
-     "obiwan_site_objects_served_total", "Objects serialized into get replies"},
-    {&SiteTelemetry::invalidations_sent, &SiteStats::invalidations_sent,
-     "obiwan_site_invalidations_sent_total", "Invalidations/pushes delivered"},
-    {&SiteTelemetry::invalidations_received, &SiteStats::invalidations_received,
-     "obiwan_site_invalidations_received_total", "Invalidations/pushes received"},
-    {&SiteTelemetry::replication_bytes_in, &SiteStats::replication_bytes_in,
+    {&SiteTelemetry::object_faults, "obiwan_site_object_faults_total",
+     "Proxy-out demands that went remote"},
+    {&SiteTelemetry::gets_sent, "obiwan_site_gets_sent_total",
+     "Get requests issued"},
+    {&SiteTelemetry::gets_served, "obiwan_site_gets_served_total",
+     "Get requests served"},
+    {&SiteTelemetry::puts_sent, "obiwan_site_puts_sent_total",
+     "Put/commit batches sent"},
+    {&SiteTelemetry::puts_served, "obiwan_site_puts_served_total",
+     "Put/commit batches served"},
+    {&SiteTelemetry::calls_sent, "obiwan_site_calls_sent_total",
+     "Remote invocations issued"},
+    {&SiteTelemetry::calls_served, "obiwan_site_calls_served_total",
+     "Remote invocations served"},
+    {&SiteTelemetry::proxy_ins_created, "obiwan_site_proxy_ins_created_total",
+     "Provider-side proxy-ins created"},
+    {&SiteTelemetry::proxy_outs_created, "obiwan_site_proxy_outs_created_total",
+     "Demander-side proxy-outs created"},
+    {&SiteTelemetry::replicas_created, "obiwan_site_replicas_created_total",
+     "Replicas materialized"},
+    {&SiteTelemetry::objects_served, "obiwan_site_objects_served_total",
+     "Objects serialized into get replies"},
+    {&SiteTelemetry::invalidations_sent, "obiwan_site_invalidations_sent_total",
+     "Invalidations/pushes delivered"},
+    {&SiteTelemetry::invalidations_received,
+     "obiwan_site_invalidations_received_total",
+     "Invalidations/pushes received"},
+    {&SiteTelemetry::replication_bytes_in,
      "obiwan_site_replication_bytes_in_total",
      "Replica state bytes received (get replies, puts served)"},
-    {&SiteTelemetry::replication_bytes_out, &SiteStats::replication_bytes_out,
+    {&SiteTelemetry::replication_bytes_out,
      "obiwan_site_replication_bytes_out_total",
      "Replica state bytes shipped (get replies served, puts sent)"},
-    {&SiteTelemetry::notify_retries, &SiteStats::notify_retries,
-     "obiwan_notify_retries_total",
+    {&SiteTelemetry::notify_retries, "obiwan_notify_retries_total",
      "Queued holder notifications re-sent after backoff"},
-    {&SiteTelemetry::notify_superseded, &SiteStats::notify_superseded,
-     "obiwan_notify_superseded_total",
+    {&SiteTelemetry::notify_superseded, "obiwan_notify_superseded_total",
      "Queued notify retries coalesced with a same-holder same-object entry "
      "(superseded by version) instead of deepening the retry queue"},
-    {&SiteTelemetry::holders_dropped, &SiteStats::holders_dropped,
-     "obiwan_holders_dropped_total",
+    {&SiteTelemetry::holders_dropped, "obiwan_holders_dropped_total",
      "Holders unregistered after consecutive notification failures"},
 };
 
@@ -97,8 +92,6 @@ SiteTelemetry::SiteTelemetry(SiteId site, MetricsRegistry& metrics) {
     this->*spec.handle = &metrics.GetCounter(spec.name, labels, spec.help);
   }
 
-  masters = &metrics.GetGauge("obiwan_site_masters", labels, "Masters owned");
-  replicas = &metrics.GetGauge("obiwan_site_replicas", labels, "Replicas held");
   proxy_ins = &metrics.GetGauge("obiwan_site_proxy_ins", labels,
                                 "Live provider-side proxy-ins");
 
@@ -174,26 +167,6 @@ SiteTelemetry::SiteTelemetry(SiteId site, MetricsRegistry& metrics) {
   op_inspect = op("inspect");
 }
 
-SiteStats SiteTelemetry::Raw() const {
-  SiteStats s;
-  for (const SiteCounterSpec& spec : kSiteCounters) {
-    s.*spec.field = (this->*spec.handle)->Value();
-  }
-  return s;
-}
-
-SiteStats SiteTelemetry::View() const {
-  auto since = [](std::uint64_t now, std::uint64_t base) {
-    return now > base ? now - base : 0;
-  };
-  const SiteStats raw = Raw();
-  SiteStats s;
-  for (const SiteCounterSpec& spec : kSiteCounters) {
-    s.*spec.field = since(raw.*spec.field, baseline.*spec.field);
-  }
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // ProxyOut
 // ---------------------------------------------------------------------------
@@ -211,11 +184,10 @@ Site::Site(SiteId id, std::unique_ptr<net::Transport> transport, Clock& clock)
     : id_(id),
       transport_(std::move(transport)),
       clock_(clock),
-      policy_(std::make_unique<NoConsistency>()),
       telemetry_(id, MetricsRegistry::Default()),
       fanout_(clock) {
   created_at_ = clock_.Now();
-  telemetry_.uptime->Set(0);
+  SetConsistencyPolicy(std::make_unique<NoConsistency>());
   sinks_.SetFlight(&flight_);
   // The state provider lets flight dumps embed this site's replica-table
   // summary next to its spans; it runs at dump time on the dumping thread
@@ -258,10 +230,8 @@ Site::~Site() {
       [&](ObjectId, MasterEntry& entry) { unlink(*entry.obj); });
   table_.ForEachReplica(
       [&](ObjectId, ReplicaEntry& entry) { unlink(*entry.obj); });
-  // The registry outlives the site; zero the live-table gauges so this
-  // instance's series does not freeze at its last value.
-  telemetry_.masters->Set(0);
-  telemetry_.replicas->Set(0);
+  // The registry outlives the site; zero the gauges so this instance's
+  // series does not freeze at its last value.
   telemetry_.proxy_ins->Set(0);
   telemetry_.objects_master->Set(0);
   telemetry_.objects_replica->Set(0);
@@ -317,25 +287,6 @@ Result<Bytes> Site::TimedRequest(const SiteTelemetry::Op& op,
     FlightRecorder::Global().NotifyFailure(reply.status().message());
   }
   return reply;
-}
-
-void Site::SyncGauges() {
-  telemetry_.masters->Set(static_cast<std::int64_t>(table_.master_count()));
-  telemetry_.replicas->Set(static_cast<std::int64_t>(table_.replica_count()));
-  std::size_t pins;
-  {
-    std::lock_guard lock(pins_mutex_);
-    pins = proxy_ins_.size();
-  }
-  telemetry_.proxy_ins->Set(static_cast<std::int64_t>(pins));
-}
-
-void Site::RefreshTelemetry() {
-  telemetry_.uptime->Set(clock_.Now() - created_at_);
-  SyncGauges();
-  UpdateReplicationGauges();
-  std::lock_guard lock(mutex_);
-  SyncHolderGaugesLocked();
 }
 
 // ---------------------------------------------------------------------------
@@ -412,7 +363,6 @@ ObjectId Site::EnsureId(const std::shared_ptr<Shareable>& obj) {
   entry.obj = obj;
   entry.last_update = clock_.Now();
   table_.EmplaceMaster(oid, std::move(entry));
-  telemetry_.masters->Set(static_cast<std::int64_t>(table_.master_count()));
   return oid;
 }
 
@@ -451,7 +401,6 @@ ProxyId Site::NewProxyInLocked(ObjectId target,
   TouchPin(entry);
   RegisterUsers(entry.users, users);
   telemetry_.proxy_ins_created->Inc();
-  telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   clock_.Sleep(proxy_export_cost_);
   return pin;
 }
@@ -467,30 +416,26 @@ ProxyId Site::NewClusterProxyIn(ObjectId root, std::vector<ObjectId> members,
   TouchPin(entry);
   RegisterUsers(entry.users, users);
   telemetry_.proxy_ins_created->Inc();
-  telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   clock_.Sleep(proxy_export_cost_);
   return pin;
 }
 
 std::size_t Site::CollectExpiredProxyIns() {
+  std::lock_guard lock(pins_mutex_);
+  if (proxy_lease_ <= 0) return 0;
   std::size_t collected = 0;
-  {
-    std::lock_guard lock(pins_mutex_);
-    if (proxy_lease_ <= 0) return 0;
-    const Nanos now = clock_.Now();
-    for (auto it = proxy_ins_.begin(); it != proxy_ins_.end();) {
-      if (it->second.expires_at != 0 && it->second.expires_at <= now) {
-        if (auto tit = pin_by_target_.find(it->second.target);
-            tit != pin_by_target_.end() && tit->second == it->first) {
-          pin_by_target_.erase(tit);
-        }
-        it = proxy_ins_.erase(it);
-        ++collected;
-      } else {
-        ++it;
+  const Nanos now = clock_.Now();
+  for (auto it = proxy_ins_.begin(); it != proxy_ins_.end();) {
+    if (it->second.expires_at != 0 && it->second.expires_at <= now) {
+      if (auto tit = pin_by_target_.find(it->second.target);
+          tit != pin_by_target_.end() && tit->second == it->first) {
+        pin_by_target_.erase(tit);
       }
+      it = proxy_ins_.erase(it);
+      ++collected;
+    } else {
+      ++it;
     }
-    telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
   }
   return collected;
 }
@@ -532,10 +477,10 @@ std::size_t Site::proxy_in_count() const {
 }
 
 void Site::SetConsistencyPolicy(std::unique_ptr<ConsistencyPolicy> policy) {
-  // Policy hooks run under shard guards; holding the world excludes them
-  // all, so the swap is safe even against in-flight protocol traffic.
-  ObjectTable::WorldGuard guard(table_);
-  if (policy != nullptr) policy_ = std::move(policy);
+  if (policy == nullptr) return;
+  std::lock_guard lock(mutex_);
+  policy_.store(policy.get(), std::memory_order_release);
+  policies_.push_back(std::move(policy));
 }
 
 // ---------------------------------------------------------------------------
@@ -689,6 +634,7 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
 
   // --- serialize -------------------------------------------------------------
   const std::span<const net::Address> user(&from, 1);
+  ConsistencyPolicy& policy = consistency_policy();
   GetReply reply;
   const bool shared_pair = req.mode.SharedProxyPair() && !req.refresh;
   if (shared_pair) {
@@ -714,7 +660,7 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
       OBIWAN_ASSIGN_OR_RETURN(MetaRef meta, FindMeta(oid));
       rec.class_name = meta.obj->obiwan_class().name();
       rec.version = *meta.version;
-      rec.policy_data = policy_->MakeGetData(
+      rec.policy_data = policy.MakeGetData(
           MasterView{oid, *meta.version, *meta.policy_state, *meta.holders},
           from);
       snaps = CaptureLocked(*meta.obj, rec.fields);
@@ -738,11 +684,6 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
 
     telemetry_.objects_served->Inc();
     reply.objects.push_back(std::move(rec));
-  }
-
-  {
-    std::lock_guard lock(mutex_);
-    SyncHolderGaugesLocked();
   }
   return reply;
 }
@@ -788,6 +729,7 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
     return it != ref_targets.end() ? it->second : nullptr;
   };
 
+  ConsistencyPolicy& policy = consistency_policy();
   PutReply reply;
   // Notifications (invalidations / pushes) are collected under the batch's
   // shard guards but published after releasing them — network I/O under an
@@ -827,7 +769,7 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
       if (item.refs.size() != ci.refs().size()) {
         return DataLossError("put ref schema mismatch for " + ToString(item.id));
       }
-      OBIWAN_RETURN_IF_ERROR(policy_->ValidatePut(
+      OBIWAN_RETURN_IF_ERROR(policy.ValidatePut(
           MasterView{item.id, *meta.version, *meta.policy_state, *meta.holders},
           PutView{from, item.id, item.base_version, AsView(item.policy_data)}));
       targets.push_back(Target{std::move(meta), &item, &ci});
@@ -865,7 +807,7 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
 
       UpdateGroup& group = groups.emplace_back(
           UpdateGroup{t.item->id, *t.meta.version, {}});
-      for (net::Address addr : policy_->AfterPut(
+      for (net::Address addr : policy.AfterPut(
                MasterView{t.item->id, *t.meta.version, *t.meta.policy_state,
                           *t.meta.holders},
                PutView{from, t.item->id, t.item->base_version,
@@ -902,7 +844,7 @@ Result<ObjectRecord> Site::BuildPushRecord(
 
 void Site::PublishUpdates(std::vector<UpdateGroup> groups) {
   std::vector<OutboundNotify> outbound;
-  const bool push = policy_->PushUpdatesOnPut();
+  const bool push = consistency_policy().PushUpdatesOnPut();
   for (UpdateGroup& group : groups) {
     if (group.recipients.empty()) continue;
     wire::Writer body;
@@ -1038,7 +980,6 @@ void Site::DispatchNotifications(std::vector<OutboundNotify> batch) {
         }
       }
     }
-    SyncHolderGaugesLocked();
   }
   for (const net::Address& addr : drops) DropHolder(addr);
 }
@@ -1055,8 +996,6 @@ void Site::CollectDueRetriesLocked(std::vector<OutboundNotify>& out) {
       ++it;
     }
   }
-  telemetry_.notify_retry_depth->Set(
-      static_cast<std::int64_t>(notify_retries_.size()));
 }
 
 bool Site::HandleNotifyFailureLocked(OutboundNotify note) {
@@ -1090,7 +1029,7 @@ bool Site::HandleNotifyFailureLocked(OutboundNotify note) {
     if (pending.note.addr == note.addr && pending.note.id == note.id) {
       telemetry_.notify_superseded->Inc();
       if (note.version >= pending.note.version) {
-        pending = PendingNotify{std::move(note), next_attempt, backoff};
+        pending = PendingNotify{std::move(note), next_attempt};
       }
       return false;
     }
@@ -1111,7 +1050,7 @@ bool Site::HandleNotifyFailureLocked(OutboundNotify note) {
     }
     if (oldest != notify_retries_.end()) notify_retries_.erase(oldest);
   }
-  notify_retries_.push_back(PendingNotify{std::move(note), next_attempt, backoff});
+  notify_retries_.push_back(PendingNotify{std::move(note), next_attempt});
   return false;
 }
 
@@ -1137,18 +1076,6 @@ void Site::DropHolder(const net::Address& addr) {
   });
   telemetry_.holders_dropped->Inc();
   Trace("holder", addr + " dropped after repeated notification failures");
-}
-
-void Site::SyncHolderGaugesLocked() {
-  std::int64_t active = 0;
-  std::int64_t suspect = 0;
-  for (const auto& [addr, health] : holder_health_) {
-    (health.consecutive_failures == 0 ? active : suspect) += 1;
-  }
-  telemetry_.holders_active->Set(active);
-  telemetry_.holders_suspect->Set(suspect);
-  telemetry_.notify_retry_depth->Set(
-      static_cast<std::int64_t>(notify_retries_.size()));
 }
 
 // Caller holds pins_mutex_.
@@ -1340,7 +1267,6 @@ Status Site::ServeRelease(const net::Address& from, ProxyId pin) {
       pin_by_target_.erase(tit);
     }
     proxy_ins_.erase(it);
-    telemetry_.proxy_ins->Set(static_cast<std::int64_t>(proxy_ins_.size()));
     for (ObjectId oid : affected) {
       if (!HolderStillPinnedLocked(from, oid)) unlink.push_back(oid);
     }
@@ -1351,11 +1277,9 @@ Status Site::ServeRelease(const net::Address& from, ProxyId pin) {
     ObjectTable::ShardGuard guard(table_, oid);
     table_.UnlinkHolder(oid, from);
   }
-  const bool anywhere = HolderAnywhere(from);
-  {
+  if (!HolderAnywhere(from)) {
     std::lock_guard lock(mutex_);
-    if (!anywhere) holder_health_.erase(from);
-    SyncHolderGaugesLocked();
+    holder_health_.erase(from);
   }
   return Status::Ok();
 }
@@ -1447,6 +1371,7 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const ProxyDescriptor& via,
   const ProxyDescriptor* cluster_provider =
       reply.cluster ? &reply.cluster->provider : nullptr;
 
+  ConsistencyPolicy& policy = consistency_policy();
   std::unordered_map<ObjectId, std::shared_ptr<Shareable>, ObjectIdHash> present;
   std::vector<bool> fresh(reply.objects.size(), false);
 
@@ -1487,8 +1412,8 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const ProxyDescriptor& via,
         e->known_master_version = std::max(e->known_master_version, rec.version);
         e->last_sync = clock_.Now();
         ++e->sync_count;
-        policy_->OnReplicaData(ReplicaView{rec.id, e->version, e->policy_state},
-                               AsView(rec.policy_data));
+        policy.OnReplicaData(ReplicaView{rec.id, e->version, e->policy_state},
+                             AsView(rec.policy_data));
         fresh[i] = true;
       }
       // A per-object channel upgrades a replica that had none (or only the
@@ -1531,14 +1456,13 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const ProxyDescriptor& via,
       }
       continue;
     }
-    policy_->OnReplicaData(
+    policy.OnReplicaData(
         ReplicaView{rec.id, stored->version, stored->policy_state},
         AsView(rec.policy_data));
     present.emplace(rec.id, std::move(obj));
     fresh[i] = true;
     telemetry_.replicas_created->Inc();
   }
-  telemetry_.replicas->Set(static_cast<std::int64_t>(table_.replica_count()));
 
   if (reply.cluster) {
     std::lock_guard pins(pins_mutex_);
@@ -1604,8 +1528,8 @@ Result<PutItem> Site::BuildPutItem(ObjectId id, bool read_only) {
     }
     item.base_version = e->version;
     if (read_only) return item;  // validation-only: no state travels
-    item.policy_data =
-        policy_->MakePutData(ReplicaView{id, e->version, e->policy_state}, clock_);
+    item.policy_data = consistency_policy().MakePutData(
+        ReplicaView{id, e->version, e->policy_state}, clock_);
     snaps = CaptureLocked(*e->obj, item.fields);
   }
 
@@ -1906,7 +1830,6 @@ std::size_t Site::EvictIdleReplicas() {
       ++evicted;
     }
   }
-  telemetry_.replicas->Set(static_cast<std::int64_t>(table_.replica_count()));
   return evicted;
 }
 

@@ -64,40 +64,15 @@ template <typename T>
 class RemoteRef;
 class JourneySink;
 
-struct SiteStats {
-  std::uint64_t object_faults = 0;  // proxy-out demands that went remote
-  std::uint64_t gets_sent = 0;
-  std::uint64_t gets_served = 0;
-  std::uint64_t puts_sent = 0;
-  std::uint64_t puts_served = 0;
-  std::uint64_t calls_sent = 0;
-  std::uint64_t calls_served = 0;
-  std::uint64_t proxy_ins_created = 0;
-  std::uint64_t proxy_outs_created = 0;
-  std::uint64_t replicas_created = 0;
-  std::uint64_t objects_served = 0;
-  std::uint64_t invalidations_sent = 0;
-  std::uint64_t invalidations_received = 0;
-  std::uint64_t replication_bytes_in = 0;   // replica state received
-  std::uint64_t replication_bytes_out = 0;  // replica state shipped
-  std::uint64_t notify_retries = 0;         // queued notifications re-sent
-  std::uint64_t notify_superseded = 0;      // queued retries coalesced by version
-  std::uint64_t holders_dropped = 0;        // holders unregistered as unreachable
-};
-
-// Pre-resolved metric handles for one site. All protocol counters live in the
-// metrics registry (labels: site id + a per-instance sequence number, so two
-// sites with the same id in one process never share a series); SiteStats is a
-// thin adapter computed from these counters against a movable baseline, which
-// is what keeps ResetStats() cheap while the registry stays monotonic. The
-// field-to-series mapping lives in one descriptor table (site.cc) that the
-// constructor, Raw() and View() all walk, so adding a counter means adding
-// one struct field and one table row.
+// Pre-resolved metric handles for one site (labels: site id + a per-instance
+// sequence number, so two sites with the same id in one process never share
+// a series). Site::telemetry() hands them out read-only. The counters are
+// monotonic and never rebaselined: a caller that wants "since then" reads
+// one twice and takes the difference.
 struct SiteTelemetry {
   SiteTelemetry(SiteId site, MetricsRegistry& metrics);
 
-  // One handle per SiteStats field, same names.
-  Counter* object_faults;
+  Counter* object_faults;  // proxy-out demands that went remote
   Counter* gets_sent;
   Counter* gets_served;
   Counter* puts_sent;
@@ -110,20 +85,20 @@ struct SiteTelemetry {
   Counter* objects_served;
   Counter* invalidations_sent;
   Counter* invalidations_received;
-  Counter* replication_bytes_in;
-  Counter* replication_bytes_out;
-  Counter* notify_retries;
-  Counter* notify_superseded;
-  Counter* holders_dropped;
+  Counter* replication_bytes_in;   // replica state received
+  Counter* replication_bytes_out;  // replica state shipped
+  Counter* notify_retries;         // queued notifications re-sent
+  Counter* notify_superseded;      // queued retries coalesced by version
+  Counter* holders_dropped;        // holders unregistered as unreachable
 
-  // Live table sizes.
-  Gauge* masters;
-  Gauge* replicas;
+  // Every gauge below is computed when read: Site::RefreshTelemetry (every
+  // /metrics and /healthz scrape, and Site::Inspect) is its only writer
+  // while the site lives, so no protocol path pays for it. Between two reads
+  // a gauge shows the value of the last one.
+  //
+  // obiwan_site_proxy_ins — live provider-side proxy-ins.
   Gauge* proxy_ins;
 
-  // Replication-state gauges, computed when read: Site::RefreshTelemetry
-  // (every /metrics and /healthz scrape) and Site::Inspect (kInspect,
-  // FleetMonitor) recompute them from the tables; no protocol path does:
   // obiwan_objects{role=master|replica|frontier} — topology by role, where
   // "frontier" counts distinct targets of unresolved proxy-outs;
   // obiwan_replica_staleness_versions{agg=max|p95} — how far behind the
@@ -138,19 +113,17 @@ struct SiteTelemetry {
   Gauge* staleness_age_max;
   Gauge* leases_expiring;
 
-  // Holder lifecycle (refreshed by Site::SyncHolderGauges after every
-  // fanout/registration/release): obiwan_holders{state=active|suspect} —
-  // registered holders by health, where "suspect" means at least one
-  // consecutive notification failure; obiwan_notify_retry_depth — queued
-  // notifications awaiting their backoff deadline.
+  // obiwan_holders{state=active|suspect} — registered holders by health,
+  // where "suspect" means at least one consecutive notification failure;
+  // obiwan_notify_retry_depth — queued notifications awaiting their backoff
+  // deadline.
   Gauge* holders_active;
   Gauge* holders_suspect;
   Gauge* notify_retry_depth;
 
   // obiwan_site_uptime_ns — nanoseconds since this Site was constructed, on
   // the site's clock. A sawtooth reset to ~0 on a dashboard means the site
-  // restarted; refreshed by Site::RefreshTelemetry (admin scrapes and
-  // FleetMonitor polls).
+  // restarted.
   Gauge* uptime;
 
   // Client-side RPC telemetry, one bundle per operation the site issues.
@@ -168,14 +141,6 @@ struct SiteTelemetry {
   Op op_renew;
   Op op_notify;   // invalidations / pushes fanned out after a put
   Op op_inspect;  // remote replication-state pulls
-
-  // Current counter values as the legacy struct (no baseline applied).
-  SiteStats Raw() const;
-  // Raw() minus the stored baseline, saturating.
-  SiteStats View() const;
-  void Rebaseline() { baseline = Raw(); }
-
-  SiteStats baseline;
 };
 
 class Site final : public rmi::Service {
@@ -367,9 +332,15 @@ class Site final : public rmi::Service {
 
   // --- consistency -------------------------------------------------------------
 
-  // Install a policy (provider and demander side of this site). Never null.
+  // Install a policy (provider and demander side of this site); null is
+  // ignored. Each protocol operation reads the active policy once, so an
+  // operation in flight during a swap finishes on the policy it started
+  // with. A replaced policy stays alive until the site is destroyed, so the
+  // reference consistency_policy() returns never dangles.
   void SetConsistencyPolicy(std::unique_ptr<ConsistencyPolicy> policy);
-  ConsistencyPolicy& consistency_policy() { return *policy_; }
+  ConsistencyPolicy& consistency_policy() {
+    return *policy_.load(std::memory_order_acquire);
+  }
 
   // Per-request deadline for every RPC this site issues: applied as the
   // transport CallOptions deadline and advertised in the request envelope as
@@ -418,25 +389,27 @@ class Site final : public rmi::Service {
   // "127.0.0.1:<port>" while serving, "" otherwise.
   const std::string& admin_address() const { return admin_address_; }
 
-  // Recompute every continuous gauge — table sizes, staleness/lease/role,
-  // holder health, uptime — from current state. Admin /metrics and /healthz
-  // scrapes call this first. The staleness/lease/role gauges are computed
-  // only here and in Inspect(), so a registry dump that skips both shows
-  // them as of the last such pull; every protocol operation stays
-  // O(batch) instead of rescanning the tables.
+  // Recompute every site gauge — proxy-ins, role, staleness, leases,
+  // holder health, retry depth, uptime — from current state. The only
+  // writer of those gauges: admin /metrics and /healthz scrapes and
+  // Inspect() call it, no protocol path does, so a registry dump that
+  // skips all three shows the gauges as of the last pull while every
+  // protocol operation stays O(batch). Locks shard by shard; call with no
+  // shard guard or leaf lock held (or with the world, as Inspect does).
   void RefreshTelemetry();
 
   // --- introspection -------------------------------------------------------------
 
-  SiteStats stats() const { return telemetry_.View(); }
-  void ResetStats() { telemetry_.Rebaseline(); }
+  // The site's metric handles, read-only. Counters are monotonic: take a
+  // delta by reading one twice.
+  const SiteTelemetry& telemetry() const { return telemetry_; }
 
   // Structured report over the replica tables: per-object role, versions,
   // staleness (versions + virtual-time age), payload bytes, serve counts and
-  // reference topology; per-proxy-in lease countdown. Also refreshes the
-  // replication gauges. (Non-const for the same reason as SaveSnapshot:
-  // locally referenced objects that never needed an id are assigned one so
-  // the report's edge set is complete.)
+  // reference topology; per-proxy-in lease countdown. Also refreshes every
+  // site gauge (RefreshTelemetry). (Non-const for the same reason as
+  // SaveSnapshot: locally referenced objects that never needed an id are
+  // assigned one so the report's edge set is complete.)
   InspectReport Inspect();
 
   // Pull a remote site's report through the kInspect RMI method — a
@@ -485,25 +458,12 @@ class Site final : public rmi::Service {
     return journey_sink_.load(std::memory_order_acquire);
   }
 
-  // Runs `fn` with every object-table shard held (the "world" lock) and
-  // returns its result. Local mutations of a replica whose provider pushes
-  // full updates (`core::PushUpdates`) race with push application on
-  // transport threads unless made through here (or WithObjectLock). The
-  // world guard is reentrant per thread and shard guards no-op under it, so
-  // site calls (Put, Refresh) remain legal inside `fn` — the replacement
-  // for the old recursive site mutex. Prefer WithObjectLock: the world
-  // guard serializes against every shard.
-  template <typename Fn>
-  auto WithSiteLock(Fn&& fn) {
-    ObjectTable::WorldGuard guard(table_);
-    return std::forward<Fn>(fn)();
-  }
-
-  // Runs `fn` under the single shard guarding `ref`'s target record — the
-  // sharded-table fast path for protecting local mutations of one object
-  // (and of objects only this thread touches) against concurrent push/
-  // invalidate application. `fn` must not call back into site operations
-  // that lock other shards.
+  // Runs `fn` under the single shard guarding `ref`'s target record, which
+  // is the shard push and invalidate application lock. Local mutations of a
+  // replica whose provider pushes full updates (`core::PushUpdates`) race
+  // with push application on transport threads unless made through here;
+  // so do edits to objects only this thread touches, hung off that record.
+  // `fn` must not call back into site operations that lock other shards.
   template <typename Fn>
   auto WithObjectLock(const RefBase& ref, Fn&& fn) {
     ObjectId id = ref.id();
@@ -639,19 +599,6 @@ class Site final : public rmi::Service {
   // -1 (no header) when requests are unbounded.
   Nanos DeadlineBudget() const;
 
-  // Refresh the masters/replicas/proxy-ins gauges from the table sizes.
-  // Self-locking (pins mutex for the proxy-in count); call with no pins
-  // lock held.
-  void SyncGauges();
-
-  // Recompute the staleness/topology gauges (obiwan_objects{role},
-  // obiwan_replica_staleness_versions max/p95, staleness age, expiring
-  // leases) from the tables. O(objects + refs), locking shard by shard —
-  // call with no shard guard or leaf lock held (or with the world, as
-  // Inspect does). Only the pull paths call it: RefreshTelemetry and
-  // Inspect.
-  void UpdateReplicationGauges();
-
   // Inspect() body; call with the world held.
   InspectReport InspectLocked();
 
@@ -706,7 +653,6 @@ class Site final : public rmi::Service {
   struct PendingNotify {
     OutboundNotify note;
     Nanos next_attempt = 0;
-    Nanos backoff = 0;
   };
   struct HolderHealth {
     std::uint32_t consecutive_failures = 0;
@@ -732,8 +678,6 @@ class Site final : public rmi::Service {
   // health) in the window since the threshold was observed — the drop and
   // the sweep are atomic with respect to re-registration.
   void DropHolder(const net::Address& addr);
-  // Site mutex held.
-  void SyncHolderGaugesLocked();
 
   // Does `addr` still hold a pin covering `oid`? Pins mutex held.
   bool HolderStillPinnedLocked(const net::Address& addr, ObjectId oid) const;
@@ -770,7 +714,11 @@ class Site final : public rmi::Service {
   rmi::Dispatcher dispatcher_;
   std::optional<rmi::RegistryService> registry_service_;
   std::optional<rmi::RegistryClient> registry_client_;
-  std::unique_ptr<ConsistencyPolicy> policy_;
+  // The active policy, loaded once per protocol operation. Every policy ever
+  // installed is owned by policies_ (under mutex_) until the site is
+  // destroyed, so a hook still running on a replaced policy stays valid.
+  std::atomic<ConsistencyPolicy*> policy_{nullptr};
+  std::vector<std::unique_ptr<ConsistencyPolicy>> policies_;
   bool started_ = false;
 
   // The sharded object table: masters, replicas, the pointer-identity map
@@ -784,10 +732,11 @@ class Site final : public rmi::Service {
   mutable ObjectTable table_;
 
   // Cross-shard state: holder health, the notification retry queue, the
-  // replica-update callback and the retry/threshold knobs. Non-recursive,
-  // still tracked under lock name "site". Lock order: a shard guard (or the
-  // world) may be held when acquiring this mutex, never the reverse; no
-  // shard lock and no pins lock may be acquired while holding it.
+  // replica-update callback, the installed consistency policies and the
+  // retry/threshold knobs. Non-recursive, still tracked under lock name
+  // "site". Lock order: a shard guard (or the world) may be held when
+  // acquiring this mutex, never the reverse; no shard lock and no pins lock
+  // may be acquired while holding it.
   mutable TrackedMutex mutex_{"site"};
 
   // Provider-side pins: proxy_ins_, the per-target index and demander-side

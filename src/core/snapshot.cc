@@ -160,11 +160,6 @@ Status Site::LoadSnapshot(BytesView snapshot) {
       for (const net::Address& addr : entry.holders) holder_health_[addr];
     });
   }
-  SyncGauges();
-  {
-    std::lock_guard lock(mutex_);
-    SyncHolderGaugesLocked();
-  }
   return status;
 }
 

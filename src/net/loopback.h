@@ -20,8 +20,8 @@ class LoopbackNetwork {
   // when destroyed.
   std::unique_ptr<LoopbackTransport> CreateEndpoint(const Address& address);
 
-  TrafficStats stats() const { return telemetry_.stats(); }
-  void ResetStats() { telemetry_.Reset(); }
+  // Traffic across every endpoint of this network.
+  const TrafficTelemetry& telemetry() const { return telemetry_; }
 
  private:
   friend class LoopbackTransport;

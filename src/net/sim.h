@@ -85,8 +85,8 @@ class SimNetwork {
   // Override parameters for the (unordered) pair {a, b}.
   void SetLinkParams(const Address& a, const Address& b, LinkParams params);
 
-  TrafficStats stats() const { return telemetry_.stats(); }
-  void ResetStats() { telemetry_.Reset(); }
+  // Traffic across every endpoint of this network.
+  const TrafficTelemetry& telemetry() const { return telemetry_; }
   Clock& clock() { return clock_; }
 
   // Attach a tracer: every delivery records a "net" span (request + handler

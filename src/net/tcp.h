@@ -77,13 +77,10 @@ class TcpTransport final : public Transport {
 
   // Outbound traffic issued through this transport (payload bytes, excluding
   // the 4-byte frame headers, to stay comparable with the in-process
-  // networks).
-  TrafficStats stats() const { return telemetry_.stats(); }
-  void ResetStats() { telemetry_.Reset(); }
+  // networks), including its connects and pool hits.
+  const TrafficTelemetry& telemetry() const { return telemetry_; }
 
   // Pooling introspection (tests, benches).
-  std::uint64_t connects() const { return telemetry_.stats().connects; }
-  std::uint64_t pool_hits() const { return telemetry_.stats().pool_hits; }
   std::size_t idle_pooled_connections() const;
   // Live server-side connection handler threads.
   std::size_t active_connections() const;

@@ -51,92 +51,53 @@ class MessageHandler {
   virtual Result<Bytes> HandleRequest(const Address& from, BytesView request) = 0;
 };
 
-// Aggregate traffic counters, used by benches to report bytes on the wire.
-struct TrafficStats {
-  std::uint64_t requests = 0;
-  std::uint64_t request_bytes = 0;
-  std::uint64_t reply_bytes = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t timeouts = 0;   // failures that were deadline expirations
-  std::uint64_t connects = 0;   // physical connections established (TCP)
-  std::uint64_t pool_hits = 0;  // requests served on a reused connection
-};
-
 // Registry-backed traffic accounting shared by the three transports. Each
-// network/transport instance owns one; the counters live in the metrics
-// registry (labels: transport kind + a per-instance sequence number, so two
-// networks in one process never share a series), and the legacy
-// TrafficStats accessor is a view computed from the same counters — there is
-// no parallel bookkeeping to drift.
-class TrafficTelemetry {
- public:
+// network/transport instance owns one and hands it out read-only through its
+// telemetry() accessor. The counters live in the metrics registry (labels:
+// transport kind + a per-instance sequence number, so two networks in one
+// process never share a series) and are monotonic: a caller that wants the
+// traffic of one phase reads a counter before and after it.
+struct TrafficTelemetry {
   explicit TrafficTelemetry(std::string_view transport_kind,
                             MetricsRegistry& metrics = MetricsRegistry::Default()) {
     MetricLabels labels{
         {"transport", std::string(transport_kind)},
         {"inst", std::to_string(MetricsRegistry::NextInstance())}};
-    requests_ = &metrics.GetCounter("obiwan_transport_requests_total", labels,
-                                    "Requests delivered by this transport");
-    request_bytes_ = &metrics.GetCounter("obiwan_transport_request_bytes_total",
-                                         labels, "Request payload bytes");
-    reply_bytes_ = &metrics.GetCounter("obiwan_transport_reply_bytes_total",
-                                       labels, "Reply payload bytes");
-    failures_ = &metrics.GetCounter("obiwan_transport_failures_total", labels,
-                                    "Requests that failed to deliver or serve");
-    timeouts_ = &metrics.GetCounter("obiwan_transport_timeouts_total", labels,
-                                    "Requests that failed with an expired deadline");
-    connects_ = &metrics.GetCounter("obiwan_transport_connects_total", labels,
-                                    "Physical connections established");
-    pool_hits_ = &metrics.GetCounter("obiwan_transport_pool_hits_total", labels,
-                                     "Requests served on a pooled connection");
+    requests = &metrics.GetCounter("obiwan_transport_requests_total", labels,
+                                   "Requests delivered by this transport");
+    request_bytes = &metrics.GetCounter("obiwan_transport_request_bytes_total",
+                                        labels, "Request payload bytes");
+    reply_bytes = &metrics.GetCounter("obiwan_transport_reply_bytes_total",
+                                      labels, "Reply payload bytes");
+    failures = &metrics.GetCounter("obiwan_transport_failures_total", labels,
+                                   "Requests that failed to deliver or serve");
+    timeouts = &metrics.GetCounter("obiwan_transport_timeouts_total", labels,
+                                   "Requests that failed with an expired deadline");
+    connects = &metrics.GetCounter("obiwan_transport_connects_total", labels,
+                                   "Physical connections established");
+    pool_hits = &metrics.GetCounter("obiwan_transport_pool_hits_total", labels,
+                                    "Requests served on a pooled connection");
   }
 
   void OnRequest(std::size_t bytes) {
-    requests_->Inc();
-    request_bytes_->Inc(bytes);
+    requests->Inc();
+    request_bytes->Inc(bytes);
   }
-  void OnReply(std::size_t bytes) { reply_bytes_->Inc(bytes); }
+  void OnReply(std::size_t bytes) { reply_bytes->Inc(bytes); }
   void OnFailure(const Status& status) {
-    failures_->Inc();
-    if (status.code() == StatusCode::kTimeout) timeouts_->Inc();
+    failures->Inc();
+    if (status.code() == StatusCode::kTimeout) timeouts->Inc();
   }
-  void OnConnect() { connects_->Inc(); }
-  void OnPoolHit() { pool_hits_->Inc(); }
+  void OnConnect() { connects->Inc(); }
+  void OnPoolHit() { pool_hits->Inc(); }
 
-  // Traffic since construction (or the last Reset), as the legacy struct.
-  // Saturating, so a registry-wide Reset() between baselines reads as zero
-  // rather than wrapping.
-  TrafficStats stats() const {
-    auto since = [](const Counter* c, std::uint64_t base) {
-      const std::uint64_t v = c->Value();
-      return v > base ? v - base : 0;
-    };
-    return TrafficStats{since(requests_, baseline_.requests),
-                        since(request_bytes_, baseline_.request_bytes),
-                        since(reply_bytes_, baseline_.reply_bytes),
-                        since(failures_, baseline_.failures),
-                        since(timeouts_, baseline_.timeouts),
-                        since(connects_, baseline_.connects),
-                        since(pool_hits_, baseline_.pool_hits)};
-  }
-
-  // Rebaseline the view; the registry counters stay monotonic.
-  void Reset() {
-    baseline_ = TrafficStats{requests_->Value(),   request_bytes_->Value(),
-                             reply_bytes_->Value(), failures_->Value(),
-                             timeouts_->Value(),    connects_->Value(),
-                             pool_hits_->Value()};
-  }
-
- private:
-  Counter* requests_;
-  Counter* request_bytes_;
-  Counter* reply_bytes_;
-  Counter* failures_;
-  Counter* timeouts_;
-  Counter* connects_;
-  Counter* pool_hits_;
-  TrafficStats baseline_;
+  Counter* requests;
+  Counter* request_bytes;
+  Counter* reply_bytes;
+  Counter* failures;
+  Counter* timeouts;   // failures that were deadline expirations
+  Counter* connects;   // physical connections established (TCP)
+  Counter* pool_hits;  // requests served on a reused connection (TCP)
 };
 
 // One site's view of a network: it can serve requests at its own address and

@@ -140,7 +140,7 @@ TEST(BackgroundPrefetcher, HidesFaultsBeforeTraversal) {
   EXPECT_EQ(prefetcher.graphs_prefetched(), 1u);
 
   // Traversal now faults zero times over the network.
-  const auto gets_before = demander.stats().gets_sent;
+  const auto gets_before = demander.telemetry().gets_sent->Value();
   core::Ref<Node>* cursor = &*ref;
   int count = 0;
   while (!cursor->IsEmpty()) {
@@ -149,7 +149,7 @@ TEST(BackgroundPrefetcher, HidesFaultsBeforeTraversal) {
     ++count;
   }
   EXPECT_EQ(count, 40);
-  EXPECT_EQ(demander.stats().gets_sent, gets_before);
+  EXPECT_EQ(demander.telemetry().gets_sent->Value(), gets_before);
 }
 
 TEST(BackgroundPrefetcher, MultipleGraphsAndShutdown) {

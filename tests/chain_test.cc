@@ -48,7 +48,7 @@ TEST_F(ChainTest, LaptopReExportsToPda) {
   ASSERT_TRUE(laptop_->Bind("doc-cached", on_laptop->local()).ok());
 
   // PDA replicates from the laptop, never talking to the office.
-  const auto office_gets = office_->stats().gets_served;
+  const auto office_gets = office_->telemetry().gets_served->Value();
   auto laptop_remote = pda_->Lookup<Node>("doc-cached");
   ASSERT_TRUE(laptop_remote.ok());
   EXPECT_EQ(laptop_remote->provider(), "laptop");
@@ -56,7 +56,8 @@ TEST_F(ChainTest, LaptopReExportsToPda) {
   ASSERT_TRUE(on_pda.ok());
 
   EXPECT_EQ(pda_->replica_count(), 4u);
-  EXPECT_EQ(office_->stats().gets_served, office_gets);  // office untouched
+  // The office is untouched.
+  EXPECT_EQ(office_->telemetry().gets_served->Value(), office_gets);
   EXPECT_EQ((*on_pda)->next->next->Label(), "d2");
 
   // Identity: the PDA's replicas carry the office's master ids.

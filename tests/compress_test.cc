@@ -157,10 +157,11 @@ TEST(CompressedTransport, EndToEndSitesOnCompressedSim) {
   auto remote = demander.Lookup<test::Node>("list");
   ASSERT_TRUE(remote.ok());
 
-  const auto bytes_before = network.stats().reply_bytes;
+  const auto bytes_before = network.telemetry().reply_bytes->Value();
   auto ref = remote->Replicate(core::ReplicationMode::Cluster(20));
   ASSERT_TRUE(ref.ok());
-  const auto batch_bytes = network.stats().reply_bytes - bytes_before;
+  const auto batch_bytes =
+      network.telemetry().reply_bytes->Value() - bytes_before;
   // 20 × 2 KB of repeated bytes compresses far below the raw ~41 KB.
   EXPECT_LT(batch_bytes, 5'000u);
 

@@ -216,15 +216,16 @@ TEST_F(FanoutSimTest, HolderDroppedAfterThresholdAndReRegisteredOnGet) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
   }
-  EXPECT_EQ(hub_->stats().holders_dropped, 1u);
+  EXPECT_EQ(hub_->telemetry().holders_dropped->Value(), 1u);
   EXPECT_EQ(hub_->pending_notify_retries(), 0u)  // purged with the holder
       << "dropped holder left retries behind";
 
   // Updates no longer pay for the dead holder: exactly one notification
   // (to h1) per update.
-  const std::uint64_t sent_before = hub_->stats().invalidations_sent;
+  const std::uint64_t sent_before =
+      hub_->telemetry().invalidations_sent->Value();
   ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
-  EXPECT_EQ(hub_->stats().invalidations_sent - sent_before, 1u);
+  EXPECT_EQ(hub_->telemetry().invalidations_sent->Value() - sent_before, 1u);
 
   // The device comes back and re-syncs: its next get re-registers it.
   network_->SetEndpointUp("h2", true);
@@ -232,7 +233,7 @@ TEST_F(FanoutSimTest, HolderDroppedAfterThresholdAndReRegisteredOnGet) {
   ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
   EXPECT_EQ(*site("h2").ReplicaVersion(ref2), *hub_->MasterVersion(oid));
   EXPECT_EQ(*site("h1").ReplicaVersion(ref1), *hub_->MasterVersion(oid));
-  EXPECT_EQ(hub_->stats().holders_dropped, 1u);
+  EXPECT_EQ(hub_->telemetry().holders_dropped->Value(), 1u);
 }
 
 TEST_F(FanoutSimTest, QueuedNotificationRetriesDeliverAfterReconnect) {
@@ -257,7 +258,7 @@ TEST_F(FanoutSimTest, QueuedNotificationRetriesDeliverAfterReconnect) {
   clock_.Sleep(200 * kMilli);  // past the initial retry backoff
   EXPECT_EQ(hub_->PumpNotifyRetries(), 1u);
   EXPECT_TRUE(site("pda").IsStale(pda_ref));
-  EXPECT_GE(hub_->stats().notify_retries, 1u);
+  EXPECT_GE(hub_->telemetry().notify_retries->Value(), 1u);
   EXPECT_EQ(hub_->pending_notify_retries(), 0u);
 }
 
@@ -337,11 +338,12 @@ TEST_F(FanoutSimTest, ReleaseRemovesHolderRegistration) {
 
   // The released (and now unreachable) demander costs the writer nothing.
   network_->SetEndpointUp("pda", false);
-  const std::uint64_t sent_before = hub_->stats().invalidations_sent;
+  const std::uint64_t sent_before =
+      hub_->telemetry().invalidations_sent->Value();
   const Nanos start = clock_.Now();
   ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
   EXPECT_EQ(clock_.Now() - start, 0);  // no notification attempted
-  EXPECT_EQ(hub_->stats().invalidations_sent, sent_before);
+  EXPECT_EQ(hub_->telemetry().invalidations_sent->Value(), sent_before);
 
   auto report = hub_->Inspect();
   for (const auto& row : report.objects) {
@@ -417,10 +419,11 @@ TEST_F(FanoutSimTest, RepeatedPushesKeepPinTableStable) {
 
   ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
   const std::size_t pins_after_first = hub_->proxy_in_count();
-  const std::uint64_t created_after_first = hub_->stats().proxy_ins_created;
+  const std::uint64_t created_after_first =
+      hub_->telemetry().proxy_ins_created->Value();
   for (int i = 0; i < 9; ++i) ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
   EXPECT_EQ(hub_->proxy_in_count(), pins_after_first);
-  EXPECT_EQ(hub_->stats().proxy_ins_created, created_after_first);
+  EXPECT_EQ(hub_->telemetry().proxy_ins_created->Value(), created_after_first);
 }
 
 // 3. (PR 8) Retry backoff must carry forward across requeues. The old code
@@ -546,9 +549,10 @@ TEST(FanoutTcp, ConcurrentPutsFanOutToAllHolders) {
   auto writer = [&](int idx) {
     for (int i = 0; i < kPutsPerWriter; ++i) {
       // The other writer's puts fan back out as pushes into this replica, so
-      // local mutation must synchronize with push application.
-      demanders[idx]->WithSiteLock(
-          [&] { refs[idx].get()->value = idx * 100 + i; });
+      // local mutation must synchronize with push application, which locks
+      // the replica's shard.
+      demanders[idx]->WithObjectLock(
+          refs[idx], [&] { refs[idx].get()->value = idx * 100 + i; });
       if (!demanders[idx]->Put(refs[idx]).ok()) failures.fetch_add(1);
     }
   };
@@ -620,7 +624,7 @@ TEST(FanoutTcp, DropRacesReRegistrationWithoutWipingLiveHolder) {
   dropper.join();
   registrar.join();
 
-  EXPECT_GE(provider.stats().holders_dropped, 1u);
+  EXPECT_GE(provider.telemetry().holders_dropped->Value(), 1u);
   EXPECT_EQ(provider.pending_notify_retries(), 0u)
       << "drop left retries behind";
 

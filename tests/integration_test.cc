@@ -51,7 +51,7 @@ TEST(Integration, CompressedRetryingStackOnFlakyWireless) {
   EXPECT_EQ(head->label, "through-the-stack");
 
   // Compression actually engaged: the repetitive batch went far below raw.
-  EXPECT_LT(network.stats().reply_bytes, 4000u);
+  EXPECT_LT(network.telemetry().reply_bytes->Value(), 4000u);
 }
 
 TEST(Integration, AdaptiveRefOverRetryingTransport) {

@@ -179,7 +179,7 @@ TEST_F(JourneySimTest, SupersededRetryCountsOnceAndKeepsNewestVersion) {
   obj->value = 2;
   ASSERT_TRUE(provider_->MarkMasterUpdated(oid).ok());
   EXPECT_EQ(provider_->pending_notify_retries(), 1u);
-  EXPECT_EQ(provider_->stats().notify_superseded, 1u);
+  EXPECT_EQ(provider_->telemetry().notify_superseded->Value(), 1u);
   EXPECT_GE(MetricsRegistry::Default().SumCounters(
                 "obiwan_notify_superseded_total"),
             1u);

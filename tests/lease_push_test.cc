@@ -177,10 +177,11 @@ TEST_F(PushTest, WriterIsNotPushedTo) {
   ASSERT_TRUE(master_->Bind("obj", obj).ok());
   auto on_laptop = *laptop_->Lookup<Node>("obj")->Replicate(ReplicationMode::Incremental(1));
 
-  const auto received_before = laptop_->stats().invalidations_received;
+  const Counter& received = *laptop_->telemetry().invalidations_received;
+  const auto received_before = received.Value();
   on_laptop->SetValue(5);
   ASSERT_TRUE(laptop_->Put(on_laptop).ok());
-  EXPECT_EQ(laptop_->stats().invalidations_received, received_before);
+  EXPECT_EQ(received.Value(), received_before);
 }
 
 TEST_F(PushTest, UpdateCallbackFiresOnPush) {

@@ -38,9 +38,9 @@ TEST(Loopback, RequestReply) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, (Bytes{1, 2, 9}));
   EXPECT_EQ(echo.last_from, "a");
-  EXPECT_EQ(network.stats().requests, 1u);
-  EXPECT_EQ(network.stats().request_bytes, 2u);
-  EXPECT_EQ(network.stats().reply_bytes, 3u);
+  EXPECT_EQ(network.telemetry().requests->Value(), 1u);
+  EXPECT_EQ(network.telemetry().request_bytes->Value(), 2u);
+  EXPECT_EQ(network.telemetry().reply_bytes->Value(), 3u);
 }
 
 TEST(Loopback, UnknownDestination) {
@@ -48,7 +48,7 @@ TEST(Loopback, UnknownDestination) {
   auto a = network.CreateEndpoint("a");
   auto reply = a->Request("nowhere", Bytes{1});
   EXPECT_EQ(reply.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(network.stats().failures, 1u);
+  EXPECT_EQ(network.telemetry().failures->Value(), 1u);
 }
 
 TEST(Loopback, NotServingYet) {
@@ -228,7 +228,7 @@ TEST(SimDeadline, RequestFlightExceedingDeadlineTimesOut) {
   // have landed.
   EXPECT_EQ(clock.Now(), 5 * kMilli);
   EXPECT_EQ(echo.calls, 0);
-  EXPECT_GE(network.stats().timeouts, 1u);
+  EXPECT_GE(network.telemetry().timeouts->Value(), 1u);
 }
 
 TEST(SimDeadline, ReplyFlightExceedingDeadlineTimesOut) {

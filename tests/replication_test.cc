@@ -54,9 +54,9 @@ TEST_F(ReplicationTest, PrototypicalExampleIncremental) {
   EXPECT_EQ(demander_->replica_count(), 2u);
 
   // After the fault, invocations are direct: no further gets occur.
-  const auto gets_before = demander_->stats().gets_sent;
+  const auto gets_before = demander_->telemetry().gets_sent->Value();
   EXPECT_EQ(a_prime.get()->next->Value(), 1);
-  EXPECT_EQ(demander_->stats().gets_sent, gets_before);
+  EXPECT_EQ(demander_->telemetry().gets_sent->Value(), gets_before);
 
   // C faults the same way through B'.
   EXPECT_EQ(a_prime.get()->next->next->Label(), "obj2");
@@ -149,7 +149,7 @@ TEST_F(ReplicationTest, IncrementalBatchSizes) {
   }
   EXPECT_EQ(sum, kLen * (kLen - 1) / 2);
   EXPECT_EQ(demander_->replica_count(), 10u);
-  EXPECT_EQ(demander_->stats().gets_sent, 3u);
+  EXPECT_EQ(demander_->telemetry().gets_sent->Value(), 3u);
 }
 
 TEST_F(ReplicationTest, TransitiveClosureReplicatesEverything) {
@@ -162,7 +162,7 @@ TEST_F(ReplicationTest, TransitiveClosureReplicatesEverything) {
   ASSERT_TRUE(ref.ok());
 
   EXPECT_EQ(demander_->replica_count(), 25u);
-  EXPECT_EQ(demander_->stats().gets_sent, 1u);
+  EXPECT_EQ(demander_->telemetry().gets_sent->Value(), 1u);
 
   // No proxies anywhere: the whole graph is colocated, usable offline.
   core::Ref<Node>* cursor = &*ref;
@@ -216,12 +216,13 @@ TEST_F(ReplicationTest, ClusterModeCreatesSingleProxyPair) {
   auto remote = demander_->Lookup<Node>("list");
   ASSERT_TRUE(remote.ok());
 
-  const auto pins_before = provider_->stats().proxy_ins_created;
+  const auto pins_before = provider_->telemetry().proxy_ins_created->Value();
   auto ref = remote->Replicate(ReplicationMode::Cluster(5));
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(demander_->replica_count(), 5u);
   // Exactly two proxy-ins: the cluster pair plus the boundary ref to node 5.
-  EXPECT_EQ(provider_->stats().proxy_ins_created - pins_before, 2u);
+  EXPECT_EQ(provider_->telemetry().proxy_ins_created->Value() - pins_before,
+            2u);
 
   // §4.3: cluster members "can not be individually updated".
   Status s = demander_->Put(*ref);
@@ -345,9 +346,9 @@ TEST_F(ReplicationTest, StatsCountFaults) {
   while (!cursor->IsEmpty()) cursor = &(*cursor)->next;
 
   // 6 nodes in batches of 2: the initial get (not a fault) plus 2 faults.
-  EXPECT_EQ(demander_->stats().object_faults, 2u);
-  EXPECT_EQ(demander_->stats().gets_sent, 3u);
-  EXPECT_EQ(demander_->stats().replicas_created, 6u);
+  EXPECT_EQ(demander_->telemetry().object_faults->Value(), 2u);
+  EXPECT_EQ(demander_->telemetry().gets_sent->Value(), 3u);
+  EXPECT_EQ(demander_->telemetry().replicas_created->Value(), 6u);
 }
 
 }  // namespace

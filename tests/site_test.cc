@@ -2,6 +2,8 @@
 // not covered by the protocol suites.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "obiwan.h"
 #include "test_objects.h"
 
@@ -99,26 +101,35 @@ TEST_F(SiteTest, ReplicaVersionTracksPuts) {
 TEST_F(SiteTest, StatsAccounting) {
   auto head = test::MakeChain(4, 8, "n");
   ASSERT_TRUE(provider_->Bind("list", head).ok());
-  demander_->ResetStats();
-  provider_->ResetStats();
+  // The counters are monotonic: each check is a difference from here.
+  const core::SiteTelemetry& d = demander_->telemetry();
+  const core::SiteTelemetry& p = provider_->telemetry();
+  std::map<const Counter*, std::uint64_t> before;
+  for (const Counter* c :
+       {d.gets_sent, p.gets_served, d.replicas_created, p.objects_served,
+        d.proxy_outs_created, d.puts_sent, p.puts_served, d.calls_sent,
+        p.calls_served}) {
+    before[c] = c->Value();
+  }
+  auto since = [&](const Counter* c) { return c->Value() - before.at(c); };
 
   auto ref = Replicate("list", ReplicationMode::Incremental(2));
-  EXPECT_EQ(demander_->stats().gets_sent, 1u);
-  EXPECT_EQ(provider_->stats().gets_served, 1u);
-  EXPECT_EQ(demander_->stats().replicas_created, 2u);
-  EXPECT_EQ(provider_->stats().objects_served, 2u);
-  EXPECT_EQ(demander_->stats().proxy_outs_created, 1u);  // boundary to n2
+  EXPECT_EQ(since(d.gets_sent), 1u);
+  EXPECT_EQ(since(p.gets_served), 1u);
+  EXPECT_EQ(since(d.replicas_created), 2u);
+  EXPECT_EQ(since(p.objects_served), 2u);
+  EXPECT_EQ(since(d.proxy_outs_created), 1u);  // boundary to n2
 
   ref->SetValue(1);
   ASSERT_TRUE(demander_->Put(ref).ok());
-  EXPECT_EQ(demander_->stats().puts_sent, 1u);
-  EXPECT_EQ(provider_->stats().puts_served, 1u);
+  EXPECT_EQ(since(d.puts_sent), 1u);
+  EXPECT_EQ(since(p.puts_served), 1u);
 
   auto remote = demander_->Lookup<Node>("list");
   ASSERT_TRUE(remote.ok());
   (void)remote->Invoke(&Node::Value);
-  EXPECT_EQ(demander_->stats().calls_sent, 1u);
-  EXPECT_EQ(provider_->stats().calls_served, 1u);
+  EXPECT_EQ(since(d.calls_sent), 1u);
+  EXPECT_EQ(since(p.calls_served), 1u);
 }
 
 TEST_F(SiteTest, FindLocalCoversMastersAndReplicas) {

@@ -143,7 +143,7 @@ TEST_F(EvictionTest, CascadePassesThroughLocalObjectOutsideTheTable) {
     // n0 -> local -> n1: an application object with no id, so not in the
     // table, now holds the only field reference to n1..n3.
     auto local = std::make_shared<Node>();
-    demander_->WithSiteLock([&] {
+    demander_->WithObjectLock(*ref, [&] {
       local->next = (*ref)->next;
       (*ref)->next = local;
     });

@@ -68,7 +68,7 @@ TEST_P(TraversalSweep, CountersFollowTheCostModel) {
 
   auto head = test::MakeChain(param.length, param.payload, "n");
   ASSERT_TRUE(provider.Bind("list", head).ok());
-  const auto pins_before = provider.stats().proxy_ins_created;
+  const auto pins_before = provider.telemetry().proxy_ins_created->Value();
 
   auto remote = demander.Lookup<Node>("list");
   ASSERT_TRUE(remote.ok());
@@ -92,13 +92,13 @@ TEST_P(TraversalSweep, CountersFollowTheCostModel) {
   EXPECT_EQ(demander.replica_count(), static_cast<std::size_t>(param.length));
 
   const std::uint64_t pins =
-      provider.stats().proxy_ins_created - pins_before;
+      provider.telemetry().proxy_ins_created->Value() - pins_before;
   const auto len = static_cast<std::uint64_t>(param.length);
   switch (param.kind) {
     case ReplicationMode::Kind::kIncremental: {
       // ceil(len/batch) gets, one per fault after the first.
       std::uint64_t expected_gets = (len + param.batch - 1) / param.batch;
-      EXPECT_EQ(demander.stats().gets_sent, expected_gets);
+      EXPECT_EQ(demander.telemetry().gets_sent->Value(), expected_gets);
       // One put/refresh pin per object; the head's reuses the Bind pin, and
       // batch-boundary pins coincide with later per-object pins (dedup).
       EXPECT_EQ(pins, len - 1);
@@ -106,14 +106,14 @@ TEST_P(TraversalSweep, CountersFollowTheCostModel) {
     }
     case ReplicationMode::Kind::kCluster: {
       std::uint64_t expected_gets = (len + param.batch - 1) / param.batch;
-      EXPECT_EQ(demander.stats().gets_sent, expected_gets);
+      EXPECT_EQ(demander.telemetry().gets_sent->Value(), expected_gets);
       // One cluster pin per batch plus one boundary pin per non-final batch.
       std::uint64_t full_batches = expected_gets;
       EXPECT_EQ(pins, full_batches + (full_batches - 1));
       break;
     }
     case ReplicationMode::Kind::kTransitiveClosure: {
-      EXPECT_EQ(demander.stats().gets_sent, 1u);
+      EXPECT_EQ(demander.telemetry().gets_sent->Value(), 1u);
       EXPECT_EQ(pins, 1u);  // the single closure cluster pin
       break;
     }
@@ -121,7 +121,7 @@ TEST_P(TraversalSweep, CountersFollowTheCostModel) {
       // depth d brings d+1 chain nodes per get.
       std::uint64_t per_get = param.batch + 1;
       std::uint64_t expected_gets = (len + per_get - 1) / per_get;
-      EXPECT_EQ(demander.stats().gets_sent, expected_gets);
+      EXPECT_EQ(demander.telemetry().gets_sent->Value(), expected_gets);
       break;
     }
   }

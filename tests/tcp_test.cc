@@ -217,7 +217,7 @@ TEST(TcpDeadline, DeadPeerTimesOutBeforeDeadline) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(reply.status().code(), StatusCode::kTimeout) << reply.status();
   EXPECT_LT(elapsed, std::chrono::seconds(2));
-  EXPECT_GE((*client)->stats().timeouts, 1u);
+  EXPECT_GE((*client)->telemetry().timeouts->Value(), 1u);
 }
 
 TEST(TcpDeadline, SetDefaultDeadlineApplies) {
@@ -267,8 +267,8 @@ TEST(TcpPool, BurstReusesOneConnection) {
                                     Bytes{static_cast<std::uint8_t>(i)});
     ASSERT_TRUE(reply.ok()) << reply.status();
   }
-  EXPECT_EQ((*client)->connects(), 1u);
-  EXPECT_EQ((*client)->pool_hits(), 9u);
+  EXPECT_EQ((*client)->telemetry().connects->Value(), 1u);
+  EXPECT_EQ((*client)->telemetry().pool_hits->Value(), 9u);
   EXPECT_EQ((*client)->idle_pooled_connections(), 1u);
 }
 
@@ -284,8 +284,8 @@ TEST(TcpPool, CapacityZeroDisablesPooling) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE((*client)->Request((*server)->LocalAddress(), Bytes{1}).ok());
   }
-  EXPECT_EQ((*client)->connects(), 5u);
-  EXPECT_EQ((*client)->pool_hits(), 0u);
+  EXPECT_EQ((*client)->telemetry().connects->Value(), 5u);
+  EXPECT_EQ((*client)->telemetry().pool_hits->Value(), 0u);
   EXPECT_EQ((*client)->idle_pooled_connections(), 0u);
 }
 
@@ -313,7 +313,7 @@ TEST(TcpPool, StaleConnectionRecovers) {
   auto reply = (*client)->Request(address, Bytes{2},
                                   net::CallOptions{2 * kSecond});
   ASSERT_TRUE(reply.ok()) << reply.status();
-  EXPECT_EQ((*client)->connects(), 2u);
+  EXPECT_EQ((*client)->telemetry().connects->Value(), 2u);
 }
 
 // --- retry over real sockets ------------------------------------------------------

@@ -1,6 +1,6 @@
 // Telemetry integration tests: the correlation id on the wire, the envelope
-// trace flag, site counters as baseline views over the metrics registry, and
-// the end-to-end criterion — one correlation id spanning both sites of a
+// trace flag, site counters as the metrics registry's own series, and the
+// end-to-end criterion — one correlation id spanning both sites of a
 // fault-and-replicate flow.
 #include <gtest/gtest.h>
 
@@ -219,6 +219,8 @@ TEST(CrossSiteTrace, PutFlowSpansBothSites) {
   provider.SetTracer(nullptr);
 }
 
+// A site's counters are the registry's own series, not copies of them: a
+// delta is two reads of one handle, and the registry-wide sum moves with it.
 TEST(SiteTelemetry, StatsAreBaselineViewsOverMonotonicCounters) {
   net::LoopbackNetwork network;
   core::Site provider(1, network.CreateEndpoint("p"));
@@ -234,17 +236,23 @@ TEST(SiteTelemetry, StatsAreBaselineViewsOverMonotonicCounters) {
   ASSERT_TRUE(remote.ok());
   ASSERT_TRUE(remote->Invoke(&test::Node::Value).ok());
 
-  core::SiteStats before = demander.stats();
-  EXPECT_GE(before.calls_sent, 1u);
-  EXPECT_EQ(provider.stats().calls_served, before.calls_sent);
+  const Counter& sent = *demander.telemetry().calls_sent;
+  const Counter& served = *provider.telemetry().calls_served;
+  auto registry_sent = [] {
+    return MetricsRegistry::Default().SumCounters(
+        "obiwan_site_calls_sent_total");
+  };
+  const std::uint64_t sent_before = sent.Value();
+  const std::uint64_t served_before = served.Value();
+  const std::uint64_t registry_before = registry_sent();
+  EXPECT_GE(sent_before, 1u);
+  EXPECT_EQ(served_before, sent_before);
+  EXPECT_GE(registry_before, sent_before);
 
-  // ResetStats() rebaselines the view; the registry counters keep counting.
-  demander.ResetStats();
-  EXPECT_EQ(demander.stats().calls_sent, 0u);
   ASSERT_TRUE(remote->Invoke(&test::Node::Value).ok());
-  EXPECT_EQ(demander.stats().calls_sent, 1u);
-  EXPECT_GE(MetricsRegistry::Default().SumCounters("obiwan_site_calls_sent_total"),
-            before.calls_sent + 1);
+  EXPECT_EQ(sent.Value() - sent_before, 1u);
+  EXPECT_EQ(served.Value() - served_before, 1u);
+  EXPECT_EQ(registry_sent() - registry_before, 1u);
 }
 
 TEST(SiteTelemetry, ReplicationBytesAccounted) {
@@ -265,12 +273,12 @@ TEST(SiteTelemetry, ReplicationBytesAccounted) {
   (*ref)->SetLabel("edited");
   ASSERT_TRUE(demander.Put(*ref).ok());
 
-  core::SiteStats d = demander.stats();
-  core::SiteStats p = provider.stats();
-  EXPECT_GT(d.replication_bytes_in, 0u);   // the get reply body
-  EXPECT_GT(d.replication_bytes_out, 0u);  // the put frame
-  EXPECT_GT(p.replication_bytes_out, 0u);  // the get reply it served
-  EXPECT_GT(p.replication_bytes_in, 0u);   // the put body it absorbed
+  const core::SiteTelemetry& d = demander.telemetry();
+  const core::SiteTelemetry& p = provider.telemetry();
+  EXPECT_GT(d.replication_bytes_in->Value(), 0u);   // the get reply body
+  EXPECT_GT(d.replication_bytes_out->Value(), 0u);  // the put frame
+  EXPECT_GT(p.replication_bytes_out->Value(), 0u);  // the get reply it served
+  EXPECT_GT(p.replication_bytes_in->Value(), 0u);   // the put body it absorbed
 }
 
 // Both ends of every replication leg must count the same payload (wire body)
@@ -300,25 +308,96 @@ TEST(SiteTelemetry, ReplicationByteAccountingIsSymmetric) {
   auto holder_ref = holder_remote->Replicate(core::ReplicationMode::Incremental(1));
   ASSERT_TRUE(holder_ref.ok());
 
-  const core::SiteStats w0 = writer.stats();
-  const core::SiteStats p0 = provider.stats();
-  const core::SiteStats h0 = holder.stats();
+  const Counter& writer_out = *writer.telemetry().replication_bytes_out;
+  const Counter& provider_in = *provider.telemetry().replication_bytes_in;
+  const Counter& provider_out = *provider.telemetry().replication_bytes_out;
+  const Counter& holder_in = *holder.telemetry().replication_bytes_in;
+  const std::uint64_t w0 = writer_out.Value();
+  const std::uint64_t pi0 = provider_in.Value();
+  const std::uint64_t po0 = provider_out.Value();
+  const std::uint64_t h0 = holder_in.Value();
 
   (*writer_ref)->SetLabel("edited");
   ASSERT_TRUE(writer.Put(*writer_ref).ok());
 
-  const core::SiteStats w1 = writer.stats();
-  const core::SiteStats p1 = provider.stats();
-  const core::SiteStats h1 = holder.stats();
-
   // Put leg: what the writer shipped is what the provider absorbed.
-  EXPECT_GT(w1.replication_bytes_out - w0.replication_bytes_out, 0u);
-  EXPECT_EQ(w1.replication_bytes_out - w0.replication_bytes_out,
-            p1.replication_bytes_in - p0.replication_bytes_in);
+  EXPECT_GT(writer_out.Value() - w0, 0u);
+  EXPECT_EQ(writer_out.Value() - w0, provider_in.Value() - pi0);
   // Push leg: what the provider fanned out is what the holder absorbed.
-  EXPECT_GT(p1.replication_bytes_out - p0.replication_bytes_out, 0u);
-  EXPECT_EQ(p1.replication_bytes_out - p0.replication_bytes_out,
-            h1.replication_bytes_in - h0.replication_bytes_in);
+  EXPECT_GT(provider_out.Value() - po0, 0u);
+  EXPECT_EQ(provider_out.Value() - po0, holder_in.Value() - h0);
+}
+
+// Every site gauge is computed when read: RefreshTelemetry (which Inspect
+// runs) recomputes each one from the tables, and no protocol path moves it
+// in between.
+TEST(SiteTelemetry, RefreshTelemetryRecomputesEverySiteGauge) {
+  VirtualClock clock;
+  net::SimNetwork network(clock, net::kPaperLan);
+  core::Site provider(1, network.CreateEndpoint("p"), clock);
+  core::Site laptop(2, network.CreateEndpoint("laptop"), clock);
+  core::Site pda(3, network.CreateEndpoint("pda"), clock);
+  ASSERT_TRUE(provider.Start().ok());
+  ASSERT_TRUE(laptop.Start().ok());
+  ASSERT_TRUE(pda.Start().ok());
+  provider.HostRegistry();
+  laptop.UseRegistry("p");
+  pda.UseRegistry("p");
+  // Above 1, so one failed notification leaves its holder suspect with a
+  // queued retry instead of dropping it.
+  provider.SetHolderFailureThreshold(3);
+
+  auto head = test::MakeChain(4, 16, "n");
+  ASSERT_TRUE(provider.Bind("list", head).ok());
+  const ObjectId head_id = provider.Export(head);
+  auto laptop_remote = laptop.Lookup<test::Node>("list");
+  ASSERT_TRUE(laptop_remote.ok());
+  auto laptop_ref =
+      laptop_remote->Replicate(core::ReplicationMode::Incremental(2));
+  ASSERT_TRUE(laptop_ref.ok());
+  auto pda_remote = pda.Lookup<test::Node>("list");
+  ASSERT_TRUE(pda_remote.ok());
+  ASSERT_TRUE(pda_remote->Replicate(core::ReplicationMode::Incremental(1)).ok());
+
+  // A release: the laptop gives up the channel of its second replica.
+  auto channel = laptop.ReplicaProvider((*laptop_ref)->next.id());
+  ASSERT_TRUE(channel.ok());
+  ASSERT_TRUE(laptop.ReleaseProxy(*channel).ok());
+  // A failed notification: the pda is off the air when the head changes.
+  network.SetEndpointUp("pda", false);
+  ASSERT_TRUE(provider.MarkMasterUpdated(head_id).ok());
+  ASSERT_EQ(provider.pending_notify_retries(), 1u);
+
+  const core::SiteTelemetry& t = provider.telemetry();
+  auto expect_gauges = [&] {
+    EXPECT_EQ(t.proxy_ins->Value(),
+              static_cast<std::int64_t>(provider.proxy_in_count()));
+    EXPECT_EQ(t.objects_master->Value(),
+              static_cast<std::int64_t>(provider.master_count()));
+    EXPECT_EQ(t.objects_replica->Value(),
+              static_cast<std::int64_t>(provider.replica_count()));
+    EXPECT_EQ(t.holders_active->Value(), 1);  // the laptop
+    EXPECT_EQ(t.holders_suspect->Value(), 1);  // the pda
+    EXPECT_EQ(t.notify_retry_depth->Value(),
+              static_cast<std::int64_t>(provider.pending_notify_retries()));
+  };
+  provider.RefreshTelemetry();
+  {
+    SCOPED_TRACE("after RefreshTelemetry");
+    expect_gauges();
+  }
+
+  // The laptop faults in the rest of the chain, which mints a pin and an
+  // id at the provider. The get leaves the gauges alone; the read moves
+  // them.
+  ASSERT_TRUE((*laptop_ref)->next->next.Demand().ok());
+  EXPECT_NE(t.proxy_ins->Value(),
+            static_cast<std::int64_t>(provider.proxy_in_count()));
+  (void)provider.Inspect();
+  {
+    SCOPED_TRACE("after Inspect");
+    expect_gauges();
+  }
 }
 
 TEST(SiteTelemetry, ClientLatencyObservedOnVirtualClock) {

@@ -387,9 +387,10 @@ python3 tools/check_chrome_trace.py "$FLIGHT_JSON" \
 # The embedded admin endpoint, served by a real shell over TCP: /metrics must
 # be well-formed Prometheus text exposition (every sample under a # TYPE,
 # counters suffixed _total, histogram buckets cumulative with +Inf == _count,
-# "# EOF"-terminated, OpenMetrics via Accept), /healthz must report ready
-# while the RMI plane is up, and the update-journey routes /updates.json and
-# /alerts.json must serve their schemas.
+# "# EOF"-terminated, OpenMetrics via Accept) whose site gauges the scrape
+# itself computed, /healthz must report ready while the RMI plane is up, and
+# the update-journey routes /updates.json and /alerts.json must serve their
+# schemas.
 echo "=== [shell] admin endpoint: /metrics exposition + /healthz ==="
 ADMIN_METRICS="$(pwd)/build-ci/admin_metrics.prom"
 ADMIN_HEALTH="$(pwd)/build-ci/admin_healthz.json"
@@ -431,7 +432,7 @@ curl -fsS http://127.0.0.1:7474/alerts.json | python3 -c \
 kill "$ADMIN_SERVER" 2>/dev/null || true
 wait "$ADMIN_SERVER" 2>/dev/null || true
 python3 - "$ADMIN_METRICS" "$ADMIN_HEALTH" <<'EOF'
-import json, sys
+import json, re, sys
 with open(sys.argv[1]) as f:
     lines = [l for l in f.read().splitlines() if l]
 types = {}
@@ -492,8 +493,31 @@ for needed in ("obiwan_site_uptime_ns", "obiwan_build_info",
                "obiwan_lock_wait_ns", "obiwan_lock_hold_ns",
                "obiwan_lock_acquisitions_total", "obiwan_queue_depth",
                "obiwan_admin_http_active", "obiwan_process_rss_bytes",
-               "obiwan_process_threads"):
+               "obiwan_process_threads", "obiwan_objects", "obiwan_holders",
+               "obiwan_site_proxy_ins", "obiwan_notify_retry_depth",
+               "obiwan_replica_staleness_versions"):
     assert needed in types, f"missing metric family {needed}"
+# No protocol path writes a site gauge; the scrape computes them. This is the
+# first scrape, before /inspect.json assigns ids to the rest of the bound
+# chain, so the bound head is site 7's only master and its anchored bind pin
+# the only proxy-in.
+def sample_values(family, **want):
+    values = []
+    for line in lines:
+        if line.startswith("#"):
+            continue
+        sample = line.split(" # {", 1)[0]
+        if sample.split("{")[0].split(" ")[0] != family:
+            continue
+        body = sample.split("{", 1)[1].rsplit("}", 1)[0] if "{" in sample else ""
+        labels = dict(re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"', body))
+        if all(labels.get(k) == v for k, v in want.items()):
+            values.append(float(sample.rsplit(" ", 1)[1]))
+    return values
+masters = sample_values("obiwan_objects", role="master", site="7")
+assert masters == [1.0], f"site 7 obiwan_objects{{role=master}}: {masters}"
+pins = sample_values("obiwan_site_proxy_ins", site="7")
+assert pins == [1.0], f"site 7 obiwan_site_proxy_ins: {pins}"
 assert types["obiwan_rmi_client_latency_ns"] == "histogram"
 assert types["obiwan_lock_wait_ns"] == "histogram"
 assert any(kind == "histogram" for kind in types.values())
