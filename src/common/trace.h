@@ -102,6 +102,20 @@ class SpanContext {
   static std::uint64_t Current();  // 0 when no span is open on this thread
   static std::uint64_t NextId();   // process-unique, never 0
 
+  // Installs `id` as this thread's innermost open span and restores the
+  // previous one on destruction. Work handed to another thread runs under
+  // this and TraceContext::Scope so its spans keep their parent and flow.
+  class Scope {
+   public:
+    explicit Scope(std::uint64_t id) : previous_(Exchange(id)) {}
+    ~Scope() { Exchange(previous_); }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    std::uint64_t previous_;
+  };
+
  private:
   friend class SpanScope;
   static std::uint64_t Exchange(std::uint64_t id);

@@ -6,10 +6,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <string_view>
 
 #include "common/log.h"
 #include "net/frame.h"
@@ -19,6 +23,16 @@ namespace {
 
 // Absolute steady-clock deadline; negative = unbounded.
 constexpr Nanos kNoDeadlineAt = -1;
+
+// Read buffer of one inbound connection, or of one calling thread for
+// replies. A frame that fits, header included, is read with one recv once
+// the kernel holds all of it; a larger frame gets a one-off buffer.
+constexpr std::size_t kReadBufferBytes = 64 * 1024;
+
+// Pause after a failed accept while serving: descriptor exhaustion, a
+// connection aborted in the backlog or a short memory squeeze clears up,
+// and retrying at once would spin.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
 
 Nanos SteadyNow() { return SystemClock::Instance().Now(); }
 
@@ -33,94 +47,197 @@ Nanos Remaining(Nanos deadline_at) {
   return left > 0 ? left : 0;
 }
 
-// Arm SO_SNDTIMEO/SO_RCVTIMEO from the remaining budget. A zero timeval
-// means "block forever" to the kernel, so unbounded budgets map to exactly
-// that — which also clears any timeout a pooled socket carried from an
-// earlier, deadline-bound request.
-void SetSocketTimeout(int fd, int optname, Nanos remaining) {
-  timeval tv{};
-  if (remaining > 0) {
-    tv.tv_sec = static_cast<time_t>(remaining / kSecond);
-    tv.tv_usec = static_cast<suseconds_t>((remaining % kSecond) / kMicro);
-    if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
-  }
-  ::setsockopt(fd, SOL_SOCKET, optname, &tv, sizeof(tv));
-}
-
-// Write the whole buffer, bounded by `deadline_at`.
-Status WriteFull(int fd, BytesView data, Nanos deadline_at) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
+// Wait until `fd` is ready for `events` or `deadline_at` passes. This is the
+// only place a bounded exchange blocks: its send and recv calls never do. A
+// hangup or socket error counts as ready; the call that follows reports it.
+// `what` names the step in the timeout error.
+Status WaitReady(int fd, short events, Nanos deadline_at, std::string_view what) {
+  for (;;) {
     const Nanos remaining = Remaining(deadline_at);
-    if (remaining == 0) return TimeoutError("send: deadline exceeded");
-    SetSocketTimeout(fd, SO_SNDTIMEO, remaining);
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return TimeoutError("send: deadline exceeded");
-      }
-      return Errno("send");
+    if (remaining == 0) {
+      return TimeoutError(std::string(what) + ": deadline exceeded");
     }
-    sent += static_cast<std::size_t>(n);
+    const timespec budget{static_cast<time_t>(remaining / kSecond),
+                          static_cast<long>(remaining % kSecond)};
+    pollfd pfd{fd, events, 0};
+    const int rc = ::ppoll(&pfd, 1, remaining < 0 ? nullptr : &budget, nullptr);
+    if (rc > 0) return Status::Ok();
+    if (rc == 0) return TimeoutError(std::string(what) + ": deadline exceeded");
+    if (errno != EINTR) return Errno("poll");
   }
-  return Status::Ok();
 }
 
-// Read exactly `size` bytes, bounded by `deadline_at`. A clean close
-// mid-frame is data loss. `*progressed` (optional) is set once any byte has
-// been consumed from the stream.
-Status ReadFull(int fd, std::uint8_t* out, std::size_t size, Nanos deadline_at,
-                bool* progressed = nullptr) {
-  std::size_t got = 0;
-  while (got < size) {
-    const Nanos remaining = Remaining(deadline_at);
-    if (remaining == 0) return TimeoutError("recv: deadline exceeded");
-    SetSocketTimeout(fd, SO_RCVTIMEO, remaining);
-    ssize_t n = ::recv(fd, out + got, size - got, 0);
+// Bounded I/O runs with MSG_DONTWAIT and waits in WaitReady on the remaining
+// budget; unbounded I/O (the server side) simply blocks.
+int IoFlags(Nanos deadline_at) { return deadline_at < 0 ? 0 : MSG_DONTWAIT; }
+
+// Write one frame, `u32 LE length | head | tail`, bounded by `deadline_at`,
+// with one gather sendmsg when the socket buffer takes it all. The frame
+// must be coalesced into one write: a separate header write would make every
+// exchange a write-write-read pattern, which stalls ~40 ms per round trip on
+// reused connections (Nagle holding the second segment for the peer's
+// delayed ACK). The caller keeps head + tail within kMaxFrameBytes.
+Status WriteFrame(int fd, Nanos deadline_at, BytesView head,
+                  BytesView tail = {}) {
+  const auto size = static_cast<std::uint32_t>(head.size() + tail.size());
+  std::uint8_t header[4] = {
+      static_cast<std::uint8_t>(size), static_cast<std::uint8_t>(size >> 8),
+      static_cast<std::uint8_t>(size >> 16), static_cast<std::uint8_t>(size >> 24)};
+  std::array<iovec, 3> parts{{{header, sizeof(header)},
+                              {const_cast<std::uint8_t*>(head.data()), head.size()},
+                              {const_cast<std::uint8_t*>(tail.data()), tail.size()}}};
+  msghdr msg{};
+  msg.msg_iov = parts.data();
+  msg.msg_iovlen = parts.size();
+  for (;;) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | IoFlags(deadline_at));
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return TimeoutError("recv: deadline exceeded");
-      }
-      return Errno("recv");
+      if (errno != EAGAIN && errno != EWOULDBLOCK) return Errno("send");
+      OBIWAN_RETURN_IF_ERROR(WaitReady(fd, POLLOUT, deadline_at, "send"));
+      continue;
+    }
+    // Skip what the kernel took; a partial write resumes mid-part.
+    auto sent = static_cast<std::size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen == 0) return Status::Ok();
+    msg.msg_iov->iov_base = static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + sent;
+    msg.msg_iov->iov_len -= sent;
+  }
+}
+
+// Reads length-prefixed frames off one connection through a fixed buffer of
+// kReadBufferBytes. A frame that fits arrives in as few recv calls as the
+// kernel allows — one when it already holds the whole frame — and is handed
+// out as a view into the buffer. A larger frame is read into a one-off
+// allocation that the next read releases, so one big frame never pins its
+// size for the rest of the connection's life.
+class FrameReader {
+ public:
+  explicit FrameReader(std::uint8_t* buffer) : buffer_(buffer) {}
+
+  // The next frame's payload, valid until the next call or the reader's
+  // end, bounded by `deadline_at`. A clean close mid-frame is data loss.
+  // `*progressed` (optional) is set once any byte has been consumed from
+  // the stream.
+  Result<BytesView> Next(int fd, Nanos deadline_at, bool* progressed = nullptr);
+
+  // Whether bytes past the last frame have already been received.
+  bool has_trailing_bytes() const { return end_ > begin_; }
+
+ private:
+  // One recv of at most `size` bytes into `out`.
+  static Result<std::size_t> Receive(int fd, std::uint8_t* out, std::size_t size,
+                                     Nanos deadline_at, bool* progressed);
+  // Receive into the buffer until it holds at least `size` bytes.
+  Status Fill(int fd, std::size_t size, Nanos deadline_at, bool* progressed);
+
+  std::uint8_t* buffer_;
+  std::size_t begin_ = 0;  // first byte not yet handed out
+  std::size_t end_ = 0;    // one past the last byte received
+  Bytes large_;            // the current frame, when it outgrew the buffer
+};
+
+Result<std::size_t> FrameReader::Receive(int fd, std::uint8_t* out,
+                                         std::size_t size, Nanos deadline_at,
+                                         bool* progressed) {
+  for (;;) {
+    if (deadline_at >= 0) {
+      OBIWAN_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline_at, "recv"));
+    }
+    const ssize_t n = ::recv(fd, out, size, IoFlags(deadline_at));
+    if (n > 0) {
+      if (progressed != nullptr) *progressed = true;
+      return static_cast<std::size_t>(n);
     }
     if (n == 0) return DataLossError("peer closed connection mid-frame");
-    got += static_cast<std::size_t>(n);
-    if (progressed != nullptr) *progressed = true;
+    if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+      return Errno("recv");
+    }
+  }
+}
+
+Status FrameReader::Fill(int fd, std::size_t size, Nanos deadline_at,
+                         bool* progressed) {
+  while (end_ < size) {
+    OBIWAN_ASSIGN_OR_RETURN(
+        std::size_t n, Receive(fd, buffer_ + end_, kReadBufferBytes - end_,
+                               deadline_at, progressed));
+    end_ += n;
   }
   return Status::Ok();
 }
 
-Status WriteFrame(int fd, BytesView payload, Nanos deadline_at) {
-  // One coalesced write per frame: a separate header write would make every
-  // exchange a write-write-read pattern, which stalls ~40 ms per round trip
-  // on reused connections (Nagle holding the second segment for the peer's
-  // delayed ACK).
-  Bytes frame(4 + payload.size());
-  auto size = static_cast<std::uint32_t>(payload.size());
-  frame[0] = static_cast<std::uint8_t>(size);
-  frame[1] = static_cast<std::uint8_t>(size >> 8);
-  frame[2] = static_cast<std::uint8_t>(size >> 16);
-  frame[3] = static_cast<std::uint8_t>(size >> 24);
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + 4, payload.data(), payload.size());
+Result<BytesView> FrameReader::Next(int fd, Nanos deadline_at, bool* progressed) {
+  Bytes().swap(large_);
+  if (begin_ > 0) {  // move the bytes of the next frame to the front
+    std::memmove(buffer_, buffer_ + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
   }
-  return WriteFull(fd, AsView(frame), deadline_at);
+  OBIWAN_RETURN_IF_ERROR(Fill(fd, 4, deadline_at, progressed));
+  const std::uint32_t size =
+      std::uint32_t{buffer_[0]} | std::uint32_t{buffer_[1]} << 8 |
+      std::uint32_t{buffer_[2]} << 16 | std::uint32_t{buffer_[3]} << 24;
+  if (size > kMaxFrameBytes) return DataLossError("oversized frame");
+  const std::size_t frame_end = 4 + std::size_t{size};
+  if (frame_end <= kReadBufferBytes) {
+    OBIWAN_RETURN_IF_ERROR(Fill(fd, frame_end, deadline_at, progressed));
+    begin_ = frame_end;
+    return BytesView(buffer_ + 4, size);
+  }
+  // Too big for the buffer, so everything received so far is this frame's.
+  large_.resize(size);
+  std::size_t got = end_ - 4;
+  std::memcpy(large_.data(), buffer_ + 4, got);
+  begin_ = end_ = 0;
+  while (got < size) {
+    OBIWAN_ASSIGN_OR_RETURN(
+        std::size_t n,
+        Receive(fd, large_.data() + got, size - got, deadline_at, progressed));
+    got += n;
+  }
+  return AsView(large_);
 }
 
-Result<Bytes> ReadFrame(int fd, Nanos deadline_at, bool* progressed = nullptr) {
-  std::uint8_t header[4];
-  OBIWAN_RETURN_IF_ERROR(ReadFull(fd, header, 4, deadline_at, progressed));
-  std::uint32_t size = std::uint32_t{header[0]} | std::uint32_t{header[1]} << 8 |
-                       std::uint32_t{header[2]} << 16 |
-                       std::uint32_t{header[3]} << 24;
-  // 64 MiB frame cap: a corrupt length prefix must not trigger a huge
-  // allocation.
-  if (size > (64u << 20)) return DataLossError("oversized frame");
-  Bytes payload(size);
-  OBIWAN_RETURN_IF_ERROR(ReadFull(fd, payload.data(), size, deadline_at, progressed));
-  return payload;
+// The calling thread's reply buffer. An exchange copies its reply out before
+// it returns, so one buffer per thread serves every connection it uses.
+// Inbound connections keep their own: a handler reads its request in place
+// while it makes requests of its own (a put's fanout) on the same thread.
+std::uint8_t* ReplyBuffer() {
+  thread_local const auto buffer =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kReadBufferBytes);
+  return buffer.get();
+}
+
+// One request/reply exchange on `fd`: the reply frame, read through
+// `reader`. `*reply_started` is set once any reply byte has been read (after
+// which a stale-connection retry would risk a duplicate execution and is not
+// attempted).
+Result<BytesView> RoundTrip(int fd, FrameReader& reader, BytesView request,
+                            Nanos deadline_at, bool* reply_started) {
+  OBIWAN_RETURN_IF_ERROR(WriteFrame(fd, deadline_at, request));
+  return reader.Next(fd, deadline_at, reply_started);
+}
+
+// Send the handler's reply. An ok reply goes out as [len][0x01][payload]
+// straight from the handler's buffer; only error replies are encoded, and
+// copied. A reply over the frame cap is answered with an error frame, so
+// the caller learns why and the connection stays usable.
+Status WriteReply(int fd, const Result<Bytes>& reply) {
+  if (reply.ok() && reply->size() < kMaxFrameBytes) {
+    const std::uint8_t ok = kReplyOk;
+    return WriteFrame(fd, kNoDeadlineAt, BytesView(&ok, 1), AsView(*reply));
+  }
+  const Bytes error = EncodeReplyFrame(
+      reply.ok() ? InvalidArgumentError("reply of " + std::to_string(reply->size()) +
+                                        " bytes exceeds the frame cap")
+                 : reply.status());
+  return WriteFrame(fd, kNoDeadlineAt, AsView(error));
 }
 
 Result<std::pair<std::string, std::uint16_t>> ParseAddress(const Address& addr) {
@@ -166,7 +283,7 @@ Status SetNonBlocking(int fd, bool non_blocking) {
 }
 
 // Connect within the deadline budget: non-blocking connect + poll, then back
-// to blocking mode (per-I/O deadlines are enforced with socket timeouts).
+// to blocking mode (bounded exchanges pass MSG_DONTWAIT per call instead).
 Result<int> ConnectWithDeadline(const std::string& host, std::uint16_t port,
                                 const Address& to, Nanos deadline_at) {
   FdGuard fd(::socket(AF_INET, SOCK_STREAM, 0));
@@ -188,25 +305,8 @@ Result<int> ConnectWithDeadline(const std::string& host, std::uint16_t port,
       // Connection refused / unreachable is the TCP face of a disconnection.
       return DisconnectedError("connect to " + to + ": " + std::strerror(errno));
     }
-    for (;;) {
-      const Nanos remaining = Remaining(deadline_at);
-      if (remaining == 0) {
-        return TimeoutError("connect to " + to + ": deadline exceeded");
-      }
-      pollfd pfd{fd.get(), POLLOUT, 0};
-      const int timeout_ms =
-          remaining < 0 ? -1
-                        : static_cast<int>((remaining + kMilli - 1) / kMilli);
-      int rc = ::poll(&pfd, 1, timeout_ms);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return Errno("poll(connect)");
-      }
-      if (rc == 0) {
-        return TimeoutError("connect to " + to + ": deadline exceeded");
-      }
-      break;
-    }
+    OBIWAN_RETURN_IF_ERROR(
+        WaitReady(fd.get(), POLLOUT, deadline_at, "connect to " + to));
     int err = 0;
     socklen_t len = sizeof(err);
     if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
@@ -321,7 +421,12 @@ void TcpTransport::StopServing() {
   // Unblock accept() by shutting the listening socket down; keep the fd so
   // LocalAddress stays valid until destruction.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  conn_cv_.notify_all();
+  {
+    // Under the lock, so the accept loop is either before its predicate
+    // check or already waiting: the wakeup cannot fall between the two.
+    std::lock_guard lock(conn_mutex_);
+    conn_cv_.notify_all();
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   std::unique_lock lock(conn_mutex_);
   // Persistent connections idle in recv() until their peer speaks; shut them
@@ -350,8 +455,16 @@ void TcpTransport::AcceptLoop() {
     if (!running_.load()) break;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // socket shut down or fatal error: stop accepting
+      // StopServing's shutdown is the only failure that ends the loop.
+      // Anything else while serving (EMFILE/ENFILE, ENOBUFS/ENOMEM,
+      // ECONNABORTED) passes: back off, then accept again.
+      if (errno != EINTR) {
+        OBIWAN_LOG(kDebug) << "accept: " << std::strerror(errno);
+        std::unique_lock lock(conn_mutex_);
+        conn_cv_.wait_for(lock, kAcceptBackoff,
+                          [this] { return !running_.load(); });
+      }
+      continue;
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -382,15 +495,18 @@ void TcpTransport::RetireConnection(int fd) {
 
 void TcpTransport::HandleConnection(int fd) {
   const Address peer = PeerAddress(fd);
+  // The handler reads each request in place, out of this connection's own
+  // buffer; it lives as long as the connection.
+  const auto buffer =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kReadBufferBytes);
+  FrameReader reader(buffer.get());
   // A connection carries any number of request/reply exchanges in sequence.
   while (running_.load()) {
-    Result<Bytes> request = ReadFrame(fd, kNoDeadlineAt);
+    Result<BytesView> request = reader.Next(fd, kNoDeadlineAt);
     if (!request.ok()) return;  // peer closed or stream corrupt
     MessageHandler* handler = handler_.load();
     if (handler == nullptr) return;
-    Result<Bytes> reply = handler->HandleRequest(peer, AsView(*request));
-    Bytes frame = EncodeReplyFrame(reply);
-    if (!WriteFrame(fd, AsView(frame), kNoDeadlineAt).ok()) return;
+    if (!WriteReply(fd, handler->HandleRequest(peer, *request)).ok()) return;
   }
 }
 
@@ -448,15 +564,15 @@ Result<Bytes> TcpTransport::Request(const Address& to, BytesView request,
   return reply;
 }
 
-Result<Bytes> TcpTransport::RoundTrip(int fd, BytesView request,
-                                      Nanos deadline_at, bool* reply_started) {
-  OBIWAN_RETURN_IF_ERROR(WriteFrame(fd, request, deadline_at));
-  return ReadFrame(fd, deadline_at, reply_started);
-}
-
 Result<Bytes> TcpTransport::RequestImpl(const Address& to, BytesView request,
                                         const CallOptions& options) {
   OBIWAN_ASSIGN_OR_RETURN(auto host_port, ParseAddress(to));
+  // The server would drop a frame over the cap after reading its header,
+  // and the stale-connection rule would then send it again: refuse it here.
+  if (request.size() > kMaxFrameBytes) {
+    return InvalidArgumentError("request of " + std::to_string(request.size()) +
+                                " bytes exceeds the frame cap");
+  }
   const Nanos deadline = EffectiveDeadline(options);
   const Nanos deadline_at =
       deadline < 0 ? kNoDeadlineAt : SteadyNow() + deadline;
@@ -473,8 +589,10 @@ Result<Bytes> TcpTransport::RequestImpl(const Address& to, BytesView request,
     telemetry_.OnConnect();
   }
 
+  FrameReader reader(ReplyBuffer());
   bool reply_started = false;
-  Result<Bytes> frame = RoundTrip(fd, request, deadline_at, &reply_started);
+  Result<BytesView> frame =
+      RoundTrip(fd, reader, request, deadline_at, &reply_started);
   if (!frame.ok()) {
     ::close(fd);
     // The checkout health check can miss a peer that vanished between probe
@@ -489,14 +607,19 @@ Result<Bytes> TcpTransport::RequestImpl(const Address& to, BytesView request,
         fd, ConnectWithDeadline(host_port.first, host_port.second, to,
                                 deadline_at));
     telemetry_.OnConnect();
-    frame = RoundTrip(fd, request, deadline_at, &reply_started);
+    frame = RoundTrip(fd, reader, request, deadline_at, &reply_started);
     if (!frame.ok()) {
       ::close(fd);
       return frame.status();
     }
   }
-  CheckinConnection(to, fd);
-  return DecodeReplyFrame(AsView(*frame));
+  // Bytes past the reply mean the stream is out of step: never pool it.
+  if (reader.has_trailing_bytes()) {
+    ::close(fd);
+  } else {
+    CheckinConnection(to, fd);
+  }
+  return DecodeReplyFrame(*frame);
 }
 
 }  // namespace obiwan::net

@@ -11,18 +11,28 @@
 //
 //   Deadlines. Every request runs under an effective deadline (per-call
 //   CallOptions or the transport default, kDefaultDeadline unless
-//   configured). Connect is non-blocking with poll(); send/recv run under
-//   SO_SNDTIMEO/SO_RCVTIMEO recomputed from the remaining budget, so a peer
-//   that accepts and then stalls yields kTimeout instead of wedging the
-//   caller — which is what makes RetryingTransport meaningful over real
-//   sockets.
+//   configured), and it bounds the whole exchange, not each recv. Connect
+//   is non-blocking with poll(); the request's send and the reply's recv
+//   never block in the kernel call (MSG_DONTWAIT) and every wait in between
+//   is a poll on the remaining budget, so a peer that accepts and then
+//   stalls yields kTimeout instead of wedging the caller — which is what
+//   makes RetryingTransport meaningful over real sockets. Server reads have
+//   no deadline and simply block.
 //
 //   Connection pooling. Outbound connections are persistent and reused per
 //   destination address instead of paying socket/connect/close per request.
 //   Checkout health-checks the pooled socket (a peer FIN or stray bytes
 //   disqualify it), a stale connection whose request fails before any reply
-//   byte arrived is retried once on a fresh connection, and the idle pool is
-//   capped with LRU eviction.
+//   byte arrived is retried once on a fresh connection, a connection that
+//   delivered bytes past its reply is closed instead of pooled, and the idle
+//   pool is capped with LRU eviction.
+//
+// The exchange itself pays few system calls. A frame goes out in one gather
+// sendmsg of [u32 length][payload] (an ok reply as [length][0x01][payload],
+// so the reply is not copied) and comes in with one recv when it fits the
+// connection's read buffer. A pooled exchange costs 4 calls on the client
+// (health probe, sendmsg, poll, recv) and 2 on the server (recv, sendmsg).
+// Both ends refuse frames over the 64 MiB cap (net/frame.h).
 #pragma once
 
 #include <atomic>
@@ -90,12 +100,6 @@ class TcpTransport final : public Transport {
 
   Result<Bytes> RequestImpl(const Address& to, BytesView request,
                             const CallOptions& options);
-  // One framed exchange on `fd`. `*reply_started` is set once any reply byte
-  // has been read (after which a stale-connection retry would risk a
-  // duplicate execution and is not attempted).
-  Result<Bytes> RoundTrip(int fd, BytesView request, Nanos deadline_at,
-                          bool* reply_started);
-
   // Client-side pool: health-checked checkout (or -1), MRU check-in with LRU
   // eviction beyond the cap.
   int CheckoutConnection(const Address& to);

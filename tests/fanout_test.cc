@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -105,6 +106,80 @@ TEST(FanoutPoolTest, RealClockRunsTasksOnBoundedThreads) {
   EXPECT_EQ(ran.load(), 32);
   EXPECT_LE(max_in_flight.load(), 4);
   for (const Status& s : statuses) EXPECT_TRUE(s.ok());
+}
+
+// Threads of this process, as /proc/self/task lists them.
+std::size_t ProcessThreads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// The batch this thread last ran a task of, and how many batches it has run
+// tasks in.
+thread_local int tls_last_batch = -1;
+thread_local int tls_batches_run = 0;
+
+// On a real clock the helpers are parked threads reused across batches, not
+// a fresh burst per batch: some helper runs tasks of several batches, the
+// width bound still holds after set_width, and the destructor joins every
+// helper.
+TEST(FanoutPoolTest, RealClockReusesParkedHelpers) {
+  // A runtime may start a thread of its own with the process's first thread
+  // (ThreadSanitizer does); start one first so the baseline counts it.
+  std::thread([] {}).join();
+  const std::size_t threads_before = ProcessThreads();
+  {
+    FanoutPool pool(SystemClock::Instance(), /*width=*/3);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> most_batches_on_a_helper{0};
+    for (int batch = 0; batch < 20; ++batch) {
+      std::vector<FanoutPool::Task> tasks;
+      for (int t = 0; t < 3; ++t) {
+        tasks.push_back([&, batch] {
+          if (std::this_thread::get_id() != caller && tls_last_batch != batch) {
+            tls_last_batch = batch;
+            const int run = ++tls_batches_run;
+            int seen = most_batches_on_a_helper.load();
+            while (run > seen &&
+                   !most_batches_on_a_helper.compare_exchange_weak(seen, run)) {
+            }
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return Status::Ok();
+        });
+      }
+      for (const Status& s : pool.RunAll(std::move(tasks))) EXPECT_TRUE(s.ok());
+    }
+    EXPECT_GE(most_batches_on_a_helper.load(), 2);
+
+    pool.set_width(2);
+    std::atomic<int> in_flight{0};
+    std::atomic<int> max_in_flight{0};
+    std::vector<FanoutPool::Task> tasks;
+    for (int i = 0; i < 32; ++i) {
+      tasks.push_back([&] {
+        const int now = in_flight.fetch_add(1) + 1;
+        int seen = max_in_flight.load();
+        while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        in_flight.fetch_sub(1);
+        return Status::Ok();
+      });
+    }
+    for (const Status& s : pool.RunAll(std::move(tasks))) EXPECT_TRUE(s.ok());
+    EXPECT_LE(max_in_flight.load(), 2);
+  }
+  // A joined thread leaves /proc/self/task a moment after join returns (so
+  // an earlier test's thread may still be counted in `threads_before`).
+  for (int spin = 0; spin < 100 && ProcessThreads() > threads_before; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(ProcessThreads(), threads_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -571,6 +646,66 @@ TEST(FanoutTcp, ConcurrentPutsFanOutToAllHolders) {
 
   for (auto& site : demanders) site->Stop();
   provider.Stop();
+}
+
+// Every holder notification records its `rpc` span under the put that
+// caused it, on whichever fanout thread sends it: the put's trace id, and
+// the provider's serve.put span as parent.
+TEST(FanoutTcp, NotifySpansJoinThePutFlow) {
+  auto provider_transport = net::TcpTransport::Create(0);
+  ASSERT_TRUE(provider_transport.ok());
+  core::Site provider(1, std::move(*provider_transport));
+  ASSERT_TRUE(provider.Start().ok());
+  provider.HostRegistry();
+  provider.SetConsistencyPolicy(std::make_unique<PushUpdates>());
+  Tracer tracer(8192);
+  provider.SetTracer(&tracer);
+
+  auto obj = std::make_shared<Node>();
+  ASSERT_TRUE(provider.Bind("obj", obj).ok());
+
+  // Site 10 writes; sites 11-13 hold replicas and are pushed every put.
+  constexpr int kSites = 4;
+  constexpr int kPuts = 20;
+  std::vector<std::unique_ptr<core::Site>> sites;
+  std::vector<core::Ref<Node>> refs;
+  for (int i = 0; i < kSites; ++i) {
+    auto transport = net::TcpTransport::Create(0);
+    ASSERT_TRUE(transport.ok());
+    auto site = std::make_unique<core::Site>(10 + i, std::move(*transport));
+    ASSERT_TRUE(site->Start().ok());
+    site->UseRegistry(provider.address());
+    auto remote = site->Lookup<Node>("obj");
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    auto ref = remote->Replicate(ReplicationMode::Incremental(1));
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    refs.push_back(*ref);
+    sites.push_back(std::move(site));
+  }
+  for (int i = 0; i < kPuts; ++i) {
+    refs[0].get()->value = i;
+    ASSERT_TRUE(sites[0]->Put(refs[0]).ok());
+  }
+  for (auto& site : sites) site->Stop();
+  provider.Stop();
+
+  std::map<std::uint64_t, const Span*> serve_puts;
+  const std::vector<Span> spans = tracer.SnapshotSpans();
+  for (const Span& span : spans) {
+    if (span.category == "serve.put") serve_puts[span.id] = &span;
+  }
+  EXPECT_EQ(serve_puts.size(), static_cast<std::size_t>(kPuts));
+  int notifies = 0;
+  for (const Span& span : spans) {
+    if (span.category != "rpc" || span.name.rfind("notify ", 0) != 0) continue;
+    ++notifies;
+    EXPECT_TRUE(span.trace.valid()) << span.ToString();
+    ASSERT_NE(span.parent, 0u) << span.ToString();
+    auto put = serve_puts.find(span.parent);
+    ASSERT_NE(put, serve_puts.end()) << span.ToString();
+    EXPECT_EQ(span.trace, put->second->trace) << span.ToString();
+  }
+  EXPECT_EQ(notifies, (kSites - 1) * kPuts);
 }
 
 // 2. (PR 8) Dropping an unreachable holder must be atomic with respect to

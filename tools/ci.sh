@@ -65,9 +65,10 @@ run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined
 
 # ThreadSanitizer flavour: the transport layer is the concurrency hot spot
 # (client threads sharing one pooled TCP transport, the retry decorator's
-# counter, the server's per-connection threads), plus the update-fanout soak
-# (concurrent writers fanning pushes out on the bounded notification pool,
-# and the resync daemon's background worker), the contention observatory
+# counter, the server's per-connection threads), plus the update-fanout pool
+# (batches handed to parked helper threads) and soak (concurrent writers
+# fanning pushes out on the bounded notification pool, and the resync
+# daemon's background worker), the contention observatory
 # (tracked mutexes, exemplar captures and scrapes racing lock traffic), the
 # sharded object table (shard/world guards racing protocol paths, holder
 # drops racing re-registration) and the update-journey tracker (fanout
@@ -79,7 +80,7 @@ echo "=== [tsan] build ==="
 cmake --build build-tsan -j "$JOBS" --target tcp_test net_test compress_test fanout_test obs_test contention_test object_table_test journey_test
 echo "=== [tsan] test ==="
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R '^(Tcp|TcpDeadline|TcpPool|TcpRetry|TcpServer|Loopback|Sim|SimDeadline|RetryingTransport|CompressedTransport|FanoutTcp|AdminHttp|FleetMonitor|Contention|ObjectTable|Journey|BurnRate)'
+    -R '^(Tcp|TcpDeadline|TcpPool|TcpRetry|TcpServer|Loopback|Sim|SimDeadline|RetryingTransport|CompressedTransport|FanoutPool|FanoutTcp|AdminHttp|FleetMonitor|Contention|ObjectTable|Journey|BurnRate)'
 
 # The fig4 bench must emit a schema-valid BENCH_*.json with latency
 # percentiles (skip the google-benchmark micro-benchmarks; the paper series
