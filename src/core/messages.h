@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -121,102 +123,239 @@ struct InvalidateRequest {
   std::vector<std::uint64_t> versions;
 };
 
+// --- replicas on the wire, without the structs ---------------------------------
+//
+// The layout of ProxyDescriptor, RefEntry, ObjectRecord and GetReply lives
+// here once. The site writes a get reply or a push record straight into one
+// wire::Writer with the Write* functions below, and parses an incoming one
+// in place with the Read* functions into views: names are string_views and
+// fields and policy data are spans into the received buffer, so nothing is
+// copied until it is stored. The struct codecs further down are thin
+// wrappers over the same functions.
+
+// A ProxyDescriptor whose strings point into a buffer.
+struct DescriptorView {
+  ProxyId pin;
+  std::string_view provider;
+  ObjectId target;
+  std::string_view class_name;
+
+  bool valid() const { return pin.valid(); }
+  ProxyDescriptor Owned() const {
+    return {pin, std::string(provider), target, std::string(class_name)};
+  }
+};
+
+inline DescriptorView ViewOf(const ProxyDescriptor& d) {
+  return {d.pin, d.provider, d.target, d.class_name};
+}
+
+// A RefEntry parsed in place.
+struct RefView {
+  RefEntry::Tag tag = RefEntry::Tag::kNull;
+  ObjectId target;       // kInline and kProxy
+  DescriptorView proxy;  // kProxy
+
+  RefEntry Owned() const { return {tag, target, proxy.Owned()}; }
+};
+
+inline RefView ViewOf(const RefEntry& e) {
+  return {e.tag, e.target, ViewOf(e.proxy)};
+}
+
+// An ObjectRecord parsed in place. Its refs are BatchView::refs
+// [first_ref, first_ref + ref_count).
+struct RecordView {
+  ObjectId id;
+  std::string_view class_name;
+  std::uint64_t version = 0;
+  BytesView policy_data;
+  BytesView fields;
+  std::size_t first_ref = 0;
+  std::size_t ref_count = 0;
+  DescriptorView provider;  // invalid unless the record carries a channel
+};
+
+// A get reply (or the single record of a push) parsed in place; valid while
+// the buffer it was read from is.
+struct BatchView {
+  std::vector<RecordView> records;  // records[0] is the root of a get
+  std::vector<RefView> refs;        // every record's refs, back to back
+  bool has_cluster = false;
+  DescriptorView cluster;  // the batch's shared channel, if has_cluster
+  std::vector<ObjectId> cluster_members;
+
+  std::span<const RefView> RefsOf(const RecordView& rec) const {
+    return {refs.data() + rec.first_ref, rec.ref_count};
+  }
+
+  ObjectRecord Owned(const RecordView& v) const {
+    ObjectRecord rec{v.id, std::string(v.class_name), v.version,
+                     Bytes(v.policy_data.begin(), v.policy_data.end()),
+                     Bytes(v.fields.begin(), v.fields.end()), {},
+                     v.provider.Owned()};
+    for (const RefView& ref : RefsOf(v)) rec.refs.push_back(ref.Owned());
+    return rec;
+  }
+};
+
+inline void WriteDescriptor(wire::Writer& w, const DescriptorView& d) {
+  wire::Encode(w, d.pin);
+  w.String(d.provider);
+  wire::Encode(w, d.target);
+  w.String(d.class_name);
+}
+
+inline DescriptorView ReadDescriptor(wire::Reader& r) {
+  DescriptorView d;
+  d.pin = wire::Decode<ProxyId>(r);
+  d.provider = r.StringView();
+  d.target = wire::Decode<ObjectId>(r);
+  d.class_name = r.StringView();
+  return d;
+}
+
+inline void WriteRef(wire::Writer& w, const RefView& v) {
+  w.U8(static_cast<std::uint8_t>(v.tag));
+  switch (v.tag) {
+    case RefEntry::Tag::kNull:
+      break;
+    case RefEntry::Tag::kInline:
+      wire::Encode(w, v.target);
+      break;
+    case RefEntry::Tag::kProxy:
+      WriteDescriptor(w, v.proxy);
+      break;
+  }
+}
+
+inline RefView ReadRef(wire::Reader& r) {
+  RefView v;
+  const std::uint8_t tag = r.U8();
+  if (tag > 2) {
+    r.Fail("bad ref entry tag");
+    return v;
+  }
+  v.tag = static_cast<RefEntry::Tag>(tag);
+  if (v.tag == RefEntry::Tag::kInline) {
+    v.target = wire::Decode<ObjectId>(r);
+  } else if (v.tag == RefEntry::Tag::kProxy) {
+    v.proxy = ReadDescriptor(r);
+    v.target = v.proxy.target;
+  }
+  return v;
+}
+
+// A record is its head, then its value fields as a blob, then a varint
+// count of refs and each ref (WriteRef), then its optional channel.
+inline void WriteRecordHead(wire::Writer& w, ObjectId id,
+                            std::string_view class_name, std::uint64_t version,
+                            BytesView policy_data) {
+  wire::Encode(w, id);
+  w.String(class_name);
+  w.Varint(version);
+  w.Blob(policy_data);
+}
+
+inline void WriteRecordChannel(wire::Writer& w, const DescriptorView& provider) {
+  w.Bool(provider.valid());
+  if (provider.valid()) WriteDescriptor(w, provider);
+}
+
+// A get reply is a varint count of records, the records, then the optional
+// cluster channel and its members.
+inline void WriteClusterTail(wire::Writer& w, const DescriptorView* cluster,
+                             std::span<const ObjectId> members) {
+  w.Bool(cluster != nullptr);
+  if (cluster == nullptr) return;
+  WriteDescriptor(w, *cluster);
+  w.Varint(members.size());
+  for (const ObjectId& id : members) wire::Encode(w, id);
+}
+
+// Guard against hostile counts: never more entries than the remaining
+// payload could encode at one byte each.
+inline bool CountFits(wire::Reader& r, std::uint64_t n) {
+  if (n <= r.remaining()) return true;
+  r.Fail("container length exceeds remaining payload");
+  return false;
+}
+
+// Append one record (and its refs) to `batch`. On malformed input the reader
+// fails; check it before using the view.
+inline void ReadRecord(wire::Reader& r, BatchView& batch) {
+  RecordView rec;
+  rec.id = wire::Decode<ObjectId>(r);
+  rec.class_name = r.StringView();
+  rec.version = r.Varint();
+  rec.policy_data = r.BlobView();
+  rec.fields = r.BlobView();
+  const std::uint64_t refs = r.Varint();
+  if (!CountFits(r, refs)) return;
+  rec.first_ref = batch.refs.size();
+  rec.ref_count = static_cast<std::size_t>(refs);
+  for (std::uint64_t i = 0; i < refs && r.ok(); ++i) {
+    batch.refs.push_back(ReadRef(r));
+  }
+  if (r.Bool()) rec.provider = ReadDescriptor(r);
+  if (r.ok()) batch.records.push_back(rec);
+}
+
+inline void ReadGetReply(wire::Reader& r, BatchView& batch) {
+  const std::uint64_t n = r.Varint();
+  if (!CountFits(r, n)) return;
+  batch.records.reserve(n);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) ReadRecord(r, batch);
+  batch.has_cluster = r.Bool();
+  if (!batch.has_cluster) return;
+  batch.cluster = ReadDescriptor(r);
+  const std::uint64_t members = r.Varint();
+  if (!CountFits(r, members)) return;
+  batch.cluster_members.reserve(members);
+  for (std::uint64_t i = 0; i < members && r.ok(); ++i) {
+    batch.cluster_members.push_back(wire::Decode<ObjectId>(r));
+  }
+}
+
 }  // namespace obiwan::core
 
 namespace obiwan::wire {
 
+// The replica codecs are wrappers over core's Write*/Read* layout functions.
 template <>
 struct Codec<core::ProxyDescriptor> {
   static void Encode(Writer& w, const core::ProxyDescriptor& v) {
-    wire::Encode(w, v.pin);
-    w.String(v.provider);
-    wire::Encode(w, v.target);
-    w.String(v.class_name);
+    core::WriteDescriptor(w, core::ViewOf(v));
   }
   static core::ProxyDescriptor Decode(Reader& r) {
-    core::ProxyDescriptor v;
-    v.pin = wire::Decode<ProxyId>(r);
-    v.provider = r.String();
-    v.target = wire::Decode<ObjectId>(r);
-    v.class_name = r.String();
-    return v;
+    return core::ReadDescriptor(r).Owned();
   }
 };
 
 template <>
 struct Codec<core::RefEntry> {
   static void Encode(Writer& w, const core::RefEntry& v) {
-    w.U8(static_cast<std::uint8_t>(v.tag));
-    switch (v.tag) {
-      case core::RefEntry::Tag::kNull:
-        break;
-      case core::RefEntry::Tag::kInline:
-        wire::Encode(w, v.target);
-        break;
-      case core::RefEntry::Tag::kProxy:
-        wire::Encode(w, v.proxy);
-        break;
-    }
+    core::WriteRef(w, core::ViewOf(v));
   }
   static core::RefEntry Decode(Reader& r) {
-    core::RefEntry v;
-    std::uint8_t tag = r.U8();
-    if (tag > 2) {
-      r.Fail("bad ref entry tag");
-      return v;
-    }
-    v.tag = static_cast<core::RefEntry::Tag>(tag);
-    switch (v.tag) {
-      case core::RefEntry::Tag::kNull:
-        break;
-      case core::RefEntry::Tag::kInline:
-        v.target = wire::Decode<ObjectId>(r);
-        break;
-      case core::RefEntry::Tag::kProxy:
-        v.proxy = wire::Decode<core::ProxyDescriptor>(r);
-        v.target = v.proxy.target;
-        break;
-    }
-    return v;
+    return core::ReadRef(r).Owned();
   }
 };
 
 template <>
 struct Codec<core::ObjectRecord> {
   static void Encode(Writer& w, const core::ObjectRecord& v) {
-    wire::Encode(w, v.id);
-    w.String(v.class_name);
-    w.Varint(v.version);
-    w.Blob(AsView(v.policy_data));
+    core::WriteRecordHead(w, v.id, v.class_name, v.version,
+                          AsView(v.policy_data));
     w.Blob(AsView(v.fields));
     wire::Encode(w, v.refs);
-    w.Bool(v.provider.valid());
-    if (v.provider.valid()) wire::Encode(w, v.provider);
+    core::WriteRecordChannel(w, core::ViewOf(v.provider));
   }
   static core::ObjectRecord Decode(Reader& r) {
-    core::ObjectRecord v;
-    v.id = wire::Decode<ObjectId>(r);
-    v.class_name = r.String();
-    v.version = r.Varint();
-    v.policy_data = r.Blob();
-    v.fields = r.Blob();
-    v.refs = wire::Decode<std::vector<core::RefEntry>>(r);
-    if (r.Bool()) v.provider = wire::Decode<core::ProxyDescriptor>(r);
-    return v;
-  }
-};
-
-template <>
-struct Codec<core::ClusterInfo> {
-  static void Encode(Writer& w, const core::ClusterInfo& v) {
-    wire::Encode(w, v.provider);
-    wire::Encode(w, v.members);
-  }
-  static core::ClusterInfo Decode(Reader& r) {
-    core::ClusterInfo v;
-    v.provider = wire::Decode<core::ProxyDescriptor>(r);
-    v.members = wire::Decode<std::vector<ObjectId>>(r);
-    return v;
+    core::BatchView batch;
+    core::ReadRecord(r, batch);
+    if (!r.ok()) return {};
+    return batch.Owned(batch.records.front());
   }
 };
 
@@ -263,12 +402,24 @@ template <>
 struct Codec<core::GetReply> {
   static void Encode(Writer& w, const core::GetReply& v) {
     wire::Encode(w, v.objects);
-    wire::Encode(w, v.cluster);
+    const core::DescriptorView cluster =
+        v.cluster ? core::ViewOf(v.cluster->provider) : core::DescriptorView{};
+    core::WriteClusterTail(w, v.cluster ? &cluster : nullptr,
+                           v.cluster ? std::span<const ObjectId>(v.cluster->members)
+                                     : std::span<const ObjectId>());
   }
   static core::GetReply Decode(Reader& r) {
+    core::BatchView batch;
+    core::ReadGetReply(r, batch);
     core::GetReply v;
-    v.objects = wire::Decode<std::vector<core::ObjectRecord>>(r);
-    v.cluster = wire::Decode<std::optional<core::ClusterInfo>>(r);
+    if (!r.ok()) return v;
+    v.objects.reserve(batch.records.size());
+    for (const core::RecordView& rec : batch.records) {
+      v.objects.push_back(batch.Owned(rec));
+    }
+    if (batch.has_cluster) {
+      v.cluster = core::ClusterInfo{batch.cluster.Owned(), batch.cluster_members};
+    }
     return v;
   }
 };

@@ -108,6 +108,14 @@ const ReplicaEntry* ObjectTable::Replica(ObjectId id) const {
   return const_cast<ObjectTable*>(this)->Replica(id);
 }
 
+ObjectTable::Entries ObjectTable::Lookup(ObjectId id) {
+  Shard& shard = ShardFor(id);
+  auto it = shard.index.find(id);
+  if (it == shard.index.end()) return {};
+  if (it->second.master) return {&shard.masters[it->second.index], nullptr};
+  return {nullptr, &shard.replicas[it->second.index]};
+}
+
 std::shared_ptr<Shareable> ObjectTable::Find(ObjectId id) const {
   const Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);

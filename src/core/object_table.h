@@ -171,6 +171,13 @@ class ObjectTable {
   // The local object for `id` regardless of role, or null.
   std::shared_ptr<Shareable> Find(ObjectId id) const;
 
+  // Both roles in one probe: at most one pointer is set.
+  struct Entries {
+    MasterEntry* master = nullptr;
+    ReplicaEntry* replica = nullptr;
+  };
+  Entries Lookup(ObjectId id);
+
   // Insert a record. Returns the stored record and whether this call
   // inserted it (false = a record of either role already existed; the
   // existing one is returned if it has the same role, else null). Also

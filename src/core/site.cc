@@ -405,9 +405,9 @@ ProxyId Site::NewProxyInLocked(ObjectId target,
   return pin;
 }
 
-ProxyId Site::NewClusterProxyIn(ObjectId root, std::vector<ObjectId> members,
-                                std::span<const net::Address> users) {
-  std::lock_guard lock(pins_mutex_);
+ProxyId Site::NewClusterProxyInLocked(ObjectId root,
+                                      std::vector<ObjectId> members,
+                                      std::span<const net::Address> users) {
   ProxyId pin{id_, next_pin_++};
   ProxyInEntry& entry = proxy_ins_[pin];
   entry.target = root;
@@ -446,11 +446,6 @@ ProxyDescriptor Site::DescriptorFor(ProxyId pin, ObjectId target,
                          std::move(class_name)};
 }
 
-// Caller holds the covering shard guard (or the world).
-std::shared_ptr<Shareable> Site::FindLocalUnlocked(ObjectId id) const {
-  return table_.Find(id);
-}
-
 Result<std::shared_ptr<Shareable>> Site::FindLocal(ObjectId id) const {
   std::shared_ptr<Shareable> obj = table_.FindLocked(id);
   if (obj == nullptr) return NotFoundError("object not present: " + ToString(id));
@@ -460,11 +455,14 @@ Result<std::shared_ptr<Shareable>> Site::FindLocal(ObjectId id) const {
 // Caller holds the shard guard of `id` (or the world) for as long as the
 // returned pointers are used.
 Result<Site::MetaRef> Site::FindMeta(ObjectId id) {
-  if (MasterEntry* e = table_.Master(id)) {
-    return MetaRef{e->obj, &e->version, &e->policy_state, &e->holders};
+  auto [master, replica] = table_.Lookup(id);
+  if (master != nullptr) {
+    return MetaRef{master->obj, &master->version, &master->policy_state,
+                   &master->holders, master};
   }
-  if (ReplicaEntry* e = table_.Replica(id)) {
-    return MetaRef{e->obj, &e->version, &e->policy_state, &e->holders};
+  if (replica != nullptr) {
+    return MetaRef{replica->obj, &replica->version, &replica->policy_state,
+                   &replica->holders, nullptr};
   }
   return NotFoundError("object not present: " + ToString(id));
 }
@@ -484,46 +482,159 @@ void Site::SetConsistencyPolicy(std::unique_ptr<ConsistencyPolicy> policy) {
 }
 
 // ---------------------------------------------------------------------------
-// Records: capture, export and bind references
+// Records: walk, capture and bind references
 // ---------------------------------------------------------------------------
 
-std::vector<Site::RefSnap> Site::CaptureLocked(const Shareable& obj,
-                                               Bytes& fields) {
-  const ClassInfo& ci = obj.obiwan_class();
-  wire::Writer w;
-  ci.EncodeFields(obj, w);
-  fields = std::move(w).Take();
-  std::vector<RefSnap> snaps;
-  snaps.reserve(ci.refs().size());
-  for (const RefFieldInfo& rf : ci.refs()) {
-    const RefBase& rb = rf.get_const(obj);
-    snaps.push_back(RefSnap{rb.local(), rb.proxy()});
-  }
-  return snaps;
-}
-
-std::vector<RefEntry> Site::ExportRefs(
-    const std::vector<RefSnap>& snaps,
-    const std::unordered_set<ObjectId, ObjectIdHash>& inline_ids,
-    std::span<const net::Address> users) {
-  std::vector<RefEntry> refs;
-  refs.reserve(snaps.size());
-  for (const RefSnap& snap : snaps) {
-    if (snap.proxy != nullptr) {
-      refs.push_back(RefEntry::Proxy(snap.proxy->descriptor()));
-    } else if (snap.local == nullptr) {
-      refs.push_back(RefEntry::Null());
-    } else if (ObjectId tid = EnsureId(snap.local); inline_ids.contains(tid)) {
-      refs.push_back(RefEntry::Inline(tid));
-    } else {
-      refs.push_back(RefEntry::Proxy(DescriptorFor(
-          NewProxyIn(tid, users), tid, snap.local->obiwan_class().name())));
+bool Site::WalkAdd(OutboundBatch& batch, ObjectId id) {
+  const std::size_t first = batch.refs.size();
+  std::shared_ptr<Shareable> obj;
+  {
+    ObjectTable::ShardGuard guard(table_, id);
+    obj = table_.Find(id);
+    if (obj == nullptr) return false;
+    for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
+      batch.refs.push_back({rf.get_const(*obj).local(), ObjectId{}});
     }
   }
-  return refs;
+  for (std::size_t k = first; k < batch.refs.size(); ++k) {
+    OutboundBatch::RefTarget& target = batch.refs[k];
+    if (target.local != nullptr) target.id = EnsureId(target.local);
+  }
+  batch.nodes.push_back({id, first, MetaRef{std::move(obj)}});
+  batch.ids.push_back(id);
+  batch.members.insert(id);
+  return true;
 }
 
-bool Site::BindRef(RefBase& rb, const RefEntry& entry,
+Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
+                          std::span<const net::Address> users,
+                          wire::Writer& w) {
+  const bool fresh_get = get != nullptr && !get->refresh;
+  const bool shared_pair = fresh_get && get->mode.SharedProxyPair();
+  const bool object_pins = fresh_get && !shared_pair;
+  auto travels_inline = [&](ObjectId tid) {
+    return get != nullptr && batch.members.contains(tid);
+  };
+  const net::Address self = address();
+  ConsistencyPolicy& policy = consistency_policy();
+  // One consistent snapshot of the batch: fields, versions, policy data and
+  // ref targets all read under the batch's shard guards. Holder registration
+  // rides the same guard with the site mutex nested inside (shard -> site is
+  // the legal lock order), so registering can never interleave with a
+  // concurrent DropHolder sweep, which holds both.
+  std::optional<ObjectTable::BatchGuard> guard;
+  std::vector<std::shared_ptr<Shareable>> unnamed;
+  for (;;) {
+    guard.emplace(table_, batch.ids);
+    // Check the walk's targets against the fields as they are now. A field
+    // relinked since the walk to an object that has no id yet cannot be
+    // named under the guard (EnsureId locks the target's shard): name those
+    // after releasing it and look again.
+    for (OutboundBatch::Node& node : batch.nodes) {
+      OBIWAN_ASSIGN_OR_RETURN(node.meta, FindMeta(node.id));
+      const auto& ref_infos = node.meta.obj->obiwan_class().refs();
+      for (std::size_t j = 0; j < ref_infos.size(); ++j) {
+        OutboundBatch::RefTarget& target = batch.refs[node.first_ref + j];
+        const std::shared_ptr<Shareable>& local =
+            ref_infos[j].get_const(*node.meta.obj).local();
+        if (local == target.local) continue;
+        target = {local, local ? table_.PtrId(local.get()) : ObjectId{}};
+        if (local != nullptr && !target.id.valid()) unnamed.push_back(local);
+      }
+    }
+    if (unnamed.empty()) break;
+    guard.reset();
+    for (const auto& obj : unnamed) EnsureId(obj);
+    unnamed.clear();
+  }
+
+  std::vector<ProxyId> pins;
+  ProxyId cluster_pin;
+  {
+    std::lock_guard lock(pins_mutex_);
+    if (shared_pair) {
+      cluster_pin = NewClusterProxyInLocked(batch.ids.front(), batch.ids, users);
+    }
+    for (const OutboundBatch::Node& node : batch.nodes) {
+      const std::size_t end =
+          node.first_ref + node.meta.obj->obiwan_class().refs().size();
+      for (std::size_t k = node.first_ref; k < end; ++k) {
+        const OutboundBatch::RefTarget& target = batch.refs[k];
+        if (target.local != nullptr && !travels_inline(target.id)) {
+          pins.push_back(NewProxyInLocked(target.id, users));
+        }
+      }
+      if (object_pins) {
+        // Incremental mode: the per-object proxy pair of §4.2, giving this
+        // replica its individual put/refresh channel.
+        pins.push_back(NewProxyInLocked(node.id, users));
+      }
+    }
+  }
+
+  if (get != nullptr) w.Varint(batch.nodes.size());
+  std::size_t next_pin = 0;
+  std::size_t fields_hint = 0;
+  for (const OutboundBatch::Node& node : batch.nodes) {
+    const MetaRef& meta = node.meta;
+    const ClassInfo& ci = meta.obj->obiwan_class();
+    const Bytes policy_data =
+        get == nullptr
+            ? Bytes{}
+            : policy.MakeGetData(MasterView{node.id, *meta.version,
+                                            *meta.policy_state, *meta.holders},
+                                 users.front());
+    WriteRecordHead(w, node.id, ci.name(), *meta.version, AsView(policy_data));
+    const wire::Writer::BlobMark fields = w.BeginBlob(fields_hint);
+    ci.EncodeFields(*meta.obj, w);
+    fields_hint = w.EndBlob(fields);
+
+    const auto& ref_infos = ci.refs();
+    w.Varint(ref_infos.size());
+    for (std::size_t j = 0; j < ref_infos.size(); ++j) {
+      const RefBase& rb = ref_infos[j].get_const(*meta.obj);
+      const OutboundBatch::RefTarget& target = batch.refs[node.first_ref + j];
+      if (rb.IsProxy()) {
+        const ProxyDescriptor& forwarded = rb.proxy()->descriptor();
+        WriteRef(w, {RefEntry::Tag::kProxy, forwarded.target, ViewOf(forwarded)});
+      } else if (target.local == nullptr) {
+        WriteRef(w, {});
+      } else if (travels_inline(target.id)) {
+        WriteRef(w, {RefEntry::Tag::kInline, target.id, {}});
+      } else {
+        WriteRef(w, {RefEntry::Tag::kProxy, target.id,
+                     {pins[next_pin++], self, target.id,
+                      target.local->obiwan_class().name()}});
+      }
+    }
+    WriteRecordChannel(w, object_pins ? DescriptorView{pins[next_pin++], self,
+                                                       node.id, ci.name()}
+                                      : DescriptorView{});
+    if (get != nullptr) {
+      table_.LinkHolder(node.id, users.front());
+      if (meta.master != nullptr) ++meta.master->gets_served;
+    }
+  }
+
+  if (get != nullptr) {
+    const DescriptorView cluster{
+        cluster_pin, self, batch.ids.front(),
+        batch.nodes.front().meta.obj->obiwan_class().name()};
+    WriteClusterTail(w, shared_pair ? &cluster : nullptr, batch.ids);
+    {
+      // A (re-)registering holder starts healthy: a get proves the device is
+      // back, even if it was dropped as unreachable earlier.
+      std::lock_guard health(mutex_);
+      holder_health_[users.front()].consecutive_failures = 0;
+    }
+    telemetry_.objects_served->Inc(batch.nodes.size());
+  }
+  record_bytes_hint_.store(w.size() / batch.nodes.size(),
+                           std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+bool Site::BindRef(RefBase& rb, const RefView& entry,
                    std::shared_ptr<Shareable> local, ReplicationMode mode) {
   if (entry.tag == RefEntry::Tag::kNull) {
     rb.Reset();
@@ -533,7 +644,7 @@ bool Site::BindRef(RefBase& rb, const RefEntry& entry,
   } else if (entry.tag == RefEntry::Tag::kInline) {
     return false;
   } else {
-    rb.BindProxy(std::make_shared<ProxyOut>(this, entry.proxy, mode));
+    rb.BindProxy(std::make_shared<ProxyOut>(this, entry.proxy.Owned(), mode));
     telemetry_.proxy_outs_created->Inc();
   }
   return true;
@@ -543,7 +654,7 @@ bool Site::BindRef(RefBase& rb, const RefEntry& entry,
 // Provider side: Get
 // ---------------------------------------------------------------------------
 
-Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req) {
+Result<Bytes> Site::ServeGet(const net::Address& from, const GetRequest& req) {
   SpanScope span(&sinks_, clock_, id_, "serve.get",
                  "root " + ToString(req.root) + " for " + from +
                      (req.refresh ? " (refresh)" : ""),
@@ -566,33 +677,17 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
   }
 
   // --- select the batch -----------------------------------------------------
-  std::vector<ObjectId> batch_ids;
-  std::vector<std::shared_ptr<Shareable>> batch_objs;
-  std::unordered_set<ObjectId, ObjectIdHash> in_batch;
-
-  auto add = [&](ObjectId oid, std::shared_ptr<Shareable> obj) {
-    in_batch.insert(oid);
-    batch_ids.push_back(oid);
-    batch_objs.push_back(std::move(obj));
-  };
-
+  OutboundBatch batch;
   if (req.refresh) {
     // Refresh returns current state of what the pin covers: the whole
     // cluster for a cluster pin, the requested root otherwise.
     if (pin_cluster) {
-      for (ObjectId member : pin_members) {
-        if (auto obj = table_.FindLocked(member)) add(member, std::move(obj));
-      }
-    } else {
-      auto obj = table_.FindLocked(req.root);
-      if (obj == nullptr) return NotFoundError("refresh root not present");
-      add(req.root, std::move(obj));
+      for (ObjectId member : pin_members) WalkAdd(batch, member);
+    } else if (!WalkAdd(batch, req.root)) {
+      return NotFoundError("refresh root not present");
     }
-    if (batch_ids.empty()) return NotFoundError("nothing left to refresh");
+    if (batch.nodes.empty()) return NotFoundError("nothing left to refresh");
   } else {
-    std::shared_ptr<Shareable> root = table_.FindLocked(req.root);
-    if (root == nullptr) return NotFoundError("get root not present");
-
     const bool by_count = req.mode.kind == ReplicationMode::Kind::kIncremental ||
                           req.mode.kind == ReplicationMode::Kind::kCluster;
     const std::uint32_t limit = by_count ? std::max<std::uint32_t>(req.mode.count, 1)
@@ -600,92 +695,35 @@ Result<GetReply> Site::ServeGet(const net::Address& from, const GetRequest& req)
 
     // Breadth-first expansion from the root; boundaries are refs that are
     // unresolved proxies here (forwarded) or nodes beyond the batch budget.
-    // Each node's children are read under its own shard guard and their ids
-    // assigned after it is released (EnsureId may lock other shards).
     std::deque<std::pair<ObjectId, std::uint32_t>> queue;
-    queue.emplace_back(EnsureId(root), 0);
+    queue.emplace_back(req.root, 0);
     while (!queue.empty()) {
       auto [oid, depth] = queue.front();
       queue.pop_front();
-      if (in_batch.contains(oid)) continue;
-      if (limit != 0 && batch_ids.size() >= limit) break;
-      std::shared_ptr<Shareable> obj;
-      std::vector<std::shared_ptr<Shareable>> children;
-      {
-        ObjectTable::ShardGuard guard(table_, oid);
-        obj = table_.Find(oid);
-        if (obj == nullptr) continue;
-        const bool at_frontier =
-            req.mode.kind == ReplicationMode::Kind::kClusterDepth &&
-            depth >= req.mode.depth;  // depth-bounded cluster boundary
-        if (!at_frontier) {
-          for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
-            RefBase& rb = rf.get(*obj);
-            if (rb.IsLocal()) children.push_back(rb.local());
-          }
+      if (batch.members.contains(oid)) continue;
+      if (limit != 0 && batch.nodes.size() >= limit) break;
+      if (!WalkAdd(batch, oid)) continue;
+      if (req.mode.kind == ReplicationMode::Kind::kClusterDepth &&
+          depth >= req.mode.depth) {
+        continue;  // depth-bounded cluster boundary
+      }
+      for (std::size_t k = batch.nodes.back().first_ref; k < batch.refs.size();
+           ++k) {
+        if (batch.refs[k].local != nullptr) {
+          queue.emplace_back(batch.refs[k].id, depth + 1);
         }
       }
-      add(oid, std::move(obj));
-      for (auto& child : children) {
-        queue.emplace_back(EnsureId(child), depth + 1);
-      }
     }
+    if (batch.nodes.empty()) return NotFoundError("get root not present");
   }
 
   // --- serialize -------------------------------------------------------------
-  const std::span<const net::Address> user(&from, 1);
-  ConsistencyPolicy& policy = consistency_policy();
-  GetReply reply;
-  const bool shared_pair = req.mode.SharedProxyPair() && !req.refresh;
-  if (shared_pair) {
-    ProxyId cpin = NewClusterProxyIn(batch_ids.front(), batch_ids, user);
-    reply.cluster = ClusterInfo{
-        DescriptorFor(cpin, batch_ids.front(),
-                      batch_objs.front()->obiwan_class().name()),
-        batch_ids};
-  }
-
-  reply.objects.reserve(batch_ids.size());
-  for (ObjectId oid : batch_ids) {
-    ObjectRecord rec;
-    rec.id = oid;
-    std::vector<RefSnap> snaps;
-    {
-      // One consistent snapshot per object: fields, version, policy data and
-      // ref targets all read under the record's shard guard. Holder
-      // registration rides the same guard with the site mutex nested inside
-      // (shard -> site is the legal lock order), so registering can never
-      // interleave with a concurrent DropHolder sweep, which holds both.
-      ObjectTable::ShardGuard guard(table_, oid);
-      OBIWAN_ASSIGN_OR_RETURN(MetaRef meta, FindMeta(oid));
-      rec.class_name = meta.obj->obiwan_class().name();
-      rec.version = *meta.version;
-      rec.policy_data = policy.MakeGetData(
-          MasterView{oid, *meta.version, *meta.policy_state, *meta.holders},
-          from);
-      snaps = CaptureLocked(*meta.obj, rec.fields);
-
-      table_.LinkHolder(oid, from);
-      if (MasterEntry* master = table_.Master(oid)) ++master->gets_served;
-      {
-        // A (re-)registering holder starts healthy: a get proves the device
-        // is back, even if it was dropped as unreachable earlier.
-        std::lock_guard health(mutex_);
-        holder_health_[from].consecutive_failures = 0;
-      }
-    }
-    rec.refs = ExportRefs(snaps, in_batch, user);
-
-    if (!req.refresh && !shared_pair) {
-      // Incremental mode: the per-object proxy pair of §4.2, giving this
-      // replica its individual put/refresh channel.
-      rec.provider = DescriptorFor(NewProxyIn(oid, user), oid, rec.class_name);
-    }
-
-    telemetry_.objects_served->Inc();
-    reply.objects.push_back(std::move(rec));
-  }
-  return reply;
+  wire::Writer reply(batch.nodes.size() *
+                         record_bytes_hint_.load(std::memory_order_relaxed) +
+                     64);
+  OBIWAN_RETURN_IF_ERROR(CaptureBatch(
+      batch, &req, std::span<const net::Address>(&from, 1), reply));
+  return std::move(reply).Take();
 }
 
 // ---------------------------------------------------------------------------
@@ -789,8 +827,8 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
         const RefEntry& entry = t.item->refs[j];
         // An unresolvable inline id (an object this provider has never seen,
         // with no channel supplied) keeps the old ref.
-        BindRef(ref_infos[j].get(*t.meta.obj), entry, ref_target(entry.target),
-                ReplicationMode::Incremental());
+        BindRef(ref_infos[j].get(*t.meta.obj), ViewOf(entry),
+                ref_target(entry.target), ReplicationMode::Incremental());
       }
 
       ++*t.meta.version;
@@ -824,22 +862,16 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
   return reply;
 }
 
-Result<ObjectRecord> Site::BuildPushRecord(
-    ObjectId id, std::span<const net::Address> recipients) {
-  ObjectRecord rec;
-  rec.id = id;
-  std::vector<RefSnap> snaps;
-  {
-    ObjectTable::ShardGuard guard(table_, id);
-    OBIWAN_ASSIGN_OR_RETURN(MetaRef meta, FindMeta(id));
-    rec.class_name = meta.obj->obiwan_class().name();
-    rec.version = *meta.version;
-    snaps = CaptureLocked(*meta.obj, rec.fields);
+Status Site::BuildPushRecord(ObjectId id,
+                             std::span<const net::Address> recipients,
+                             wire::Writer& body) {
+  OutboundBatch batch;
+  if (!WalkAdd(batch, id)) {
+    return NotFoundError("object not present: " + ToString(id));
   }
   // Nothing travels inline: every local target goes out as one shared pin
   // that each recipient of this record can fault through.
-  rec.refs = ExportRefs(snaps, {}, recipients);
-  return rec;
+  return CaptureBatch(batch, /*get=*/nullptr, recipients, body);
 }
 
 void Site::PublishUpdates(std::vector<UpdateGroup> groups) {
@@ -849,9 +881,8 @@ void Site::PublishUpdates(std::vector<UpdateGroup> groups) {
     if (group.recipients.empty()) continue;
     wire::Writer body;
     if (push) {
-      Result<ObjectRecord> record = BuildPushRecord(group.id, group.recipients);
-      if (!record.ok()) continue;
-      wire::Encode(body, *record);
+      body = wire::Writer(record_bytes_hint_.load(std::memory_order_relaxed));
+      if (!BuildPushRecord(group.id, group.recipients, body).ok()) continue;
     } else {
       wire::Encode(body, InvalidateRequest{{group.id}, {group.version}});
     }
@@ -1126,7 +1157,8 @@ std::size_t Site::pending_notify_retries() const {
   return notify_retries_.size();
 }
 
-Status Site::ServePush(const ObjectRecord& record) {
+Status Site::ServePush(const BatchView& batch) {
+  const RecordView& record = batch.records.front();
   SpanScope span(&sinks_, clock_, id_, "serve.push", ToString(record.id),
                  TraceContext::Current());
   {
@@ -1151,14 +1183,9 @@ Status Site::ServePush(const ObjectRecord& record) {
     journey->OnHolderReceive(record.id, record.version, clock_.Now(),
                              /*push=*/true);
   }
-  GetReply reply;
-  reply.objects.push_back(record);
-  ProxyDescriptor via;
-  via.target = record.id;
-  OBIWAN_ASSIGN_OR_RETURN(
-      auto obj, Materialize(via, reply, ReplicationMode::Incremental(),
-                            /*refresh=*/true, record.id));
-  (void)obj;
+  OBIWAN_RETURN_IF_ERROR(Materialize(batch, ReplicationMode::Incremental(),
+                                     /*refresh=*/true, record.id)
+                             .status());
   if (journey != nullptr) {
     journey->OnReplicaApply(record.id, record.version, clock_.Now());
   }
@@ -1352,163 +1379,192 @@ Result<std::shared_ptr<Shareable>> Site::DemandThrough(
                                            TraceContext::Current(),
                                            DeadlineBudget(), address()))));
   telemetry_.replication_bytes_in->Inc(reply_bytes.size());
+  // The whole reply is parsed before the table is touched; the views point
+  // into reply_bytes, which outlives Materialize.
+  BatchView batch;
   wire::Reader r(AsView(reply_bytes));
-  GetReply reply = wire::Decode<GetReply>(r);
+  ReadGetReply(r, batch);
   OBIWAN_RETURN_IF_ERROR(r.status());
-
-  return Materialize(descriptor, reply, mode, refresh, root);
+  return Materialize(batch, mode, refresh, root);
 }
 
-Result<std::shared_ptr<Shareable>> Site::Materialize(const ProxyDescriptor& via,
-                                                     const GetReply& reply,
+Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
                                                      ReplicationMode mode,
-                                                     bool refresh, ObjectId want) {
+                                                     bool refresh,
+                                                     ObjectId root) {
   SpanScope span(&sinks_, clock_, id_, "materialize",
-                 std::to_string(reply.objects.size()) + " object(s)",
+                 std::to_string(batch.records.size()) + " object(s)",
                  TraceContext::Current());
-  if (reply.objects.empty()) return DataLossError("empty replication batch");
+  const std::vector<RecordView>& records = batch.records;
+  const std::size_t n = records.size();
+  if (n == 0) return DataLossError("empty replication batch");
 
-  const ProxyDescriptor* cluster_provider =
-      reply.cluster ? &reply.cluster->provider : nullptr;
-
-  ConsistencyPolicy& policy = consistency_policy();
-  std::unordered_map<ObjectId, std::shared_ptr<Shareable>, ObjectIdHash> present;
-  std::vector<bool> fresh(reply.objects.size(), false);
-
-  // Pass 1: instantiate new replicas / reconcile existing ones, each record
-  // under its own shard guard.
-  for (std::size_t i = 0; i < reply.objects.size(); ++i) {
-    const ObjectRecord& rec = reply.objects[i];
-
-    // New instances decode before taking the guard: the object is private
-    // until EmplaceReplica publishes it.
-    OBIWAN_ASSIGN_OR_RETURN(const ClassInfo* ci,
-                            ClassRegistry::Instance().Find(rec.class_name));
-
-    ObjectTable::ShardGuard guard(table_, rec.id);
-
-    if (MasterEntry* master = table_.Master(rec.id)) {
-      // Our own object came back around a chain; the master is
-      // authoritative — never overwrite it from a get.
-      present.emplace(rec.id, master->obj);
-      continue;
-    }
-
-    if (ReplicaEntry* e = table_.Replica(rec.id)) {
-      present.emplace(rec.id, e->obj);
-      // Monotonic apply guard: a late or retried push/refresh from before
-      // our last sync must not regress the replica. (ServePush's early
-      // check is only a filter; this one runs under the shard guard the
-      // decode runs under, so the race is actually closed.)
-      if (refresh && rec.version >= e->version) {
-        if (e->obj->obiwan_class().refs().size() != rec.refs.size()) {
-          return DataLossError("refresh ref schema mismatch for class " +
-                               rec.class_name);
-        }
-        wire::Reader fields(AsView(rec.fields));
-        OBIWAN_RETURN_IF_ERROR(e->obj->obiwan_class().DecodeFields(*e->obj, fields));
-        e->version = rec.version;
-        e->stale = false;
-        e->known_master_version = std::max(e->known_master_version, rec.version);
-        e->last_sync = clock_.Now();
-        ++e->sync_count;
-        policy.OnReplicaData(ReplicaView{rec.id, e->version, e->policy_state},
-                             AsView(rec.policy_data));
-        fresh[i] = true;
-      }
-      // A per-object channel upgrades a replica that had none (or only the
-      // shared cluster channel) to individually updatable.
-      if (rec.provider.valid() && (!e->provider.valid() || e->in_cluster)) {
-        e->provider = rec.provider;
-        e->in_cluster = false;
-      }
-      continue;
-    }
-
-    if (ci->refs().size() != rec.refs.size()) {
-      return DataLossError("ref schema mismatch for class " + rec.class_name);
-    }
-    std::shared_ptr<Shareable> obj = ci->NewInstance();
-    wire::Reader fields(AsView(rec.fields));
-    OBIWAN_RETURN_IF_ERROR(ci->DecodeFields(*obj, fields));
-
-    ReplicaEntry entry;
-    entry.obj = obj;
-    entry.version = rec.version;
-    entry.known_master_version = rec.version;
-    entry.last_sync = clock_.Now();
-    entry.sync_count = 1;
-    if (rec.provider.valid()) {
-      entry.provider = rec.provider;
-    } else if (cluster_provider != nullptr) {
-      entry.provider = *cluster_provider;
-      entry.in_cluster = true;
-    }
-    auto [stored, inserted] = table_.EmplaceReplica(rec.id, std::move(entry));
-    if (!inserted) {
-      // Lost a materialize race within this guard's shard epoch (or the id
-      // turned out to be mastered here): the winner's object is the one
-      // every reference must alias.
-      if (stored != nullptr) {
-        present.emplace(rec.id, stored->obj);
-      } else if (MasterEntry* master = table_.Master(rec.id)) {
-        present.emplace(rec.id, master->obj);
-      }
-      continue;
-    }
-    policy.OnReplicaData(
-        ReplicaView{rec.id, stored->version, stored->policy_state},
-        AsView(rec.policy_data));
-    present.emplace(rec.id, std::move(obj));
-    fresh[i] = true;
-    telemetry_.replicas_created->Inc();
-  }
-
-  if (reply.cluster) {
-    std::lock_guard pins(pins_mutex_);
-    cluster_members_[reply.cluster->provider.pin] = reply.cluster->members;
-  }
-
-  // Pre-resolve swizzle targets outside any shard guard: pass 2 binds refs
-  // under each record's guard, where self-locking lookups are off limits.
-  std::unordered_map<ObjectId, std::shared_ptr<Shareable>, ObjectIdHash> resolved;
-  for (std::size_t i = 0; i < reply.objects.size(); ++i) {
-    if (!fresh[i]) continue;
-    for (const RefEntry& entry : reply.objects[i].refs) {
-      const ObjectId tid = entry.target;
-      if (tid.valid() && !present.contains(tid) && !resolved.contains(tid)) {
-        resolved.emplace(tid, table_.FindLocked(tid));
-      }
-    }
-  }
-  auto lookup = [&](ObjectId tid) -> std::shared_ptr<Shareable> {
-    if (auto it = present.find(tid); it != present.end()) return it->second;
-    if (auto it = resolved.find(tid); it != resolved.end()) return it->second;
-    return nullptr;
+  // What each record becomes here: the object every reference to it must
+  // alias, and whether its state (and so its topology) is applied from the
+  // record. An existing replica touched by a non-refresh get keeps its state
+  // and topology (it may carry local edits).
+  struct Slot {
+    const ClassInfo* ci = nullptr;
+    std::shared_ptr<Shareable> obj;
+    ReplicaEntry* replica = nullptr;  // an existing replica
+    bool fresh = false;
   };
-
-  // Pass 2: swizzle references of fresh records. Existing replicas touched
-  // by a non-refresh get keep their topology (they may carry local edits).
-  for (std::size_t i = 0; i < reply.objects.size(); ++i) {
-    if (!fresh[i]) continue;
-    const ObjectRecord& rec = reply.objects[i];
-    std::shared_ptr<Shareable>& obj = present.at(rec.id);
-    ObjectTable::ShardGuard guard(table_, rec.id);
-    const auto& ref_infos = obj->obiwan_class().refs();
-    for (std::size_t j = 0; j < ref_infos.size(); ++j) {
-      const RefEntry& entry = rec.refs[j];
-      if (!BindRef(ref_infos[j].get(*obj), entry, lookup(entry.target), mode)) {
-        return DataLossError("dangling inline reference in batch");
-      }
+  std::vector<Slot> slots(n);
+  std::vector<ObjectId> ids(n);
+  std::size_t root_index = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const RecordView& rec = records[i];
+    const ClassInfo* ci = i > 0 ? slots[i - 1].ci : nullptr;
+    if (ci == nullptr || ci->name() != rec.class_name) {
+      OBIWAN_ASSIGN_OR_RETURN(ci, ClassRegistry::Instance().Find(rec.class_name));
     }
+    if (ci->refs().size() != rec.ref_count) {
+      return DataLossError("ref schema mismatch for class " +
+                           std::string(rec.class_name));
+    }
+    slots[i].ci = ci;
+    ids[i] = rec.id;
+    if (root_index == n && rec.id == root) root_index = i;
   }
-
-  ObjectId root = want.valid() ? want : via.target;
-  auto it = present.find(root);
-  if (it == present.end()) {
+  if (root_index == n) {
     return DataLossError("replication batch missing requested root");
   }
-  return it->second;
+
+  // Batch members by id, for swizzling.
+  std::vector<std::size_t> by_id(n);
+  for (std::size_t i = 0; i < n; ++i) by_id[i] = i;
+  std::sort(by_id.begin(), by_id.end(),
+            [&](std::size_t a, std::size_t b) { return ids[a] < ids[b]; });
+  auto member = [&](ObjectId id) -> std::size_t {
+    auto it = std::lower_bound(
+        by_id.begin(), by_id.end(), id,
+        [&](std::size_t i, const ObjectId& key) { return ids[i] < key; });
+    return it != by_id.end() && ids[*it] == id ? *it : n;
+  };
+
+  // Targets outside the batch are resolved before the guard: they live in
+  // arbitrary shards, and no shard guard may be taken while one is held.
+  std::vector<std::shared_ptr<Shareable>> outside(batch.refs.size());
+  for (std::size_t k = 0; k < batch.refs.size(); ++k) {
+    const RefView& ref = batch.refs[k];
+    if (!ref.target.valid() || member(ref.target) != n) continue;
+    outside[k] = table_.FindLocked(ref.target);
+    if (outside[k] == nullptr && ref.tag == RefEntry::Tag::kInline) {
+      return DataLossError("dangling inline reference in batch");
+    }
+  }
+
+  ConsistencyPolicy& policy = consistency_policy();
+  {
+    ObjectTable::BatchGuard guard(table_, ids);
+
+    // Map every record to its local object. New instances are decoded here
+    // but stay private until the pass below publishes them, so a record that
+    // fails to decode leaves the table as it was.
+    for (std::size_t i = 0; i < n; ++i) {
+      const RecordView& rec = records[i];
+      Slot& slot = slots[i];
+      auto [master, replica] = table_.Lookup(rec.id);
+      if (master != nullptr) {
+        // Our own object came back around a chain; the master is
+        // authoritative — never overwrite it from a get.
+        slot.obj = master->obj;
+      } else if (replica != nullptr) {
+        slot.obj = replica->obj;
+        slot.replica = replica;
+        // Monotonic apply guard: a late or retried push/refresh from before
+        // our last sync must not regress the replica. (ServePush's early
+        // check is only a filter; this one runs under the shard guard the
+        // decode runs under, so the race is actually closed.)
+        slot.fresh = refresh && rec.version >= replica->version;
+        if (slot.fresh &&
+            replica->obj->obiwan_class().refs().size() != rec.ref_count) {
+          return DataLossError("refresh ref schema mismatch for class " +
+                               std::string(rec.class_name));
+        }
+      } else {
+        slot.obj = slot.ci->NewInstance();
+        wire::Reader fields(rec.fields);
+        OBIWAN_RETURN_IF_ERROR(slot.ci->DecodeFields(*slot.obj, fields));
+        slot.fresh = true;
+      }
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+      const RecordView& rec = records[i];
+      Slot& slot = slots[i];
+      if (ReplicaEntry* e = slot.replica) {
+        if (slot.fresh) {
+          wire::Reader fields(rec.fields);
+          OBIWAN_RETURN_IF_ERROR(
+              e->obj->obiwan_class().DecodeFields(*e->obj, fields));
+          e->version = rec.version;
+          e->stale = false;
+          e->known_master_version = std::max(e->known_master_version, rec.version);
+          e->last_sync = clock_.Now();
+          ++e->sync_count;
+          policy.OnReplicaData(ReplicaView{rec.id, e->version, e->policy_state},
+                               rec.policy_data);
+        }
+        // A per-object channel upgrades a replica that had none (or only the
+        // shared cluster channel) to individually updatable.
+        if (rec.provider.valid() && (!e->provider.valid() || e->in_cluster)) {
+          e->provider = rec.provider.Owned();
+          e->in_cluster = false;
+        }
+        continue;
+      }
+      if (!slot.fresh) continue;  // a master
+
+      ReplicaEntry entry;
+      entry.obj = slot.obj;
+      entry.version = rec.version;
+      entry.known_master_version = rec.version;
+      entry.last_sync = clock_.Now();
+      entry.sync_count = 1;
+      if (rec.provider.valid()) {
+        entry.provider = rec.provider.Owned();
+      } else if (batch.has_cluster) {
+        entry.provider = batch.cluster.Owned();
+        entry.in_cluster = true;
+      }
+      auto [stored, inserted] = table_.EmplaceReplica(rec.id, std::move(entry));
+      if (!inserted) {
+        // The id came twice in this batch: the first copy's object is the
+        // one every reference must alias.
+        slot.obj = stored != nullptr ? stored->obj : table_.Find(rec.id);
+        slot.fresh = false;
+        continue;
+      }
+      policy.OnReplicaData(
+          ReplicaView{rec.id, stored->version, stored->policy_state},
+          rec.policy_data);
+      telemetry_.replicas_created->Inc();
+    }
+
+    // Swizzle references of fresh records.
+    for (std::size_t i = 0; i < n; ++i) {
+      const Slot& slot = slots[i];
+      if (!slot.fresh) continue;
+      const RecordView& rec = records[i];
+      const auto& ref_infos = slot.obj->obiwan_class().refs();
+      for (std::size_t j = 0; j < ref_infos.size(); ++j) {
+        const std::size_t k = rec.first_ref + j;
+        const RefView& ref = batch.refs[k];
+        const std::size_t target = ref.target.valid() ? member(ref.target) : n;
+        if (!BindRef(ref_infos[j].get(*slot.obj), ref,
+                     target < n ? slots[target].obj : outside[k], mode)) {
+          return DataLossError("dangling inline reference in batch");
+        }
+      }
+    }
+  }
+
+  if (batch.has_cluster) {
+    std::lock_guard pins(pins_mutex_);
+    cluster_members_[batch.cluster.pin] = batch.cluster_members;
+  }
+  return slots[root_index].obj;
 }
 
 // ---------------------------------------------------------------------------
@@ -1519,7 +1575,9 @@ Result<PutItem> Site::BuildPutItem(ObjectId id, bool read_only) {
   PutItem item;
   item.id = id;
   item.read_only = read_only;
-  std::vector<RefSnap> snaps;
+  // Fields and refs as they are under the replica's shard guard; the refs
+  // are named after it is released (EnsureId may lock other shards).
+  std::vector<RefBase> snaps;
   {
     ObjectTable::ShardGuard guard(table_, id);
     ReplicaEntry* e = table_.Replica(id);
@@ -1530,22 +1588,26 @@ Result<PutItem> Site::BuildPutItem(ObjectId id, bool read_only) {
     if (read_only) return item;  // validation-only: no state travels
     item.policy_data = consistency_policy().MakePutData(
         ReplicaView{id, e->version, e->policy_state}, clock_);
-    snaps = CaptureLocked(*e->obj, item.fields);
+    const ClassInfo& ci = e->obj->obiwan_class();
+    wire::Writer fields;
+    ci.EncodeFields(*e->obj, fields);
+    item.fields = std::move(fields).Take();
+    for (const RefFieldInfo& rf : ci.refs()) snaps.push_back(rf.get_const(*e->obj));
   }
 
-  // Not ExportRefs: a put names every target by id, since the provider holds
-  // (or can reach) all of them, except an object this site masters — the
-  // replica grew an edge to it, and the provider can only reach it through a
-  // pin pointing back here.
+  // Unlike a get or a push, a put names every target by id, since the
+  // provider holds (or can reach) all of them, except an object this site
+  // masters — the replica grew an edge to it, and the provider can only
+  // reach it through a pin pointing back here.
   item.refs.reserve(snaps.size());
-  for (const RefSnap& snap : snaps) {
-    if (snap.proxy != nullptr) {
-      item.refs.push_back(RefEntry::Inline(snap.proxy->target()));
-    } else if (snap.local == nullptr) {
+  for (const RefBase& snap : snaps) {
+    if (snap.IsProxy()) {
+      item.refs.push_back(RefEntry::Inline(snap.proxy()->target()));
+    } else if (!snap.IsLocal()) {
       item.refs.push_back(RefEntry::Null());
-    } else if (ObjectId tid = EnsureId(snap.local); table_.ContainsMaster(tid)) {
+    } else if (ObjectId tid = EnsureId(snap.local()); table_.ContainsMaster(tid)) {
       item.refs.push_back(RefEntry::Proxy(DescriptorFor(
-          NewProxyIn(tid), tid, snap.local->obiwan_class().name())));
+          NewProxyIn(tid), tid, snap.local()->obiwan_class().name())));
     } else {
       item.refs.push_back(RefEntry::Inline(tid));
     }
@@ -1923,10 +1985,7 @@ Result<Bytes> Site::Handle(rmi::MessageKind kind, const net::Address& from,
     case rmi::MessageKind::kGet: {
       GetRequest req = wire::Decode<GetRequest>(body);
       OBIWAN_RETURN_IF_ERROR(body.status());
-      OBIWAN_ASSIGN_OR_RETURN(GetReply reply, ServeGet(from, req));
-      wire::Writer w;
-      wire::Encode(w, reply);
-      Bytes encoded = std::move(w).Take();
+      OBIWAN_ASSIGN_OR_RETURN(Bytes encoded, ServeGet(from, req));
       telemetry_.replication_bytes_out->Inc(encoded.size());
       return encoded;
     }
@@ -1961,7 +2020,8 @@ Result<Bytes> Site::Handle(rmi::MessageKind kind, const net::Address& from,
     }
     case rmi::MessageKind::kPush: {
       telemetry_.replication_bytes_in->Inc(body.remaining());
-      auto record = wire::Decode<ObjectRecord>(body);
+      BatchView record;
+      ReadRecord(body, record);
       OBIWAN_RETURN_IF_ERROR(body.status());
       OBIWAN_RETURN_IF_ERROR(ServePush(record));
       return Bytes{};

@@ -527,8 +527,8 @@ class Site final : public rmi::Service {
   // holding it.
   ProxyId NewProxyIn(ObjectId target, std::span<const net::Address> users = {});
   ProxyId NewProxyInLocked(ObjectId target, std::span<const net::Address> users);
-  ProxyId NewClusterProxyIn(ObjectId root, std::vector<ObjectId> members,
-                            std::span<const net::Address> users);
+  ProxyId NewClusterProxyInLocked(ObjectId root, std::vector<ObjectId> members,
+                                  std::span<const net::Address> users);
   ProxyDescriptor DescriptorFor(ProxyId pin, ObjectId target,
                                 std::string class_name) const;
 
@@ -539,31 +539,11 @@ class Site final : public rmi::Service {
   Status SendPinRequest(const SiteTelemetry::Op& op, rmi::MessageKind kind,
                         const ProxyDescriptor& descriptor);
 
-  // One reference field as read under its owner's shard guard: the local
-  // target or the unresolved proxy-out (both null for an empty ref).
-  struct RefSnap {
-    std::shared_ptr<Shareable> local;
-    std::shared_ptr<ProxyOut> proxy;
-  };
-  // Encode `obj`'s value fields into `fields` and snapshot its references.
-  // Caller holds `obj`'s shard guard; the snapshot is resolved (ExportRefs,
-  // BuildPutItem) after the guard is released, because resolving assigns
-  // ids and mints pins in other shards and under the pins mutex.
-  std::vector<RefSnap> CaptureLocked(const Shareable& obj, Bytes& fields);
-  // Outbound record refs, the one inline-or-proxy decision for gets and
-  // pushes: a local target in `inline_ids` travels inline, any other local
-  // target as its reused pin with `users` registered on it, and an
-  // unresolved proxy is forwarded so the receiver faults straight to the
-  // original provider (replica chains). No shard guard may be held.
-  std::vector<RefEntry> ExportRefs(
-      const std::vector<RefSnap>& snaps,
-      const std::unordered_set<ObjectId, ObjectIdHash>& inline_ids,
-      std::span<const net::Address> users);
   // Bind one received reference field. `local` is the entry's target if it
   // is present here (else null); an absent proxy target becomes a proxy-out
   // in `mode`. Returns false, leaving `rb` untouched, when an inline entry's
   // target is absent.
-  bool BindRef(RefBase& rb, const RefEntry& entry,
+  bool BindRef(RefBase& rb, const RefView& entry,
                std::shared_ptr<Shareable> local, ReplicationMode mode);
 
   // Uniform provider-side metadata for masters and re-exported replicas.
@@ -571,11 +551,54 @@ class Site final : public rmi::Service {
   // hold the shard guard of `id` (or the world) for as long as it uses them.
   struct MetaRef {
     std::shared_ptr<Shareable> obj;
-    std::uint64_t* version;
-    Bytes* policy_state;
-    std::vector<net::Address>* holders;
+    std::uint64_t* version = nullptr;
+    Bytes* policy_state = nullptr;
+    std::vector<net::Address>* holders = nullptr;
+    MasterEntry* master = nullptr;  // null for a re-exported replica
   };
   Result<MetaRef> FindMeta(ObjectId id);
+
+  // The one record path for gets and pushes. A walk first collects the
+  // batch: each object, and for each of its reference fields the local
+  // target with the id the walk resolved for it (WalkAdd). CaptureBatch
+  // then reads every record under one BatchGuard, mints the batch's pins
+  // under one pins-mutex acquisition, and encodes straight into the
+  // outgoing writer.
+  struct OutboundBatch {
+    struct Node {
+      ObjectId id;
+      std::size_t first_ref = 0;  // this object's entries in `refs`
+      MetaRef meta;               // filled under CaptureBatch's guard
+    };
+    struct RefTarget {
+      std::shared_ptr<Shareable> local;  // null unless the field is local
+      ObjectId id;
+    };
+    std::vector<Node> nodes;
+    std::vector<ObjectId> ids;  // nodes' ids, in order
+    std::unordered_set<ObjectId, ObjectIdHash> members;
+    std::vector<RefTarget> refs;  // every node's fields, back to back
+  };
+  // Append `id` to `batch`: its fields are read under its shard guard, and
+  // ids are assigned to its local targets after the guard is released
+  // (EnsureId may lock other shards). False if `id` is not present here.
+  bool WalkAdd(OutboundBatch& batch, ObjectId id);
+
+  // With `get`, the batch is written as the GetReply to the demander
+  // users[0]: record count, records carrying the policy's get data, and the
+  // cluster channel of a cluster-flavoured mode; the demander becomes a
+  // holder of every object. Without, it is one bare push record, and every
+  // user (recipient) is registered on the pins it mints.
+  //
+  // The inline-or-proxy decision: a local target that is a member of a get's
+  // batch travels inline, any other local target as its reused pin, and an
+  // unresolved proxy is forwarded so the receiver faults straight to the
+  // original provider (replica chains). Pins are minted after the cluster
+  // channel, in record order — each record's boundary pins, then its own
+  // incremental-mode channel — so pin numbers do not depend on the lock
+  // pattern. No shard guard may be held.
+  Status CaptureBatch(OutboundBatch& batch, const GetRequest* get,
+                      std::span<const net::Address> users, wire::Writer& w);
 
   // Refresh a pin's lease on any use.
   void TouchPin(ProxyInEntry& entry);
@@ -609,12 +632,12 @@ class Site final : public rmi::Service {
   // Snapshot restore body; the public wrapper clears all tables on failure.
   Status LoadSnapshotLocked(BytesView snapshot);
 
-  // Serialize the current master/replica state of `id` for a push: every
-  // resolved reference travels as a proxy descriptor so any holder can
+  // Write the current master/replica state of `id` for a push into `body`:
+  // every resolved reference travels as a proxy descriptor so any holder can
   // swizzle or fault it. Built once per fanout; `recipients` are registered
   // as users of every boundary pin the record references.
-  Result<ObjectRecord> BuildPushRecord(ObjectId id,
-                                       std::span<const net::Address> recipients);
+  Status BuildPushRecord(ObjectId id, std::span<const net::Address> recipients,
+                         wire::Writer& body);
 
   // Serialize replica `id` for a put. Read-only items carry only the base
   // version (for commit-time validation).
@@ -685,22 +708,25 @@ class Site final : public rmi::Service {
   // Self-locking (pins mutex, then shard-by-shard holder index).
   bool HolderAnywhere(const net::Address& addr) const;
 
-  // Provider side.
-  Result<GetReply> ServeGet(const net::Address& from, const GetRequest& req);
+  // Provider side. ServeGet returns the encoded GetReply.
+  Result<Bytes> ServeGet(const net::Address& from, const GetRequest& req);
   Result<PutReply> ServePut(const net::Address& from, const PutRequest& req);
   Status ServeInvalidate(const InvalidateRequest& req);
   Result<Bytes> ServeCall(const rmi::CallRequest& call);
   Status ServeRelease(const net::Address& from, ProxyId pin);
   Status ServeRenew(ProxyId pin);
-  Status ServePush(const ObjectRecord& record);
+  Status ServePush(const BatchView& record);
 
-  // Demander side.
-  Result<std::shared_ptr<Shareable>> Materialize(const ProxyDescriptor& via,
-                                                 const GetReply& reply,
+  // Demander side: install a parsed get reply (or a pushed record, with
+  // `refresh`) and return the local object for `root`, materializing and
+  // swizzling the batch under one BatchGuard. What can be checked without
+  // the table (classes, ref schemas, the root, dangling inline refs) is
+  // checked first, and new instances decode before any is published, so a
+  // reply that fails either leaves the table untouched. A refreshed record
+  // decodes into its live replica.
+  Result<std::shared_ptr<Shareable>> Materialize(const BatchView& batch,
                                                  ReplicationMode mode,
-                                                 bool refresh, ObjectId want);
-
-  std::shared_ptr<Shareable> FindLocalUnlocked(ObjectId id) const;
+                                                 bool refresh, ObjectId root);
 
   // Ship the listed replicas to one provider; the bool marks read-only
   // (validation-only) items.
@@ -759,6 +785,9 @@ class Site final : public rmi::Service {
 
   std::atomic<std::uint64_t> next_object_{1};
   std::uint64_t next_pin_ = 1;  // under pins_mutex_
+  // Encoded bytes per record of the last outbound batch: sizes the next
+  // batch's writer so it does not grow while encoding.
+  std::atomic<std::size_t> record_bytes_hint_{0};
   Nanos created_at_ = 0;  // clock_ reading at construction, for the uptime gauge
   Nanos proxy_export_cost_ = 0;
   Nanos proxy_lease_ = 0;

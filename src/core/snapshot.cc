@@ -284,7 +284,7 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
 
   // Second pass: swizzle.
   for (const PendingRef& p : pending) {
-    if (!BindRef(*p.ref, p.entry, table_.Find(p.entry.target),
+    if (!BindRef(*p.ref, ViewOf(p.entry), table_.Find(p.entry.target),
                  ReplicationMode::Incremental())) {
       return DataLossError("snapshot refers to missing object " +
                            ToString(p.entry.target));

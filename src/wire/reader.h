@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -78,6 +79,13 @@ class Reader {
     BytesView v = data_.subspan(pos_, n);
     pos_ += n;
     return v;
+  }
+
+  // A length-prefixed string as a view into the payload; valid while the
+  // source buffer is.
+  std::string_view StringView() {
+    BytesView v = BlobView();
+    return {reinterpret_cast<const char*>(v.data()), v.size()};
   }
 
   std::size_t remaining() const { return failed_ ? 0 : data_.size() - pos_; }

@@ -63,11 +63,50 @@ class Writer {
   // Raw bytes, no length prefix (caller manages framing).
   void Raw(BytesView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
 
+  // A length-prefixed blob whose body is written in place, straight into
+  // this buffer: BeginBlob reserves the prefix of a body of about `expected`
+  // bytes, the caller appends the body, and EndBlob fills the prefix in. The
+  // body moves only when its length needs a prefix of another size. The
+  // bytes are the same as Blob()'s.
+  struct BlobMark {
+    std::size_t at;      // offset of the prefix
+    std::size_t prefix;  // bytes reserved for it
+  };
+  BlobMark BeginBlob(std::size_t expected = 0) {
+    BlobMark mark{buf_.size(), VarintSize(expected)};
+    buf_.resize(buf_.size() + mark.prefix);
+    return mark;
+  }
+  // Returns the body's length.
+  std::size_t EndBlob(BlobMark mark) {
+    const auto body = static_cast<std::ptrdiff_t>(mark.at + mark.prefix);
+    const std::size_t n = buf_.size() - static_cast<std::size_t>(body);
+    const std::size_t prefix = VarintSize(n);
+    if (prefix > mark.prefix) {
+      buf_.insert(buf_.begin() + body, prefix - mark.prefix, 0);
+    } else if (prefix < mark.prefix) {
+      buf_.erase(buf_.begin() + body - static_cast<std::ptrdiff_t>(mark.prefix - prefix),
+                 buf_.begin() + body);
+    }
+    std::uint64_t v = n;
+    for (std::size_t i = 0; i + 1 < prefix; ++i, v >>= 7) {
+      buf_[mark.at + i] = static_cast<std::uint8_t>(v) | 0x80;
+    }
+    buf_[mark.at + prefix - 1] = static_cast<std::uint8_t>(v);
+    return n;
+  }
+
   std::size_t size() const { return buf_.size(); }
   const Bytes& data() const& { return buf_; }
   Bytes Take() && { return std::move(buf_); }
 
  private:
+  static std::size_t VarintSize(std::uint64_t v) {
+    std::size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
+
   template <typename T>
   void AppendLE(T v) {
     static_assert(std::is_unsigned_v<T>);

@@ -352,8 +352,9 @@ TEST(ObjectTableSnapshot, Obi2RoundTripRebuildsPtrIdentityAndHolders) {
 // takes the same bounded number of site.shard acquisitions, across both
 // sites, whether 32 or 1952 replicas are resident. A single sweep of the
 // 64 shards on any protocol step of either site would break the bound. The
-// site mutex is taken once per served object (the holder-health reset) and
-// for nothing else, so at most 16 times.
+// leaf locks are taken once per batch, not once per object: the site mutex
+// for the holder-health reset, and the pins mutex for the pin check and for
+// minting every boundary and per-object pin.
 TEST(ObjectTableCost, FaultShardLocksScaleWithTheBatchNotTheTable) {
   net::LoopbackNetwork network;
   core::Site provider(1, network.CreateEndpoint("p"));
@@ -381,12 +382,15 @@ TEST(ObjectTableCost, FaultShardLocksScaleWithTheBatchNotTheTable) {
     const std::size_t resident = demander.replica_count();
     const std::uint64_t shard_before = acquisitions("site.shard");
     const std::uint64_t site_before = acquisitions("site");
+    const std::uint64_t pins_before = acquisitions("site.pins");
     ASSERT_TRUE(cursor->Demand().ok());
     const std::uint64_t shard_cost = acquisitions("site.shard") - shard_before;
     const std::uint64_t site_cost = acquisitions("site") - site_before;
+    const std::uint64_t pins_cost = acquisitions("site.pins") - pins_before;
     if (resident == 32 || resident == 1952) {
       EXPECT_LT(shard_cost, 128u) << resident << " replicas resident";
-      EXPECT_LE(site_cost, 16u) << resident << " replicas resident";
+      EXPECT_LE(site_cost, 1u) << resident << " replicas resident";
+      EXPECT_LE(pins_cost, 2u) << resident << " replicas resident";
       ++measured;
     }
   }
@@ -532,6 +536,74 @@ TEST(ObjectTableTcpSoak, PolicySwapRacesGetsAndPuts) {
   // Neither policy rejects a put, so every round trip went through.
   EXPECT_EQ(synced, 24);
   EXPECT_EQ((*ref)->value, 23);
+  demander.Stop();
+  provider.Stop();
+}
+
+// Two threads of one demander fault the same chain at once, each through its
+// own Lookup, so their batches overlap and race to install the same masters.
+// The identity map must keep one replica per master: both walks see the same
+// object at every node. Neither thread patches a shared Ref (that would be an
+// unsynchronized write to a replica both walk); each reads the next link under
+// the object's shard lock and faults through the proxy itself. No world
+// guard is taken, so TSan runs this without the deadlock detector's 64-lock
+// limit getting in the way.
+TEST(ObjectTableTcpSoak, ConcurrentFaultsKeepOneReplicaPerMaster) {
+  constexpr int kNodes = 256;
+  auto provider_transport = net::TcpTransport::Create(0);
+  ASSERT_TRUE(provider_transport.ok());
+  core::Site provider(1, std::move(*provider_transport));
+  ASSERT_TRUE(provider.Start().ok());
+  provider.HostRegistry();
+  ASSERT_TRUE(provider.Bind("chain", test::MakeChain(kNodes, 64, "n")).ok());
+
+  auto demander_transport = net::TcpTransport::Create(0);
+  ASSERT_TRUE(demander_transport.ok());
+  core::Site demander(2, std::move(*demander_transport));
+  ASSERT_TRUE(demander.Start().ok());
+  demander.UseRegistry(provider.address());
+
+  auto walk = [&](std::vector<const core::Shareable*>& seen) -> Status {
+    OBIWAN_ASSIGN_OR_RETURN(auto remote, demander.Lookup<Node>("chain"));
+    OBIWAN_ASSIGN_OR_RETURN(auto root,
+                            remote.Replicate(ReplicationMode::Incremental(16)));
+    std::shared_ptr<core::Shareable> obj = root.local();
+    while (obj != nullptr) {
+      seen.push_back(obj.get());
+      core::Ref<Node> handle(std::static_pointer_cast<Node>(obj));
+      std::shared_ptr<core::Shareable> local;
+      std::shared_ptr<core::ProxyOut> proxy;
+      demander.WithObjectLock(handle, [&] {
+        const core::Ref<Node>& next = static_cast<Node&>(*obj).next;
+        local = next.local();
+        proxy = next.proxy();
+      });
+      if (local == nullptr && proxy != nullptr) {
+        OBIWAN_ASSIGN_OR_RETURN(local, proxy->Demand());
+      }
+      obj = std::move(local);
+    }
+    return Status::Ok();
+  };
+
+  std::vector<const core::Shareable*> seen_a;
+  std::vector<const core::Shareable*> seen_b;
+  Status status_a;
+  Status status_b;
+  std::thread a([&] { status_a = walk(seen_a); });
+  std::thread b([&] { status_b = walk(seen_b); });
+  a.join();
+  b.join();
+
+  ASSERT_TRUE(status_a.ok()) << status_a;
+  ASSERT_TRUE(status_b.ok()) << status_b;
+  ASSERT_EQ(seen_a.size(), static_cast<std::size_t>(kNodes));
+  ASSERT_EQ(seen_b.size(), static_cast<std::size_t>(kNodes));
+  for (int i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(seen_a[i], seen_b[i]) << "node " << i;
+  }
+  EXPECT_EQ(demander.replica_count(), static_cast<std::size_t>(kNodes));
+
   demander.Stop();
   provider.Stop();
 }

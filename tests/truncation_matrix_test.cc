@@ -3,6 +3,10 @@
 // rejected cleanly (or, for a prefix that happens to decode — possible since
 // trailing bytes are not always load-bearing — handled without corruption),
 // and the site remains fully functional afterwards.
+//
+// The demander half: every strict prefix, and a few structurally corrupted
+// copies, of a recorded get reply is refused before the demander's table is
+// touched.
 #include <gtest/gtest.h>
 
 #include "obiwan.h"
@@ -158,6 +162,111 @@ TEST(TruncationMatrix, EveryPrefixOfEveryMessageKind) {
   EXPECT_TRUE(peer.Ping("victim").ok());
   auto again = peer.Lookup<Node>("list");
   EXPECT_TRUE(again.ok());
+}
+
+// Provider stand-in for the demander test: every request gets `reply`.
+class CannedTransport final : public net::Transport {
+ public:
+  using Transport::Request;
+
+  Result<Bytes> Request(const net::Address&, BytesView,
+                        const net::CallOptions&) override {
+    return reply;
+  }
+  Status Serve(net::MessageHandler*) override { return Status::Ok(); }
+  void StopServing() override {}
+  net::Address LocalAddress() const override { return "demander"; }
+
+  Bytes reply;
+};
+
+TEST(TruncationMatrix, DemanderRefusesEveryPrefixOfAGetReply) {
+  // Record a real Incremental(4) reply: four chained nodes, the last one's
+  // next a boundary proxy, each record with its per-object channel.
+  net::LoopbackNetwork network;
+  core::Site provider(1, network.CreateEndpoint("provider"));
+  ASSERT_TRUE(provider.Start().ok());
+  provider.HostRegistry();
+  auto head = test::MakeChain(6, 16, "n");
+  ASSERT_TRUE(provider.Bind("list", head).ok());
+  auto registry = network.CreateEndpoint("recorder");
+  rmi::RegistryClient names(*registry, "provider");
+  auto bound = names.Lookup("list");
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  wire::Writer get;
+  wire::Encode(get, core::GetRequest{bound->pin, bound->id,
+                                     ReplicationMode::Incremental(4), false});
+  auto recorded = registry->Request(
+      "provider", AsView(rmi::WrapRequest(rmi::MessageKind::kGet, get, {}, -1,
+                                          "demander")));
+  ASSERT_TRUE(recorded.ok()) << recorded.status();
+  const Bytes reply = *recorded;
+
+  // Byte offsets of the structure the corrupted copies aim at.
+  std::size_t last_class = 0;
+  std::size_t last_fields = 0;
+  std::size_t last_refs = 0;
+  {
+    wire::Reader r(AsView(reply));
+    auto at = [&] { return reply.size() - r.remaining(); };
+    ASSERT_EQ(r.Varint(), 4u);
+    for (int i = 0; i < 4; ++i) {
+      (void)wire::Decode<ObjectId>(r);
+      last_class = at();
+      (void)r.String();
+      (void)r.Varint();
+      (void)r.Blob();
+      last_fields = at();
+      (void)r.Blob();
+      last_refs = at();
+      (void)wire::Decode<std::vector<core::RefEntry>>(r);
+      if (r.Bool()) (void)wire::Decode<core::ProxyDescriptor>(r);
+    }
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(at() + 1, reply.size());  // the cluster flag is the last byte
+  }
+  auto flipped = [&](std::size_t offset, std::uint8_t value) {
+    Bytes copy = reply;
+    copy[offset] = value;
+    return copy;
+  };
+  std::vector<Bytes> corrupt = {
+      flipped(0, 0x7f),                     // more records than bytes
+      flipped(last_class + 1, 'X'),         // unknown class in the last record
+      flipped(last_fields, 0x01),           // last record's fields cut short
+      flipped(last_fields + 1, 0x7f),       // its label overruns its fields
+      flipped(last_refs, 0x02),             // two refs on a one-ref class
+      flipped(last_refs + 1, 0x07),         // unknown ref tag
+      flipped(reply.size() - 1, 0x01),      // cluster info that is not there
+  };
+  for (std::size_t cut = 0; cut < reply.size(); ++cut) {
+    corrupt.emplace_back(reply.begin(),
+                         reply.begin() + static_cast<std::ptrdiff_t>(cut));
+  }
+
+  auto canned = std::make_unique<CannedTransport>();
+  CannedTransport& stub = *canned;
+  core::Site demander(2, std::move(canned));
+  const core::ProxyDescriptor via{bound->pin, "provider", bound->id, "Node"};
+  for (std::size_t i = 0; i < corrupt.size(); ++i) {
+    stub.reply = corrupt[i];
+    auto fault = demander.DemandThrough(via, bound->id,
+                                        ReplicationMode::Incremental(4),
+                                        /*refresh=*/false);
+    EXPECT_FALSE(fault.ok()) << "corrupted reply #" << i << " was accepted";
+    EXPECT_EQ(demander.replica_count(), 0u) << "corrupted reply #" << i;
+  }
+  EXPECT_TRUE(demander.CheckTableConsistency());
+
+  // The intact reply still materializes afterwards.
+  stub.reply = reply;
+  auto fault = demander.DemandThrough(via, bound->id,
+                                      ReplicationMode::Incremental(4),
+                                      /*refresh=*/false);
+  ASSERT_TRUE(fault.ok()) << fault.status();
+  EXPECT_EQ(demander.replica_count(), 4u);
+  EXPECT_TRUE(demander.CheckTableConsistency());
+  EXPECT_EQ(static_cast<Node&>(**fault).label, "n0");
 }
 
 }  // namespace

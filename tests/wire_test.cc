@@ -145,6 +145,43 @@ TEST(Reader, BlobViewDoesNotCopy) {
   EXPECT_EQ(v.data(), w.data().data() + 1);  // points into the source buffer
 }
 
+TEST(Reader, StringViewPointsIntoTheBuffer) {
+  Writer w;
+  w.String("node");
+  Reader r(AsView(w.data()));
+  std::string_view v = r.StringView();
+  EXPECT_EQ(v, "node");
+  EXPECT_EQ(static_cast<const void*>(v.data()),
+            static_cast<const void*>(w.data().data() + 1));
+  Reader cut(AsView(w.data()).first(3));
+  EXPECT_TRUE(cut.StringView().empty());
+  EXPECT_FALSE(cut.ok());
+}
+
+// A blob written in place has Blob()'s bytes whatever length was expected,
+// across the one-, two- and three-byte prefix boundaries.
+TEST(Writer, BlobInPlaceMatchesBlob) {
+  for (std::size_t n : {0u, 1u, 127u, 128u, 1000u, 16383u, 16384u, 20000u}) {
+    for (std::size_t expected : {0u, 127u, 128u, 16384u, 1u << 21}) {
+      Bytes body(n);
+      for (std::size_t i = 0; i < n; ++i) body[i] = static_cast<std::uint8_t>(i);
+      Writer want;
+      want.U8(0xEE);
+      want.Blob(AsView(body));
+      want.U8(0xFF);
+
+      Writer got;
+      got.U8(0xEE);
+      const Writer::BlobMark mark = got.BeginBlob(expected);
+      got.Raw(AsView(body));
+      EXPECT_EQ(got.EndBlob(mark), n);
+      got.U8(0xFF);
+      EXPECT_EQ(got.data(), want.data()) << n << " bytes, " << expected
+                                         << " expected";
+    }
+  }
+}
+
 // --- Codec coverage ---------------------------------------------------------
 
 template <typename T>
