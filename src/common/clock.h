@@ -23,13 +23,6 @@ class Clock {
   virtual Nanos Now() const = 0;
   // Advance time by `d` (virtual clocks) or block for `d` (real clocks).
   virtual void Sleep(Nanos d) = 0;
-  // Deterministic-concurrency hooks. A jumpable clock can be set to an
-  // absolute instant, which lets a simulation model N concurrent activities
-  // on one thread: run each activity sequentially from the same start time
-  // and finish at the max, not the sum (see core/fanout.h). Real clocks are
-  // not jumpable; callers fall back to actual threads.
-  virtual bool Jumpable() const { return false; }
-  virtual void JumpTo(Nanos) {}
 };
 
 class SystemClock final : public Clock {
@@ -57,8 +50,9 @@ class VirtualClock final : public Clock {
   void Sleep(Nanos d) override {
     if (d > 0) now_ += d;
   }
-  bool Jumpable() const override { return true; }
-  void JumpTo(Nanos t) override { now_ = t; }
+  // Sets the time, also backwards: SimNetwork runs overlapping exchanges
+  // one at a time, each from its own start instant.
+  void Set(Nanos t) { now_ = t; }
   void Reset() { now_ = 0; }
 
  private:

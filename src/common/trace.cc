@@ -117,12 +117,13 @@ std::string Tracer::Dump() const {
 
 SpanScope::SpanScope(const TraceSinks* sinks, Clock& clock, SiteId site,
                      std::string_view category, std::string_view name,
-                     TraceId trace) {
+                     TraceId trace, std::optional<std::uint64_t> parent) {
   if (sinks == nullptr || !sinks->active()) return;  // inactive: a no-op
   sinks_ = sinks;
   clock_ = &clock;
+  installed_ = !parent.has_value();
   span_.id = SpanContext::NextId();
-  span_.parent = SpanContext::Exchange(span_.id);
+  span_.parent = parent ? *parent : SpanContext::Exchange(span_.id);
   span_.trace = trace;
   span_.site = site;
   span_.begin = clock.Now();
@@ -132,9 +133,10 @@ SpanScope::SpanScope(const TraceSinks* sinks, Clock& clock, SiteId site,
 
 SpanScope::~SpanScope() {
   if (sinks_ == nullptr) return;
-  SpanContext::Exchange(span_.parent);
+  if (installed_) SpanContext::Exchange(span_.parent);
   span_.end = clock_->Now();
   sinks_->RecordSpan(span_);
 }
+
 
 }  // namespace obiwan

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,20 +102,6 @@ class SpanContext {
  public:
   static std::uint64_t Current();  // 0 when no span is open on this thread
   static std::uint64_t NextId();   // process-unique, never 0
-
-  // Installs `id` as this thread's innermost open span and restores the
-  // previous one on destruction. Work handed to another thread runs under
-  // this and TraceContext::Scope so its spans keep their parent and flow.
-  class Scope {
-   public:
-    explicit Scope(std::uint64_t id) : previous_(Exchange(id)) {}
-    ~Scope() { Exchange(previous_); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    std::uint64_t previous_;
-  };
 
  private:
   friend class SpanScope;
@@ -200,11 +187,15 @@ class TraceSinks {
 // destruction. Maintains the thread's parent chain via SpanContext. A null or
 // inactive sinks makes the scope a no-op — no id is allocated and the parent
 // chain is left untouched, so children attach to the enclosing span.
+//
+// Given a `parent`, the span records under it and does not become the
+// thread's innermost span: for spans that overlap on one thread instead of
+// nesting (the exchanges of one Transport::RequestAll), and their children.
 class SpanScope {
  public:
   SpanScope(const TraceSinks* sinks, Clock& clock, SiteId site,
             std::string_view category, std::string_view name,
-            TraceId trace);
+            TraceId trace, std::optional<std::uint64_t> parent = std::nullopt);
   ~SpanScope();
 
   SpanScope(const SpanScope&) = delete;
@@ -216,6 +207,7 @@ class SpanScope {
  private:
   const TraceSinks* sinks_ = nullptr;  // null when inactive
   Clock* clock_ = nullptr;
+  bool installed_ = false;
   Span span_;
 };
 

@@ -10,7 +10,7 @@
 //   provider side (all on the provider's clock)
 //     OnPutCommit      the master version was bumped; the journey exists
 //     OnNotifyEnqueue  a notification to one holder entered the fanout batch
-//     OnWireSend       that notification's RPC left through the fanout pool
+//     OnWireSend       the transport sent that notification (RequestAll hook)
 //     OnAckReturn      the holder's reply (or failure) came back
 //   holder side (on the holder's clock)
 //     OnHolderReceive  the invalidation/push arrived
@@ -21,10 +21,10 @@
 // tracker — obs::JourneyTracker — folds completed journeys into
 // time-to-first-replica / time-to-all-holders metrics and burn-rate alerts.
 //
-// Threading: stamps run on protocol threads (fanout workers, transport
-// dispatch), sometimes under an object-table shard guard. Implementations
-// must be internally synchronized with leaf locks only and must never call
-// back into Site operations.
+// Threading: stamps run on protocol threads (concurrent puts' fanouts,
+// transport dispatch), sometimes under an object-table shard guard.
+// Implementations must be internally synchronized with leaf locks only and
+// must never call back into Site operations.
 #pragma once
 
 #include <cstdint>

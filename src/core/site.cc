@@ -184,8 +184,7 @@ Site::Site(SiteId id, std::unique_ptr<net::Transport> transport, Clock& clock)
     : id_(id),
       transport_(std::move(transport)),
       clock_(clock),
-      telemetry_(id, MetricsRegistry::Default()),
-      fanout_(clock) {
+      telemetry_(id, MetricsRegistry::Default()) {
   created_at_ = clock_.Now();
   SetConsistencyPolicy(std::make_unique<NoConsistency>());
   sinks_.SetFlight(&flight_);
@@ -269,23 +268,36 @@ Nanos Site::DeadlineBudget() const {
   return deadline > 0 ? deadline : -1;
 }
 
+Site::OutboundRpc::OutboundRpc(Site& site, const SiteTelemetry::Op& op,
+                               const net::Address& to, bool overlapping)
+    : site_(site),
+      op_(op),
+      to_(to),
+      span_(&site.sinks_, site.clock_, site.id_, "rpc",
+            std::string(op.name) + " " + to, TraceContext::Current(),
+            overlapping ? std::optional(SpanContext::Current()) : std::nullopt),
+      start_(site.clock_.Now()) {}
+
+void Site::OutboundRpc::Finish(const Status& status) {
+  op_.latency->Observe(site_.clock_.Now() - start_);
+  if (status.ok()) return;
+  op_.errors->Inc();
+  span_.MarkFailed();
+  // An instant under the rpc span, which the thread may not have open.
+  SpanScope(&site_.sinks_, site_.clock_, site_.id_, "error",
+            std::string(op_.name) + " to " + to_ + ": " + status.ToString(),
+            TraceContext::Current(), span_.id());
+  // A Status error escaping the site is the flight recorder's cue: if a
+  // dump is armed, this writes the black boxes of every site.
+  FlightRecorder::Global().NotifyFailure(status.message());
+}
+
 Result<Bytes> Site::TimedRequest(const SiteTelemetry::Op& op,
                                  const net::Address& to, BytesView frame) {
-  SpanScope span(&sinks_, clock_, id_, "rpc", std::string(op.name) + " " + to,
-                 TraceContext::Current());
-  const Nanos start = clock_.Now();
+  OutboundRpc rpc(*this, op, to);
   Result<Bytes> reply =
       transport_->Request(to, frame, net::CallOptions{request_deadline_});
-  op.latency->Observe(clock_.Now() - start);
-  if (!reply.ok()) {
-    op.errors->Inc();
-    span.MarkFailed();
-    Trace("error", std::string(op.name) + " to " + to + ": " +
-                       reply.status().ToString());
-    // A Status error escaping the site is the flight recorder's cue: if a
-    // dump is armed, this writes the black boxes of every site.
-    FlightRecorder::Global().NotifyFailure(reply.status().message());
-  }
+  rpc.Finish(reply.status());
   return reply;
 }
 
@@ -948,7 +960,9 @@ Status Site::MarkMasterUpdated(ObjectId id) {
 // Update fanout & holder lifecycle
 // ---------------------------------------------------------------------------
 
-void Site::SetNotifyFanout(std::size_t width) { fanout_.set_width(width); }
+void Site::SetNotifyFanout(std::size_t width) {
+  notify_width_.store(width == 0 ? 1 : width, std::memory_order_relaxed);
+}
 
 void Site::SetHolderFailureThreshold(std::uint32_t threshold) {
   std::lock_guard lock(mutex_);
@@ -962,28 +976,39 @@ void Site::SetNotifyRetryPolicy(NotifyRetryPolicy policy) {
 
 void Site::DispatchNotifications(std::vector<OutboundNotify> batch) {
   if (batch.empty()) return;
-  std::vector<FanoutPool::Task> tasks;
-  tasks.reserve(batch.size());
+  std::vector<net::Exchange> exchanges;
+  exchanges.reserve(batch.size());
   for (const OutboundNotify& note : batch) {
-    tasks.push_back([this, &note] {
-      // Wire-send and ack-return stamps bracket the notify round trip
-      // inside the fanout task, so each recipient's hop times are its own
-      // even under the jumpable virtual clock (RunAll finishes at the max).
-      JourneySink* journey = journey_sink();
-      if (journey != nullptr) {
-        journey->OnWireSend(note.id, note.version, note.addr, clock_.Now());
-      }
-      Status status =
-          TimedRequest(telemetry_.op_notify, note.addr, AsView(*note.frame))
-              .status();
-      if (journey != nullptr) {
-        journey->OnAckReturn(note.id, note.version, note.addr, clock_.Now(),
-                             status.ok());
-      }
-      return status;
-    });
+    exchanges.push_back({note.addr, AsView(*note.frame)});
   }
-  std::vector<Status> statuses = fanout_.RunAll(std::move(tasks));
+  // The exchanges overlap, so each one's bookkeeping runs in the transport's
+  // hooks: its wire-send and ack-return stamps, rpc span and latency are its
+  // own send and reply instants.
+  JourneySink* journey = journey_sink();
+  std::vector<std::optional<OutboundRpc>> rpcs(batch.size());
+  const net::ExchangeHooks hooks{
+      [&](std::size_t i) {
+        const OutboundNotify& note = batch[i];
+        notify_inflight_.fetch_add(1, std::memory_order_relaxed);
+        if (journey != nullptr) {
+          journey->OnWireSend(note.id, note.version, note.addr, clock_.Now());
+        }
+        rpcs[i].emplace(*this, telemetry_.op_notify, note.addr,
+                        /*overlapping=*/true);
+      },
+      [&](std::size_t i, const Result<Bytes>& reply) {
+        const OutboundNotify& note = batch[i];
+        rpcs[i]->Finish(reply.status());
+        rpcs[i].reset();
+        if (journey != nullptr) {
+          journey->OnAckReturn(note.id, note.version, note.addr, clock_.Now(),
+                               reply.ok());
+        }
+        notify_inflight_.fetch_sub(1, std::memory_order_relaxed);
+      }};
+  const std::vector<Result<Bytes>> replies = transport_->RequestAll(
+      exchanges, notify_width_.load(std::memory_order_relaxed),
+      net::CallOptions{request_deadline_}, hooks);
 
   // Holders that crossed the failure threshold are dropped *after* the site
   // mutex is released: DropHolder takes the table's world guard, and shard
@@ -993,7 +1018,7 @@ void Site::DispatchNotifications(std::vector<OutboundNotify> batch) {
     std::lock_guard lock(mutex_);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       OutboundNotify& note = batch[i];
-      if (statuses[i].ok()) {
+      if (replies[i].ok()) {
         telemetry_.invalidations_sent->Inc();
         // Symmetric with the receiver's Handle(kPush), which counts the wire
         // body: payload bytes, not the envelope.
@@ -1004,7 +1029,7 @@ void Site::DispatchNotifications(std::vector<OutboundNotify> batch) {
         }
       } else {
         OBIWAN_LOG(kDebug) << "notification to " << note.addr
-                           << " failed: " << statuses[i];
+                           << " failed: " << replies[i].status();
         net::Address addr = note.addr;
         if (HandleNotifyFailureLocked(std::move(note))) {
           drops.push_back(std::move(addr));

@@ -45,7 +45,6 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "core/consistency.h"
-#include "core/fanout.h"
 #include "core/inspect.h"
 #include "core/messages.h"
 #include "core/mode.h"
@@ -199,10 +198,12 @@ class Site final : public rmi::Service {
   Status MarkMasterUpdated(ObjectId id);
 
   // --- update fanout & holder lifecycle ---------------------------------------
-  // After-put notifications (invalidations or pushes) go out through a
-  // bounded parallel pool (core/fanout.h), so one unreachable holder costs
-  // the batch a single notification deadline instead of stalling every
-  // other holder behind it.
+  // After-put notifications (invalidations or pushes) go out as one
+  // Transport::RequestAll with at most `width` exchanges outstanding
+  // (default 8, 0 counts as 1), so one unreachable holder costs the batch a
+  // single notification deadline instead of stalling every other holder
+  // behind it. The bound holds per fanout; concurrent puts fan out side by
+  // side.
   void SetNotifyFanout(std::size_t width);
 
   // A holder that fails `threshold` consecutive notifications is dropped
@@ -488,9 +489,11 @@ class Site final : public rmi::Service {
     return table_.CheckConsistency();
   }
 
-  // Holder notifications executing right now across all fanout batches
+  // Holder notifications sent and not yet answered, across all fanouts
   // (queue-depth sampling; see obs/profiler.h).
-  std::size_t notify_inflight() const { return fanout_.in_flight(); }
+  std::size_t notify_inflight() const {
+    return notify_inflight_.load(std::memory_order_relaxed);
+  }
 
   // Local object (master or replica) by id, if present.
   Result<std::shared_ptr<Shareable>> FindLocal(ObjectId id) const;
@@ -611,8 +614,25 @@ class Site final : public rmi::Service {
                   TraceContext::Current());
   }
 
-  // Single choke point for outbound RPCs: times the round trip into `op`'s
-  // latency histogram on the site clock and counts failures. `frame` must
+  // One outbound RPC's bookkeeping from send to reply: its `rpc` span, its
+  // round trip in `op`'s latency histogram and, on failure, the error count,
+  // an `error` instant under the span and the flight recorder's cue.
+  // `overlapping` RPCs (one RequestAll's) never become the innermost span.
+  class OutboundRpc {
+   public:
+    OutboundRpc(Site& site, const SiteTelemetry::Op& op, const net::Address& to,
+                bool overlapping = false);
+    void Finish(const Status& status);
+
+   private:
+    Site& site_;
+    const SiteTelemetry::Op& op_;
+    const net::Address& to_;
+    SpanScope span_;
+    Nanos start_;
+  };
+
+  // One RPC through Transport::Request under an OutboundRpc. `frame` must
   // already carry the current trace id (WrapRequest).
   Result<Bytes> TimedRequest(const SiteTelemetry::Op& op, const net::Address& to,
                              BytesView frame);
@@ -681,7 +701,7 @@ class Site final : public rmi::Service {
     std::uint32_t consecutive_failures = 0;
   };
 
-  // Send a batch through the fanout pool, then apply the outcome under the
+  // Send a batch as one RequestAll, then apply the outcome under the
   // site mutex: successes reset holder health and count bytes/invalidations;
   // failures advance health toward the drop threshold or queue a retry.
   // Holders that crossed the threshold are dropped after the mutex is
@@ -794,7 +814,8 @@ class Site final : public rmi::Service {
   Nanos request_deadline_ = 0;  // 0 = transport default
 
   SiteTelemetry telemetry_;
-  FanoutPool fanout_;
+  std::atomic<std::size_t> notify_width_{8};     // SetNotifyFanout
+  std::atomic<std::size_t> notify_inflight_{0};  // sent, not yet answered
   // Always-on flight-recorder ring (last N spans of this site) plus
   // the optional attached tracer, fanned out through sinks_.
   Tracer flight_{kFlightRecorderCapacity};

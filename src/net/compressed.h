@@ -23,9 +23,31 @@ class CompressedTransport final : public Transport, private MessageHandler {
 
   Result<Bytes> Request(const Address& to, BytesView request,
                         const CallOptions& options) override {
-    OBIWAN_ASSIGN_OR_RETURN(Bytes reply,
-                            inner_->Request(to, Pack(request), options));
-    return Unpack(AsView(reply));
+    const Exchange exchange{to, request};
+    return std::move(RequestAll({&exchange, 1}, 1, options, {}).front());
+  }
+
+  // Packs every request, forwards the batch and unpacks each reply before
+  // `hooks.done` sees it.
+  std::vector<Result<Bytes>> RequestAll(std::span<const Exchange> exchanges,
+                                        std::size_t width,
+                                        const CallOptions& options,
+                                        const ExchangeHooks& hooks) override {
+    std::vector<Bytes> packed;
+    packed.reserve(exchanges.size());  // `batch` views into it
+    std::vector<Exchange> batch;
+    for (const Exchange& exchange : exchanges) {
+      packed.push_back(Pack(exchange.request));
+      batch.push_back({exchange.to, AsView(packed.back())});
+    }
+    std::vector<Result<Bytes>> replies(exchanges.size(), Bytes{});
+    inner_->RequestAll(
+        batch, width, options,
+        {hooks.sent, [&](std::size_t i, const Result<Bytes>& reply) {
+           replies[i] = reply.ok() ? Unpack(AsView(*reply)) : reply;
+           hooks.done(i, replies[i]);
+         }});
+    return replies;
   }
 
   Status Serve(MessageHandler* handler) override {

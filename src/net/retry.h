@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "common/clock.h"
 #include "net/transport.h"
@@ -47,20 +49,51 @@ class RetryingTransport final : public Transport {
 
   Result<Bytes> Request(const Address& to, BytesView request,
                         const CallOptions& options) override {
-    // The deadline applies per attempt: each try gets the full budget, and
-    // the backoff between tries is charged to the clock on top of it.
+    const Exchange exchange{to, request};
+    return std::move(RequestAll({&exchange, 1}, 1, options, {}).front());
+  }
+
+  // Forwards the batch, then sends the exchanges that failed retryably as
+  // one further round after each backoff. Each try gets the full deadline;
+  // the backoff is charged to the clock on top. `hooks.sent` fires at an
+  // exchange's first send and `hooks.done` at its final outcome.
+  std::vector<Result<Bytes>> RequestAll(std::span<const Exchange> exchanges,
+                                        std::size_t width,
+                                        const CallOptions& options,
+                                        const ExchangeHooks& hooks) override {
+    std::vector<Result<Bytes>> replies(
+        exchanges.size(), InternalError("retry loop did not run"));
+    std::vector<std::size_t> round(exchanges.size());  // indices this attempt
+    std::iota(round.begin(), round.end(), 0);
     Nanos backoff = std::min(policy_.initial_backoff, policy_.max_backoff);
-    Result<Bytes> reply = InternalError("retry loop did not run");
-    for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-      reply = inner_->Request(to, request, options);
-      if (reply.ok() || !ShouldRetry(reply.status())) return reply;
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      if (attempt < policy_.max_attempts) {
+    for (int attempt = 1; attempt <= policy_.max_attempts && !round.empty();
+         ++attempt) {
+      if (attempt > 1) {
         clock_.Sleep(backoff);
         backoff = NextBackoff(backoff);
       }
+      std::vector<Exchange> batch;
+      for (std::size_t i : round) batch.push_back(exchanges[i]);
+      std::vector<std::size_t> again;
+      auto done = [&](std::size_t k, const Result<Bytes>& reply) {
+        if (!reply.ok() && ShouldRetry(reply.status())) {
+          retries_.fetch_add(1, std::memory_order_relaxed);
+          if (attempt < policy_.max_attempts) {
+            again.push_back(round[k]);
+            return;
+          }
+        }
+        hooks.done(round[k], reply);
+      };
+      std::vector<Result<Bytes>> round_replies = inner_->RequestAll(
+          batch, width, options,
+          {attempt == 1 ? hooks.sent : [](std::size_t) {}, done});
+      for (std::size_t k = 0; k < round.size(); ++k) {
+        replies[round[k]] = std::move(round_replies[k]);
+      }
+      round = std::move(again);
     }
-    return reply;
+    return replies;
   }
 
   Status Serve(MessageHandler* handler) override { return inner_->Serve(handler); }

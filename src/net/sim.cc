@@ -1,5 +1,7 @@
 #include "net/sim.h"
 
+#include <algorithm>
+
 namespace obiwan::net {
 
 std::unique_ptr<SimTransport> SimNetwork::CreateEndpoint(const Address& address) {
@@ -152,6 +154,29 @@ SimTransport::~SimTransport() { network_->Unregister(address_); }
 Result<Bytes> SimTransport::Request(const Address& to, BytesView request,
                                     const CallOptions& options) {
   return network_->Deliver(address_, to, request, EffectiveDeadline(options));
+}
+
+std::vector<Result<Bytes>> SimTransport::RequestAll(
+    std::span<const Exchange> exchanges, std::size_t width,
+    const CallOptions& options, const ExchangeHooks& hooks) {
+  std::vector<Result<Bytes>> replies;
+  if (exchanges.empty()) return replies;
+  replies.reserve(exchanges.size());
+  VirtualClock& clock = network_->clock_;
+  // One free instant per worker; each exchange holds the earliest free one
+  // until its own finish, the order a real pool's queue yields.
+  std::vector<Nanos> free_at(std::clamp<std::size_t>(width, 1, exchanges.size()),
+                             clock.Now());
+  for (std::size_t i = 0; i < exchanges.size(); ++i) {
+    auto worker = std::min_element(free_at.begin(), free_at.end());
+    clock.Set(*worker);
+    hooks.sent(i);
+    replies.push_back(Request(exchanges[i].to, exchanges[i].request, options));
+    hooks.done(i, replies.back());
+    *worker = clock.Now();
+  }
+  clock.Set(*std::max_element(free_at.begin(), free_at.end()));
+  return replies;
 }
 
 Status SimTransport::Serve(MessageHandler* handler) {

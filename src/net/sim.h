@@ -19,11 +19,11 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <random>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/trace.h"
@@ -69,9 +69,8 @@ class SimTransport;
 
 class SimNetwork {
  public:
-  // `clock` must outlive the network. Pass a VirtualClock for deterministic
-  // experiments or SystemClock::Instance() to actually pace traffic.
-  SimNetwork(Clock& clock, LinkParams default_link, std::uint64_t seed = 1)
+  // `clock` must outlive the network; every message charges it.
+  SimNetwork(VirtualClock& clock, LinkParams default_link, std::uint64_t seed = 1)
       : clock_(clock), default_link_(default_link), rng_(seed) {}
 
   std::unique_ptr<SimTransport> CreateEndpoint(const Address& address);
@@ -87,7 +86,6 @@ class SimNetwork {
 
   // Traffic across every endpoint of this network.
   const TrafficTelemetry& telemetry() const { return telemetry_; }
-  Clock& clock() { return clock_; }
 
   // Attach a tracer: every delivery records a "net" span (request + handler
   // + reply on the virtual clock) and link/endpoint transitions, drops, and
@@ -128,7 +126,7 @@ class SimNetwork {
     }
   };
 
-  Clock& clock_;
+  VirtualClock& clock_;
   LinkParams default_link_;
   std::mt19937_64 rng_;
   std::unordered_map<Address, SimTransport*> endpoints_;
@@ -147,6 +145,13 @@ class SimTransport final : public Transport {
 
   Result<Bytes> Request(const Address& to, BytesView request,
                         const CallOptions& options) override;
+  // Models `width` concurrent exchanges on the thread that owns the clock:
+  // each starts when the earliest of `width` workers frees up, its hooks run
+  // at its own send and reply instants, and the clock ends at the makespan.
+  std::vector<Result<Bytes>> RequestAll(std::span<const Exchange> exchanges,
+                                        std::size_t width,
+                                        const CallOptions& options,
+                                        const ExchangeHooks& hooks) override;
   Status Serve(MessageHandler* handler) override;
   void StopServing() override;
   Address LocalAddress() const override { return address_; }

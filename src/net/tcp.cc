@@ -9,10 +9,12 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <string_view>
 
 #include "common/log.h"
@@ -47,24 +49,31 @@ Nanos Remaining(Nanos deadline_at) {
   return left > 0 ? left : 0;
 }
 
-// Wait until `fd` is ready for `events` or `deadline_at` passes. This is the
-// only place a bounded exchange blocks: its send and recv calls never do. A
-// hangup or socket error counts as ready; the call that follows reports it.
-// `what` names the step in the timeout error.
-Status WaitReady(int fd, short events, Nanos deadline_at, std::string_view what) {
+// Wait until one of `fds` is ready or `deadline_at` passes; the number
+// ready, 0 on timeout. A hangup or socket error counts as ready; the call
+// that follows reports it.
+Result<int> Poll(std::span<pollfd> fds, Nanos deadline_at) {
   for (;;) {
     const Nanos remaining = Remaining(deadline_at);
-    if (remaining == 0) {
-      return TimeoutError(std::string(what) + ": deadline exceeded");
-    }
+    if (remaining == 0) return 0;
     const timespec budget{static_cast<time_t>(remaining / kSecond),
                           static_cast<long>(remaining % kSecond)};
-    pollfd pfd{fd, events, 0};
-    const int rc = ::ppoll(&pfd, 1, remaining < 0 ? nullptr : &budget, nullptr);
-    if (rc > 0) return Status::Ok();
-    if (rc == 0) return TimeoutError(std::string(what) + ": deadline exceeded");
+    const int rc = ::ppoll(fds.data(), fds.size(),
+                           remaining < 0 ? nullptr : &budget, nullptr);
+    if (rc >= 0) return rc;
     if (errno != EINTR) return Errno("poll");
   }
+}
+
+// Wait until `fd` is ready for `events` or `deadline_at` passes. Besides
+// RequestAll's wait for the next reply, this is the only place a bounded
+// exchange blocks: its send and recv calls never do. `what` names the step
+// in the timeout error.
+Status WaitReady(int fd, short events, Nanos deadline_at, std::string_view what) {
+  pollfd pfd{fd, events, 0};
+  OBIWAN_ASSIGN_OR_RETURN(const int ready, Poll({&pfd, 1}, deadline_at));
+  if (ready == 0) return TimeoutError(std::string(what) + ": deadline exceeded");
+  return Status::Ok();
 }
 
 // Bounded I/O runs with MSG_DONTWAIT and waits in WaitReady on the remaining
@@ -145,17 +154,18 @@ class FrameReader {
 Result<std::size_t> FrameReader::Receive(int fd, std::uint8_t* out,
                                          std::size_t size, Nanos deadline_at,
                                          bool* progressed) {
+  // Bounded reads try first and wait only when nothing has arrived:
+  // RequestAll reads a connection once its poll reports it ready.
   for (;;) {
-    if (deadline_at >= 0) {
-      OBIWAN_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline_at, "recv"));
-    }
     const ssize_t n = ::recv(fd, out, size, IoFlags(deadline_at));
     if (n > 0) {
       if (progressed != nullptr) *progressed = true;
       return static_cast<std::size_t>(n);
     }
     if (n == 0) return DataLossError("peer closed connection mid-frame");
-    if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      OBIWAN_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline_at, "recv"));
+    } else if (errno != EINTR) {
       return Errno("recv");
     }
   }
@@ -212,16 +222,6 @@ std::uint8_t* ReplyBuffer() {
   thread_local const auto buffer =
       std::make_unique_for_overwrite<std::uint8_t[]>(kReadBufferBytes);
   return buffer.get();
-}
-
-// One request/reply exchange on `fd`: the reply frame, read through
-// `reader`. `*reply_started` is set once any reply byte has been read (after
-// which a stale-connection retry would risk a duplicate execution and is not
-// attempted).
-Result<BytesView> RoundTrip(int fd, FrameReader& reader, BytesView request,
-                            Nanos deadline_at, bool* reply_started) {
-  OBIWAN_RETURN_IF_ERROR(WriteFrame(fd, deadline_at, request));
-  return reader.Next(fd, deadline_at, reply_started);
 }
 
 // Send the handler's reply. An ok reply goes out as [len][0x01][payload]
@@ -554,70 +554,116 @@ void TcpTransport::CloseIdleConnections() {
 
 Result<Bytes> TcpTransport::Request(const Address& to, BytesView request,
                                     const CallOptions& options) {
-  Result<Bytes> reply = RequestImpl(to, request, options);
-  if (reply.ok()) {
-    telemetry_.OnRequest(request.size());
-    telemetry_.OnReply(reply->size());
-  } else {
-    telemetry_.OnFailure(reply.status());
-  }
-  return reply;
+  const Exchange exchange{to, request};
+  return std::move(RequestAll({&exchange, 1}, 1, options, {}).front());
 }
 
-Result<Bytes> TcpTransport::RequestImpl(const Address& to, BytesView request,
-                                        const CallOptions& options) {
-  OBIWAN_ASSIGN_OR_RETURN(auto host_port, ParseAddress(to));
+std::vector<Result<Bytes>> TcpTransport::RequestAll(
+    std::span<const Exchange> exchanges, std::size_t width,
+    const CallOptions& options, const ExchangeHooks& hooks) {
+  const Nanos deadline = EffectiveDeadline(options);
+  width = std::max<std::size_t>(width, 1);
+  std::vector<Result<Bytes>> replies(exchanges.size(), Bytes{});
+  std::vector<Call> calls;  // calls[i] is exchange i's, once sent
+  calls.reserve(exchanges.size());
+  auto finish = [&](std::size_t i, Result<Bytes> reply) {
+    if (reply.ok()) {
+      telemetry_.OnRequest(exchanges[i].request.size());
+      telemetry_.OnReply(reply->size());
+    } else {
+      telemetry_.OnFailure(reply.status());
+    }
+    replies[i] = std::move(reply);
+    hooks.done(i, replies[i]);
+  };
+  std::vector<std::size_t> open;  // sent, reply not yet read, in send order
+  std::vector<pollfd> fds;
+  while (calls.size() < exchanges.size() || !open.empty()) {
+    // Top up to `width` outstanding, each timed from its own send.
+    while (open.size() < width && calls.size() < exchanges.size()) {
+      const std::size_t i = calls.size();
+      hooks.sent(i);
+      calls.push_back({exchanges[i].to, exchanges[i].request,
+                       deadline < 0 ? kNoDeadlineAt : SteadyNow() + deadline});
+      if (Status sent = Send(calls[i]); sent.ok()) {
+        open.push_back(i);
+      } else {
+        finish(i, sent);
+      }
+    }
+    if (open.empty()) continue;
+    // Wait for the next reply or the nearest deadline (the oldest send's),
+    // then read every connection that is ready or out of time. After a
+    // failed poll every connection is read, and each read reports its own
+    // failure.
+    fds.clear();
+    for (std::size_t i : open) fds.push_back({calls[i].fd, POLLIN, 0});
+    const Result<int> polled = Poll(fds, calls[open.front()].deadline_at);
+    for (std::size_t k = open.size(); k-- > 0;) {
+      const std::size_t i = open[k];
+      if (polled.ok() && fds[k].revents == 0 &&
+          Remaining(calls[i].deadline_at) != 0) {
+        continue;
+      }
+      finish(i, Receive(calls[i]));
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+  }
+  return replies;
+}
+
+Status TcpTransport::Send(Call& call, bool fresh) {
   // The server would drop a frame over the cap after reading its header,
   // and the stale-connection rule would then send it again: refuse it here.
-  if (request.size() > kMaxFrameBytes) {
-    return InvalidArgumentError("request of " + std::to_string(request.size()) +
+  if (call.request.size() > kMaxFrameBytes) {
+    return InvalidArgumentError("request of " +
+                                std::to_string(call.request.size()) +
                                 " bytes exceeds the frame cap");
   }
-  const Nanos deadline = EffectiveDeadline(options);
-  const Nanos deadline_at =
-      deadline < 0 ? kNoDeadlineAt : SteadyNow() + deadline;
-
-  bool reused = false;
-  int fd = CheckoutConnection(to);
-  if (fd >= 0) {
-    reused = true;
+  call.fd = fresh ? -1 : CheckoutConnection(call.to);
+  call.reused = call.fd >= 0;
+  if (call.reused) {
     telemetry_.OnPoolHit();
   } else {
+    OBIWAN_ASSIGN_OR_RETURN(auto host_port, ParseAddress(call.to));
     OBIWAN_ASSIGN_OR_RETURN(
-        fd, ConnectWithDeadline(host_port.first, host_port.second, to,
-                                deadline_at));
+        call.fd, ConnectWithDeadline(host_port.first, host_port.second,
+                                     call.to, call.deadline_at));
     telemetry_.OnConnect();
   }
+  Status sent = WriteFrame(call.fd, call.deadline_at, call.request);
+  if (sent.ok()) return sent;
+  ::close(call.fd);
+  call.fd = -1;
+  // The checkout health check can miss a peer that vanished between probe
+  // and write: a reused connection that fails before any reply byte gets one
+  // more try on a new connection. Timeouts are excluded: the peer may still
+  // be executing the request, and re-sending is the retry decorator's
+  // (at-least-once) decision.
+  if (!call.reused || sent.code() == StatusCode::kTimeout) return sent;
+  return Send(call, /*fresh=*/true);
+}
 
+Result<Bytes> TcpTransport::Receive(Call& call) {
   FrameReader reader(ReplyBuffer());
   bool reply_started = false;
-  Result<BytesView> frame =
-      RoundTrip(fd, reader, request, deadline_at, &reply_started);
+  Result<BytesView> frame = reader.Next(call.fd, call.deadline_at, &reply_started);
   if (!frame.ok()) {
-    ::close(fd);
-    // The checkout health check can miss a peer that vanished between probe
-    // and write. If the exchange died on a reused connection before any
-    // reply byte arrived, run it once more on a fresh connection. Timeouts
-    // are excluded: the peer may still be executing the request, and
-    // re-sending is the retry decorator's (at-least-once) decision.
-    const bool stale_retry = reused && !reply_started &&
-                             frame.status().code() != StatusCode::kTimeout;
-    if (!stale_retry) return frame.status();
-    OBIWAN_ASSIGN_OR_RETURN(
-        fd, ConnectWithDeadline(host_port.first, host_port.second, to,
-                                deadline_at));
-    telemetry_.OnConnect();
-    frame = RoundTrip(fd, reader, request, deadline_at, &reply_started);
-    if (!frame.ok()) {
-      ::close(fd);
+    ::close(call.fd);
+    // Send's stale-connection rule, for a reused connection that died
+    // before any reply byte arrived.
+    if (!call.reused || reply_started ||
+        frame.status().code() == StatusCode::kTimeout) {
       return frame.status();
     }
+    OBIWAN_RETURN_IF_ERROR(Send(call, /*fresh=*/true));
+    return Receive(call);  // a fresh connection, so no further retry
   }
   // Bytes past the reply mean the stream is out of step: never pool it.
   if (reader.has_trailing_bytes()) {
-    ::close(fd);
+    ::close(call.fd);
   } else {
-    CheckinConnection(to, fd);
+    CheckinConnection(call.to, call.fd);
   }
   return DecodeReplyFrame(*frame);
 }

@@ -75,6 +75,14 @@ class TcpTransport final : public Transport {
 
   Result<Bytes> Request(const Address& to, BytesView request,
                         const CallOptions& options) override;
+  // Overlaps the exchanges on the calling thread: each goes out on its own
+  // connection, at most `width` outstanding, and one ppoll over them waits
+  // for the next reply or the nearest deadline. Connects and writes still
+  // wait one exchange at a time. Request is a batch of one.
+  std::vector<Result<Bytes>> RequestAll(std::span<const Exchange> exchanges,
+                                        std::size_t width,
+                                        const CallOptions& options,
+                                        const ExchangeHooks& hooks) override;
   Status Serve(MessageHandler* handler) override;
   void StopServing() override;
   Address LocalAddress() const override;
@@ -98,8 +106,21 @@ class TcpTransport final : public Transport {
  private:
   TcpTransport(int listen_fd, std::uint16_t port);
 
-  Result<Bytes> RequestImpl(const Address& to, BytesView request,
-                            const CallOptions& options);
+  // One exchange from send to reply; `deadline_at` is on the steady clock
+  // (negative = none).
+  struct Call {
+    const Address& to;
+    BytesView request;
+    Nanos deadline_at;
+    int fd = -1;
+    bool reused = false;  // the connection came from the pool
+  };
+  // Writes the request on a pooled connection, or on a new one when there is
+  // none or `fresh` is set. Receive reads the reply and pools or closes the
+  // connection.
+  Status Send(Call& call, bool fresh = false);
+  Result<Bytes> Receive(Call& call);
+
   // Client-side pool: health-checked checkout (or -1), MRU check-in with LRU
   // eviction beyond the cap.
   int CheckoutConnection(const Address& to);

@@ -13,7 +13,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -38,6 +41,21 @@ struct CallOptions {
   //   0 (default)  — use the transport's configured default deadline;
   //   kNoDeadline  — explicitly unbounded (the pre-deadline behaviour).
   Nanos deadline = 0;
+};
+
+// One request of a Transport::RequestAll batch: `request` for `to`.
+struct Exchange {
+  const Address& to;
+  BytesView request;
+};
+
+// Callbacks of Transport::RequestAll, run on the calling thread, once per
+// exchange each: `sent(i)` as exchange i is sent, `done(i, reply)` as its
+// reply or failure arrives. Both default to doing nothing.
+struct ExchangeHooks {
+  std::function<void(std::size_t)> sent = [](std::size_t) {};
+  std::function<void(std::size_t, const Result<Bytes>&)> done =
+      [](std::size_t, const Result<Bytes>&) {};
 };
 
 // Receives inbound requests. A site's RMI dispatcher implements this.
@@ -117,6 +135,23 @@ class Transport {
   // the call fails with kTimeout instead of blocking past it.
   virtual Result<Bytes> Request(const Address& to, BytesView request,
                                 const CallOptions& options) = 0;
+
+  // Sends every exchange and returns the replies in exchange order, with at
+  // most `width` outstanding at once, each deadline counting from its own
+  // send. This version runs them one after another through Request (within
+  // any width); a transport that can overlap them overrides it.
+  virtual std::vector<Result<Bytes>> RequestAll(
+      std::span<const Exchange> exchanges, std::size_t /*width*/,
+      const CallOptions& options, const ExchangeHooks& hooks) {
+    std::vector<Result<Bytes>> replies;
+    replies.reserve(exchanges.size());
+    for (std::size_t i = 0; i < exchanges.size(); ++i) {
+      hooks.sent(i);
+      replies.push_back(Request(exchanges[i].to, exchanges[i].request, options));
+      hooks.done(i, replies.back());
+    }
+    return replies;
+  }
 
   // Start serving inbound requests with `handler`. The handler must outlive
   // the transport (or a subsequent StopServing call).

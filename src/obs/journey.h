@@ -22,7 +22,7 @@
 // so virtual-clock tests exercise fire and clear deterministically.
 //
 // Storage is a bounded ring of journey records behind a striped index, so
-// stamping from fanout workers and transport threads shards its locking.
+// concurrent puts' fanouts and transport threads stamp with sharded locking.
 // All methods are internally synchronized; the tracker never calls back
 // into the site (see the JourneySink threading contract).
 //
@@ -192,8 +192,8 @@ class JourneyTracker final : public core::JourneySink {
       return ObjectIdHash{}(k.id) * 1099511628211ull ^ k.version;
     }
   };
-  // Journeys shard by key so fanout workers stamping different updates do
-  // not serialize. std::deque keeps element pointers stable across
+  // Journeys shard by key so fanouts stamping different updates do not
+  // serialize. std::deque keeps element pointers stable across
   // push_back/pop_front, so the index can hold Record* directly.
   struct Stripe {
     mutable std::mutex mutex;

@@ -53,8 +53,13 @@ TEST(Status, StreamInsertion) {
   EXPECT_EQ(os.str(), "CONFLICT: stale");
 }
 
+// A value handed back the way callers receive one: returned from a function.
+// (Built in place in the test body, GCC 12 warns that destroying it may read
+// the Status alternative's uninitialized string.)
+Result<int> ReturnsFortyTwo() { return 42; }
+
 TEST(Result, HoldsValue) {
-  Result<int> r(42);
+  const Result<int> r = ReturnsFortyTwo();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, 42);
   EXPECT_TRUE(r.status().ok());

@@ -2,12 +2,18 @@
 //
 // The provider-side fanout (ServePut / MarkMasterUpdated) must survive the
 // paper's normal case — holders that disconnect and reconnect (§2.1) —
-// without stalling writers: notifications go out through a bounded parallel
-// pool, chronically unreachable holders are dropped (and re-registered on
-// their next get), transient failures are retried with backoff, and the
-// demander-side ResyncDaemon re-refreshes stale replicas after reconnect.
+// without stalling writers: notifications go out as one bounded-width
+// Transport::RequestAll, chronically unreachable holders are dropped (and
+// re-registered on their next get), transient failures are retried with
+// backoff, and the demander-side ResyncDaemon re-refreshes stale replicas
+// after reconnect.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -17,169 +23,182 @@
 #include <thread>
 #include <vector>
 
-#include "core/fanout.h"
 #include "core/resync.h"
+#include "obs/journey.h"
 #include "obiwan.h"
 #include "test_objects.h"
 
 namespace obiwan {
 namespace {
 
-using core::FanoutPool;
 using core::PushUpdates;
 using core::ReplicationMode;
 using core::ResyncDaemon;
 using test::Node;
 
 // ---------------------------------------------------------------------------
-// FanoutPool unit tests
+// Transport::RequestAll, the fanout primitive
 // ---------------------------------------------------------------------------
 
-TEST(FanoutPoolTest, VirtualClockChargesMakespanNotSum) {
-  VirtualClock clock;
-  FanoutPool pool(clock, /*width=*/8);
-  std::vector<FanoutPool::Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&clock] {
-      clock.Sleep(10 * kMilli);
-      return Status::Ok();
-    });
-  }
-  const Nanos start = clock.Now();
-  auto statuses = pool.RunAll(std::move(tasks));
-  EXPECT_EQ(clock.Now() - start, 10 * kMilli);  // 8 concurrent, not 80 ms
-  ASSERT_EQ(statuses.size(), 8u);
-  for (const Status& s : statuses) EXPECT_TRUE(s.ok());
-}
+// Requests being served at once, and the most seen, across handlers.
+struct Concurrency {
+  std::atomic<int> now{0};
+  std::atomic<int> most{0};
+};
 
-TEST(FanoutPoolTest, BoundedWidthQueuesExcessTasks) {
-  VirtualClock clock;
-  FanoutPool pool(clock, /*width=*/2);
-  std::vector<FanoutPool::Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&clock] {
-      clock.Sleep(10 * kMilli);
-      return Status::Ok();
-    });
-  }
-  const Nanos start = clock.Now();
-  pool.RunAll(std::move(tasks));
-  // 8 tasks of 10 ms over 2 virtual workers: 4 rounds.
-  EXPECT_EQ(clock.Now() - start, 40 * kMilli);
-}
+// Replies with the serving endpoint's address, after an optional pause on
+// the real clock.
+class EchoAddress final : public net::MessageHandler {
+ public:
+  explicit EchoAddress(net::Address address,
+                       std::chrono::milliseconds pause = {},
+                       Concurrency* concurrency = nullptr)
+      : address_(std::move(address)), pause_(pause), concurrency_(concurrency) {}
 
-TEST(FanoutPoolTest, StatusesKeepTaskOrder) {
-  VirtualClock clock;
-  FanoutPool pool(clock, /*width=*/4);
-  std::vector<FanoutPool::Task> tasks;
-  for (int i = 0; i < 6; ++i) {
-    tasks.push_back([i] {
-      return i % 2 == 0 ? Status::Ok() : TimeoutError("task " + std::to_string(i));
-    });
-  }
-  auto statuses = pool.RunAll(std::move(tasks));
-  ASSERT_EQ(statuses.size(), 6u);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(statuses[i].ok(), i % 2 == 0) << i;
-  }
-}
-
-TEST(FanoutPoolTest, RealClockRunsTasksOnBoundedThreads) {
-  FanoutPool pool(SystemClock::Instance(), /*width=*/4);
-  std::atomic<int> ran{0};
-  std::atomic<int> in_flight{0};
-  std::atomic<int> max_in_flight{0};
-  std::vector<FanoutPool::Task> tasks;
-  for (int i = 0; i < 32; ++i) {
-    tasks.push_back([&] {
-      const int now = in_flight.fetch_add(1) + 1;
-      int seen = max_in_flight.load();
-      while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+  Result<Bytes> HandleRequest(const net::Address&, BytesView) override {
+    if (concurrency_ != nullptr) {
+      const int now = ++concurrency_->now;
+      for (int seen = concurrency_->most.load();
+           now > seen && !concurrency_->most.compare_exchange_weak(seen, now);) {
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      in_flight.fetch_sub(1);
-      ran.fetch_add(1);
-      return Status::Ok();
-    });
+    }
+    std::this_thread::sleep_for(pause_);
+    if (concurrency_ != nullptr) --concurrency_->now;
+    return Bytes(address_.begin(), address_.end());
   }
-  auto statuses = pool.RunAll(std::move(tasks));
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_LE(max_in_flight.load(), 4);
-  for (const Status& s : statuses) EXPECT_TRUE(s.ok());
+
+ private:
+  net::Address address_;
+  std::chrono::milliseconds pause_;
+  Concurrency* concurrency_;
+};
+
+std::string AsString(const Result<Bytes>& reply) {
+  return reply.ok() ? std::string(reply->begin(), reply->end())
+                    : reply.status().ToString();
 }
 
-// Threads of this process, as /proc/self/task lists them.
-std::size_t ProcessThreads() {
-  std::size_t count = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    ++count;
+// Sim endpoints t0..t{n-1}, each echoing its address, behind links whose
+// round trip takes 10 ms.
+class SimRequestAll : public ::testing::Test {
+ protected:
+  void Serve(int n) {
+    for (int i = 0; i < n; ++i) {
+      targets_.push_back("t" + std::to_string(i));
+      handlers_.push_back(std::make_unique<EchoAddress>(targets_.back()));
+      endpoints_.push_back(network_.CreateEndpoint(targets_.back()));
+      ASSERT_TRUE(endpoints_.back()->Serve(handlers_.back().get()).ok());
+    }
   }
-  return count;
+
+  std::vector<net::Exchange> Exchanges() const {
+    std::vector<net::Exchange> exchanges;
+    for (const net::Address& to : targets_) exchanges.push_back({to, {}});
+    return exchanges;
+  }
+
+  VirtualClock clock_;
+  net::SimNetwork network_{clock_, net::LinkParams{.latency = 5 * kMilli}};
+  std::unique_ptr<net::SimTransport> caller_ = network_.CreateEndpoint("caller");
+  std::vector<net::Address> targets_;
+  std::vector<std::unique_ptr<EchoAddress>> handlers_;
+  std::vector<std::unique_ptr<net::SimTransport>> endpoints_;
+};
+
+// Eight overlapping exchanges cost the virtual clock one round trip, not
+// eight.
+TEST_F(SimRequestAll, ChargesTheMakespanNotTheSum) {
+  Serve(8);
+  const Nanos start = clock_.Now();
+  auto replies = caller_->RequestAll(Exchanges(), /*width=*/8, {}, {});
+  EXPECT_EQ(clock_.Now() - start, 10 * kMilli);
+  ASSERT_EQ(replies.size(), 8u);
+  for (const auto& reply : replies) EXPECT_TRUE(reply.ok()) << reply.status();
 }
 
-// The batch this thread last ran a task of, and how many batches it has run
-// tasks in.
-thread_local int tls_last_batch = -1;
-thread_local int tls_batches_run = 0;
-
-// On a real clock the helpers are parked threads reused across batches, not
-// a fresh burst per batch: some helper runs tasks of several batches, the
-// width bound still holds after set_width, and the destructor joins every
-// helper.
-TEST(FanoutPoolTest, RealClockReusesParkedHelpers) {
-  // A runtime may start a thread of its own with the process's first thread
-  // (ThreadSanitizer does); start one first so the baseline counts it.
-  std::thread([] {}).join();
-  const std::size_t threads_before = ProcessThreads();
-  {
-    FanoutPool pool(SystemClock::Instance(), /*width=*/3);
-    const std::thread::id caller = std::this_thread::get_id();
-    std::atomic<int> most_batches_on_a_helper{0};
-    for (int batch = 0; batch < 20; ++batch) {
-      std::vector<FanoutPool::Task> tasks;
-      for (int t = 0; t < 3; ++t) {
-        tasks.push_back([&, batch] {
-          if (std::this_thread::get_id() != caller && tls_last_batch != batch) {
-            tls_last_batch = batch;
-            const int run = ++tls_batches_run;
-            int seen = most_batches_on_a_helper.load();
-            while (run > seen &&
-                   !most_batches_on_a_helper.compare_exchange_weak(seen, run)) {
-            }
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          return Status::Ok();
-        });
-      }
-      for (const Status& s : pool.RunAll(std::move(tasks))) EXPECT_TRUE(s.ok());
-    }
-    EXPECT_GE(most_batches_on_a_helper.load(), 2);
-
-    pool.set_width(2);
-    std::atomic<int> in_flight{0};
-    std::atomic<int> max_in_flight{0};
-    std::vector<FanoutPool::Task> tasks;
-    for (int i = 0; i < 32; ++i) {
-      tasks.push_back([&] {
-        const int now = in_flight.fetch_add(1) + 1;
-        int seen = max_in_flight.load();
-        while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        in_flight.fetch_sub(1);
-        return Status::Ok();
-      });
-    }
-    for (const Status& s : pool.RunAll(std::move(tasks))) EXPECT_TRUE(s.ok());
-    EXPECT_LE(max_in_flight.load(), 2);
+// At width 2, eight 10 ms exchanges run as 4 rounds, and each exchange's
+// hooks fire at its own send and reply instants.
+TEST_F(SimRequestAll, WidthQueuesTheExcess) {
+  Serve(8);
+  const Nanos start = clock_.Now();
+  std::vector<Nanos> sent(8, -1);
+  std::vector<Nanos> done(8, -1);
+  caller_->RequestAll(
+      Exchanges(), /*width=*/2, {},
+      {[&](std::size_t i) { sent[i] = clock_.Now() - start; },
+       [&](std::size_t i, const Result<Bytes>&) {
+         done[i] = clock_.Now() - start;
+       }});
+  EXPECT_EQ(clock_.Now() - start, 40 * kMilli);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const Nanos round = static_cast<Nanos>(i / 2) * 10 * kMilli;
+    EXPECT_EQ(sent[i], round) << i;
+    EXPECT_EQ(done[i], round + 10 * kMilli) << i;
   }
-  // A joined thread leaves /proc/self/task a moment after join returns (so
-  // an earlier test's thread may still be counted in `threads_before`).
-  for (int spin = 0; spin < 100 && ProcessThreads() > threads_before; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+// Replies come back in exchange order, failures in place: every other
+// target has no endpoint.
+TEST_F(SimRequestAll, RepliesKeepTargetOrder) {
+  Serve(3);
+  const std::vector<net::Address> to = {"t0", "gone0", "t1", "gone1", "t2",
+                                        "gone2"};
+  std::vector<net::Exchange> exchanges;
+  for (const net::Address& address : to) exchanges.push_back({address, {}});
+  auto replies = caller_->RequestAll(exchanges, /*width=*/4, {}, {});
+  ASSERT_EQ(replies.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    if (i % 2 == 0) {
+      EXPECT_EQ(AsString(replies[i]), to[i]);
+    } else {
+      EXPECT_EQ(replies[i].status().code(), StatusCode::kNotFound) << i;
+    }
   }
-  EXPECT_LE(ProcessThreads(), threads_before);
+}
+
+// Over real sockets the exchanges overlap, but never more than `width` of
+// them: neither as the hooks see it nor at the servers.
+TEST(TcpRequestAll, AtMostWidthExchangesOutstanding) {
+  constexpr int kServers = 4;
+  constexpr int kExchanges = 12;
+  constexpr std::size_t kWidth = 3;
+  std::vector<std::unique_ptr<net::TcpTransport>> servers;
+  std::vector<std::unique_ptr<EchoAddress>> handlers;
+  std::vector<net::Address> targets;
+  Concurrency served;
+  for (int i = 0; i < kServers; ++i) {
+    auto server = net::TcpTransport::Create(0);
+    ASSERT_TRUE(server.ok());
+    handlers.push_back(std::make_unique<EchoAddress>(
+        (*server)->LocalAddress(), std::chrono::milliseconds(20), &served));
+    ASSERT_TRUE((*server)->Serve(handlers.back().get()).ok());
+    targets.push_back((*server)->LocalAddress());
+    servers.push_back(std::move(*server));
+  }
+  auto client = net::TcpTransport::Create(0);
+  ASSERT_TRUE(client.ok());
+
+  std::vector<net::Exchange> exchanges;
+  for (int i = 0; i < kExchanges; ++i) {
+    exchanges.push_back({targets[i % kServers], {}});
+  }
+  std::size_t outstanding = 0;
+  std::size_t most_outstanding = 0;
+  auto replies = (*client)->RequestAll(
+      exchanges, kWidth, {},
+      {[&](std::size_t) {
+         most_outstanding = std::max(most_outstanding, ++outstanding);
+       },
+       [&](std::size_t, const Result<Bytes>&) { --outstanding; }});
+  ASSERT_EQ(replies.size(), static_cast<std::size_t>(kExchanges));
+  for (int i = 0; i < kExchanges; ++i) {
+    EXPECT_EQ(AsString(replies[i]), targets[i % kServers]) << i;
+  }
+  EXPECT_EQ(outstanding, 0u);
+  EXPECT_EQ(most_outstanding, kWidth);
+  EXPECT_GE(served.most.load(), 2) << "the exchanges did not overlap";
+  EXPECT_LE(served.most.load(), static_cast<int>(kWidth));
+  for (auto& server : servers) server->StopServing();
 }
 
 // ---------------------------------------------------------------------------
@@ -272,6 +291,87 @@ TEST_F(FanoutSimTest, PutLatencyBoundedByOneDeadlineUnderPartialDisconnection) {
 
   // Live holders converged despite the black holes.
   EXPECT_EQ(*site("h5").ReplicaVersion(holder_refs[5]), 3u);
+}
+
+// Each recipient's journey stamps are its own exchange's send and reply
+// instants, though the exchanges overlap: at width 2, h0 and h1 go out at
+// once, h2 when h0's 2 ms round trip frees its slot.
+TEST_F(FanoutSimTest, EachHolderStampsItsOwnSendAndAck) {
+  hub_->SetConsistencyPolicy(std::make_unique<PushUpdates>());
+  hub_->SetNotifyFanout(2);
+  obs::JourneyTracker tracker(clock_, hub_->id());
+  hub_->SetJourneySink(&tracker);
+  auto obj = std::make_shared<Node>();
+  ASSERT_TRUE(hub_->Bind("obj", obj).ok());
+  const ObjectId oid = hub_->Export(obj);
+  const Nanos one_way[] = {1 * kMilli, 3 * kMilli, 5 * kMilli};
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = "h" + std::to_string(i);
+    AddSite(name, 10 + i);
+    (void)Replicate(name, "obj");
+    network_->SetLinkParams("hub", name, net::LinkParams{.latency = one_way[i]});
+  }
+
+  ASSERT_TRUE(hub_->MarkMasterUpdated(oid).ok());
+  hub_->SetJourneySink(nullptr);
+  auto journeys = tracker.Recent(1);
+  ASSERT_EQ(journeys.size(), 1u);
+  ASSERT_EQ(journeys[0].hops.size(), 3u);
+  std::map<std::string, obs::JourneyHopView> hops;
+  for (const obs::JourneyHopView& hop : journeys[0].hops) hops[hop.holder] = hop;
+  for (int i = 0; i < 3; ++i) {
+    const obs::JourneyHopView& hop = hops["h" + std::to_string(i)];
+    EXPECT_TRUE(hop.acked) << i;
+    EXPECT_EQ(hop.ack - hop.send, 2 * one_way[i]) << i;
+  }
+  EXPECT_EQ(hops["h0"].send, hops["h1"].send);
+  EXPECT_EQ(hops["h2"].send, hops["h0"].ack);
+  EXPECT_EQ(journeys[0].convergence, hops["h2"].ack - journeys[0].put_commit);
+}
+
+// A failed notification records its `rpc` span under the put's span and
+// its `error` instant under that rpc span, though the fanout's rpc spans
+// are never the thread's innermost span.
+TEST_F(FanoutSimTest, FailedNotifyErrorIsAChildOfItsRpcSpan) {
+  hub_->SetConsistencyPolicy(std::make_unique<PushUpdates>());
+  auto obj = std::make_shared<Node>();
+  ASSERT_TRUE(hub_->Bind("obj", obj).ok());
+  AddSite("writer", 2);
+  AddSite("h0", 10);
+  AddSite("h1", 11);
+  auto writer_ref = Replicate("writer", "obj");
+  (void)Replicate("h0", "obj");
+  (void)Replicate("h1", "obj");
+  network_->SetEndpointUp("h1", false);
+
+  Tracer tracer(256);
+  hub_->SetTracer(&tracer);
+  writer_ref.get()->SetValue(5);
+  ASSERT_TRUE(site("writer").Put(writer_ref).ok());
+  hub_->SetTracer(nullptr);
+
+  const std::vector<Span> spans = tracer.SnapshotSpans();
+  const Span* serve_put = nullptr;
+  const Span* ok_rpc = nullptr;
+  const Span* failed_rpc = nullptr;
+  const Span* error = nullptr;
+  for (const Span& span : spans) {
+    if (span.category == "serve.put") serve_put = &span;
+    if (span.category == "rpc" && span.name == "notify h0") ok_rpc = &span;
+    if (span.category == "rpc" && span.name == "notify h1") failed_rpc = &span;
+    if (span.category == "error") error = &span;
+  }
+  ASSERT_NE(serve_put, nullptr);
+  ASSERT_NE(ok_rpc, nullptr);
+  ASSERT_NE(failed_rpc, nullptr);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(ok_rpc->parent, serve_put->id);
+  EXPECT_EQ(failed_rpc->parent, serve_put->id);
+  EXPECT_FALSE(ok_rpc->failed);
+  EXPECT_TRUE(failed_rpc->failed);
+  EXPECT_EQ(error->parent, failed_rpc->id);
+  EXPECT_EQ(error->trace, serve_put->trace);
+  EXPECT_NE(error->name.find("notify to h1"), std::string::npos) << error->name;
 }
 
 TEST_F(FanoutSimTest, HolderDroppedAfterThresholdAndReRegisteredOnGet) {
@@ -588,8 +688,166 @@ TEST_F(FanoutSimTest, StalePushIsIgnored) {
 // Real-socket soak (runs under TSan in tools/ci.sh)
 // ---------------------------------------------------------------------------
 
-// Concurrent writers against one provider: puts race, each put's fanout
-// dispatches pushes on the bounded thread pool, and every holder converges.
+// A started site on a fresh TcpTransport, using `registry` (or hosting the
+// registry when empty). `*transport` (optional) keeps a view of the
+// transport the site now owns.
+std::unique_ptr<core::Site> TcpSite(SiteId id, const net::Address& registry,
+                                    net::TcpTransport** transport = nullptr) {
+  auto tcp = net::TcpTransport::Create(0);
+  if (!tcp.ok()) return nullptr;
+  if (transport != nullptr) *transport = tcp->get();
+  auto site = std::make_unique<core::Site>(id, std::move(*tcp));
+  if (!site->Start().ok()) return nullptr;
+  if (registry.empty()) {
+    site->HostRegistry();
+  } else {
+    site->UseRegistry(registry);
+  }
+  return site;
+}
+
+// Threads of this process, as /proc/self/task lists them.
+std::size_t ProcessThreads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// A fanout starts no thread. Once the connections are pooled, the process
+// runs exactly the threads of its TCP servers (an accept loop per site and a
+// handler per inbound connection), and 200 puts that each notify 3 holders
+// leave that count unchanged, put after put.
+TEST(FanoutTcp, PutsStartNoThreads) {
+  // A runtime may start a thread of its own with the process's first thread
+  // (ThreadSanitizer does); start one first so the baseline counts it.
+  std::thread([] {}).join();
+  const std::size_t baseline = ProcessThreads();
+
+  std::vector<net::TcpTransport*> transports(5);
+  auto provider = TcpSite(1, "", &transports[0]);
+  ASSERT_NE(provider, nullptr);
+  provider->SetConsistencyPolicy(std::make_unique<PushUpdates>());
+  auto obj = std::make_shared<Node>();
+  ASSERT_TRUE(provider->Bind("obj", obj).ok());
+  std::vector<std::unique_ptr<core::Site>> sites;  // the writer, then 3 holders
+  std::vector<core::Ref<Node>> refs;
+  for (int i = 0; i < 4; ++i) {
+    sites.push_back(TcpSite(10 + i, provider->address(), &transports[1 + i]));
+    ASSERT_NE(sites.back(), nullptr);
+    auto remote = sites.back()->Lookup<Node>("obj");
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    auto ref = remote->Replicate(ReplicationMode::Incremental(1));
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    refs.push_back(*ref);
+  }
+  core::Site& writer = *sites[0];
+  auto put = [&](int value) {
+    refs[0].get()->value = value;
+    return writer.Put(refs[0]).ok();
+  };
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(put(i));  // warm the pools
+
+  std::size_t expected = baseline;
+  for (net::TcpTransport* transport : transports) {
+    expected += 1 + transport->active_connections();
+  }
+  EXPECT_EQ(ProcessThreads(), expected);
+  std::size_t most = 0;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(put(100 + i));
+    most = std::max(most, ProcessThreads());
+  }
+  EXPECT_LE(most, expected);
+  EXPECT_EQ(ProcessThreads(), expected);
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(*sites[i]->ReplicaVersion(refs[i]), 1u + 5 + 200) << i;
+  }
+  EXPECT_EQ(provider->telemetry().invalidations_sent->Value(), 3u * 205);
+}
+
+// A holder that is reachable but dead: a listener on its port that takes
+// connections into its backlog and never answers.
+class SilentListener {
+ public:
+  explicit SilentListener(const net::Address& address) {
+    const auto colon = address.rfind(':');
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(
+        std::stoi(address.substr(colon + 1))));
+    int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    listening_ =
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+        ::listen(fd_, 16) == 0;
+  }
+  ~SilentListener() { ::close(fd_); }
+  SilentListener(const SilentListener&) = delete;
+  SilentListener& operator=(const SilentListener&) = delete;
+
+  bool listening() const { return listening_; }
+
+ private:
+  int fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  bool listening_ = false;
+};
+
+// With 2 of 4 holders dead, their notifications time out side by side: the
+// put costs about one notification deadline, not one per dead holder, and
+// the live holders are still pushed the update.
+TEST(FanoutTcp, DeadHoldersCostOneDeadline) {
+  constexpr Nanos kDeadline = 400 * kMilli;
+  auto provider = TcpSite(1, "");
+  ASSERT_NE(provider, nullptr);
+  provider->SetConsistencyPolicy(std::make_unique<PushUpdates>());
+  provider->SetHolderFailureThreshold(0);
+  provider->SetNotifyRetryPolicy({.max_attempts = 1});
+  auto obj = std::make_shared<Node>();
+  ASSERT_TRUE(provider->Bind("obj", obj).ok());
+
+  std::vector<std::unique_ptr<core::Site>> sites;  // the writer, then 4 holders
+  std::vector<core::Ref<Node>> refs;
+  for (int i = 0; i < 5; ++i) {
+    sites.push_back(TcpSite(10 + i, provider->address()));
+    ASSERT_NE(sites.back(), nullptr);
+    auto remote = sites.back()->Lookup<Node>("obj");
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    auto ref = remote->Replicate(ReplicationMode::Incremental(1));
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    refs.push_back(*ref);
+  }
+  // Holders 1 and 2 die, and a silent listener takes over each one's port.
+  std::vector<std::unique_ptr<SilentListener>> dead;
+  for (int i = 1; i <= 2; ++i) {
+    const net::Address address = sites[i]->address();
+    refs[i] = {};
+    sites[i].reset();
+    dead.push_back(std::make_unique<SilentListener>(address));
+    ASSERT_TRUE(dead.back()->listening()) << address;
+  }
+
+  provider->SetRequestDeadline(kDeadline);
+  refs[0].get()->value = 42;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(sites[0]->Put(refs[0]).ok());
+  const Nanos elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  EXPECT_GE(elapsed, kDeadline);
+  EXPECT_LT(elapsed, 2 * kDeadline) << "the dead holders' deadlines added up";
+  for (int i = 3; i <= 4; ++i) {
+    EXPECT_EQ(*sites[i]->ReplicaVersion(refs[i]), 2u) << i;
+    EXPECT_EQ(refs[i].get()->value, 42) << i;
+  }
+  EXPECT_EQ(provider->notify_inflight(), 0u);
+}
+
+// Concurrent writers against one provider: puts race, each put fans its
+// pushes out as one RequestAll on its own thread, and every holder converges.
 TEST(FanoutTcp, ConcurrentPutsFanOutToAllHolders) {
   auto provider_transport = net::TcpTransport::Create(0);
   ASSERT_TRUE(provider_transport.ok());

@@ -501,6 +501,52 @@ TEST(AdminHttpBacklog, HealthzTracksResyncBacklog) {
   EXPECT_EQ(HttpGet(demander.admin_address(), "/healthz").status, 200);
 }
 
+// A provider over real sockets, serving admin with `budget` as its
+// convergence budget, after one put that its TCP fanout pushes to 2 holders:
+// the /healthz reply.
+HttpReply HealthzAfterFanout(Nanos budget) {
+  std::vector<std::unique_ptr<core::Site>> sites;  // provider, writer, holders
+  std::vector<core::Ref<Node>> refs;
+  for (int i = 0; i < 4; ++i) {
+    auto transport = net::TcpTransport::Create(0);
+    if (!transport.ok()) return {};
+    sites.push_back(std::make_unique<core::Site>(90 + i, std::move(*transport)));
+    EXPECT_TRUE(sites.back()->Start().ok());
+    if (i == 0) {
+      sites[0]->HostRegistry();
+      sites[0]->SetConsistencyPolicy(std::make_unique<core::PushUpdates>());
+      core::Site::AdminOptions options;
+      options.convergence_budget = budget;
+      EXPECT_TRUE(sites[0]->ServeAdmin("0", options).ok());
+      EXPECT_TRUE(sites[0]->Bind("doc", std::make_shared<Node>()).ok());
+      continue;
+    }
+    sites.back()->UseRegistry(sites[0]->address());
+    auto remote = sites.back()->Lookup<Node>("doc");
+    if (!remote.ok()) return {};
+    auto ref = remote->Replicate(ReplicationMode::Incremental(1));
+    if (!ref.ok()) return {};
+    refs.push_back(*ref);
+  }
+  refs[0].get()->value = 1;
+  EXPECT_TRUE(sites[1]->Put(refs[0]).ok());
+  return HttpGet(sites[0]->admin_address(), "/healthz");
+}
+
+// AdminOptions::convergence_budget: /healthz is unready while the p99
+// time-to-all-holders of recent update journeys (stamped by the fanout's
+// transport hooks) is over the budget, and ready under a generous one.
+TEST(AdminHttpConvergence, HealthzTracksTheConvergenceBudget) {
+  const HttpReply tight = HealthzAfterFanout(1);
+  EXPECT_EQ(tight.status, 503) << tight.body;
+  EXPECT_NE(tight.body.find("\"convergence_p99_ns\":"), std::string::npos)
+      << tight.body;
+  const HttpReply loose = HealthzAfterFanout(3600 * kSecond);
+  EXPECT_EQ(loose.status, 200) << loose.body;
+  EXPECT_NE(loose.body.find("\"convergence_p99_ns\":"), std::string::npos)
+      << loose.body;
+}
+
 TEST_F(AdminHttpTest, ConcurrentScrapesRaceProtocolTraffic) {
   // The TSan workload: scrapers hammer every endpoint while the site serves
   // real replication traffic on its RMI plane.

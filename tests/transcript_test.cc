@@ -12,8 +12,12 @@
 //
 // Every recorded get reply and push record must also decode and re-encode to
 // the same bytes through the Codec<GetReply>/Codec<ObjectRecord> wrappers.
+// After the scenario the laptop saves a snapshot, which must match
+// tests/testdata/snapshot.golden byte for byte; a fresh site with the
+// laptop's id loads it and faults onward through a restored proxy.
 //
-// A change that means to alter the wire regenerates the golden file:
+// A change that means to alter the wire or the snapshot format regenerates
+// both golden files:
 //   OBIWAN_REGEN_TRANSCRIPT=1 ./build/tests/transcript_test
 // and the golden diff is then the reviewable protocol change.
 #include <gtest/gtest.h>
@@ -21,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "consistency/version_vector.h"
 #include "consistency/write_invalidate.h"
@@ -35,6 +40,8 @@ using test::Node;
 using test::Pair;
 
 const char* const kGoldenPath = OBIWAN_TEST_DIR "/testdata/transcript.golden";
+const char* const kSnapshotGoldenPath =
+    OBIWAN_TEST_DIR "/testdata/snapshot.golden";
 
 std::string Hex(BytesView bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -186,6 +193,7 @@ class Scenario {
     ASSERT_TRUE(tree_remote.ok());
     auto tree = tree_remote->Replicate(ReplicationMode::ClusterDepth(1));
     ASSERT_TRUE(tree.ok()) << tree.status();
+    tree_id_ = tree->id();
     ASSERT_TRUE(tree->get()->left.get()->left.Demand().ok());
 
     // Cluster get, a cluster put and a cluster refresh.
@@ -253,19 +261,23 @@ class Scenario {
   }
 
   const std::vector<Frame>& log() const { return log_; }
+  core::Site& laptop() { return *laptop_; }
+  // The diamond's root, as the laptop replicated it.
+  ObjectId tree_id() const { return tree_id_; }
 
  private:
   VirtualClock clock_;
   net::LoopbackNetwork network_;
   std::vector<Frame> log_;
   std::uint64_t trace_base_ = 0;
+  ObjectId tree_id_;
   std::unique_ptr<core::Site> provider_;
   std::unique_ptr<core::Site> laptop_;
   std::unique_ptr<core::Site> pda_;
 };
 
-std::vector<std::string> ReadGolden() {
-  std::ifstream in(kGoldenPath);
+std::vector<std::string> ReadGolden(const char* path) {
+  std::ifstream in(path);
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) {
     if (!line.empty() && line[0] != '#') lines.push_back(line);
@@ -273,12 +285,29 @@ std::vector<std::string> ReadGolden() {
   return lines;
 }
 
-void WriteGolden(const std::vector<std::string>& lines) {
-  std::ofstream out(kGoldenPath, std::ios::trunc);
-  out << "# Golden protocol transcript (tests/transcript_test.cc): one line per\n"
-         "# frame, \"<site> > <peer> <hex>\" for a request and \"<site> < <peer>\n"
-         "# <hex>\" for its reply. Regenerate with OBIWAN_REGEN_TRANSCRIPT=1.\n";
+void WriteGolden(const char* path, std::string_view header,
+                 const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  out << header;
   for (const std::string& line : lines) out << line << "\n";
+}
+
+// Compares `lines` with the golden file at `path`, or rewrites the file when
+// OBIWAN_REGEN_TRANSCRIPT is set.
+void ExpectGolden(const char* path, std::string_view header,
+                  const std::vector<std::string>& lines) {
+  if (std::getenv("OBIWAN_REGEN_TRANSCRIPT") != nullptr) {
+    WriteGolden(path, header, lines);
+    GTEST_LOG_(INFO) << "wrote " << lines.size() << " lines to " << path;
+    return;
+  }
+  const std::vector<std::string> golden = ReadGolden(path);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << path;
+  const std::size_t n = std::min(lines.size(), golden.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(lines[i], golden[i]) << "first differing line is #" << i;
+  }
+  EXPECT_EQ(lines.size(), golden.size());
 }
 
 TEST(Transcript, FramesMatchTheGoldenTranscript) {
@@ -288,18 +317,51 @@ TEST(Transcript, FramesMatchTheGoldenTranscript) {
 
   std::vector<std::string> lines;
   for (const Frame& frame : scenario.log()) lines.push_back(Line(frame));
-  if (std::getenv("OBIWAN_REGEN_TRANSCRIPT") != nullptr) {
-    WriteGolden(lines);
-    GTEST_LOG_(INFO) << "wrote " << lines.size() << " frames to " << kGoldenPath;
-    return;
+  ExpectGolden(
+      kGoldenPath,
+      "# Golden protocol transcript (tests/transcript_test.cc): one line per\n"
+      "# frame, \"<site> > <peer> <hex>\" for a request and \"<site> < <peer>\n"
+      "# <hex>\" for its reply. Regenerate with OBIWAN_REGEN_TRANSCRIPT=1.\n",
+      lines);
+}
+
+// The laptop's snapshot after the scenario matches the golden bytes, and a
+// fresh site with the laptop's id restores it and faults past the diamond's
+// frontier through a restored proxy.
+TEST(Transcript, SnapshotMatchesTheGoldenAndResumes) {
+  Scenario scenario;
+  scenario.Run();
+  if (HasFatalFailure()) return;
+
+  auto snapshot = scenario.laptop().SaveSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  // 64 bytes per line keeps a format change's diff readable.
+  const std::string hex = Hex(AsView(*snapshot));
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < hex.size(); i += 128) {
+    lines.push_back(hex.substr(i, 128));
   }
-  const std::vector<std::string> golden = ReadGolden();
-  ASSERT_FALSE(golden.empty()) << "missing golden transcript " << kGoldenPath;
-  const std::size_t n = std::min(lines.size(), golden.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(lines[i], golden[i]) << "first differing frame is #" << i;
-  }
-  EXPECT_EQ(lines.size(), golden.size());
+  ExpectGolden(
+      kSnapshotGoldenPath,
+      "# Golden site snapshot (tests/transcript_test.cc): the laptop's\n"
+      "# SaveSnapshot() after the transcript scenario, in hex, 64 bytes per\n"
+      "# line. Regenerate with OBIWAN_REGEN_TRANSCRIPT=1.\n",
+      lines);
+  if (HasFatalFailure()) return;
+
+  auto restored = scenario.MakeSite(2, "l2");
+  ASSERT_TRUE(restored->LoadSnapshot(AsView(*snapshot)).ok());
+  EXPECT_EQ(restored->master_count(), scenario.laptop().master_count());
+  EXPECT_EQ(restored->replica_count(), scenario.laptop().replica_count());
+
+  auto root = restored->FindLocal(scenario.tree_id());
+  ASSERT_TRUE(root.ok()) << root.status();
+  core::Ref<Pair> tree;
+  tree.BindLocal(scenario.tree_id(), std::move(root).value());
+  core::Ref<Pair>& d = tree.get()->left.get()->right;
+  EXPECT_TRUE(d.IsProxy());
+  ASSERT_TRUE(d.Demand().ok());
+  EXPECT_EQ(d.get()->name, "d");
 }
 
 // Every get reply and push record in the transcript survives a decode and

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # CI entry point: build and test the tree four times —
-#   1. the plain Release-ish build (RelWithDebInfo, the default), followed
+#   1. the plain Release-ish build (RelWithDebInfo, the default, with
+#      -Werror: the tree builds without a warning), followed
 #      by a 1 s-per-workload run of perfbench/ whose correctness checks
 #      must pass, and by the lock telemetry tax gate (an uncontended
 #      TrackedMutex lock/unlock costs at most 3x the bare std::mutex),
@@ -29,7 +30,7 @@ run_flavour() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
 }
 
-run_flavour release build-ci
+run_flavour release build-ci -DCMAKE_CXX_FLAGS=-Werror
 
 # The wall-clock benchmark (perfbench/, Release, TCP loopback) doubles as an
 # end-to-end check: every workload verifies its results (Touch sums, walk
@@ -65,22 +66,22 @@ run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined
 
 # ThreadSanitizer flavour: the transport layer is the concurrency hot spot
 # (client threads sharing one pooled TCP transport, the retry decorator's
-# counter, the server's per-connection threads), plus the update-fanout pool
-# (batches handed to parked helper threads) and soak (concurrent writers
-# fanning pushes out on the bounded notification pool, and the resync
-# daemon's background worker), the contention observatory
-# (tracked mutexes, exemplar captures and scrapes racing lock traffic), the
-# sharded object table (shard/world guards racing protocol paths, holder
-# drops racing re-registration) and the update-journey tracker (fanout
-# worker threads stamping hops against scrapes and alert evaluation) — so
-# TSan runs those groups rather than the whole (slow under TSan) suite.
+# counter, the server's per-connection threads, RequestAll's overlapped
+# exchanges), plus the update fanout over real sockets (concurrent writers
+# whose puts each fan pushes out as one RequestAll, and the resync daemon's
+# background worker), the contention observatory (tracked mutexes,
+# exemplar captures and scrapes racing lock traffic), the sharded object
+# table (shard/world guards racing protocol paths, holder drops racing
+# re-registration) and the update-journey tracker (writers' fanouts
+# stamping hops against scrapes and alert evaluation) — so TSan runs those
+# groups rather than the whole (slow under TSan) suite.
 echo "=== [tsan] configure ==="
 cmake -B build-tsan -S . -DOBIWAN_SANITIZE=thread
 echo "=== [tsan] build ==="
 cmake --build build-tsan -j "$JOBS" --target tcp_test net_test compress_test fanout_test obs_test contention_test object_table_test journey_test
 echo "=== [tsan] test ==="
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R '^(Tcp|TcpDeadline|TcpPool|TcpRetry|TcpServer|Loopback|Sim|SimDeadline|RetryingTransport|CompressedTransport|FanoutPool|FanoutTcp|AdminHttp|FleetMonitor|Contention|ObjectTable|Journey|BurnRate)'
+    -R '^(Tcp|TcpDeadline|TcpPool|TcpRetry|TcpServer|Loopback|Sim|SimDeadline|RetryingTransport|CompressedTransport|FanoutTcp|AdminHttp|FleetMonitor|Contention|ObjectTable|Journey|BurnRate)'
 
 # The fig4 bench must emit a schema-valid BENCH_*.json with latency
 # percentiles (skip the google-benchmark micro-benchmarks; the paper series

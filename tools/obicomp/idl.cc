@@ -191,14 +191,12 @@ class Parser {
 
   // Types are an identifier or list<T>.
   Result<std::string> TakeType() {
-    OBIWAN_ASSIGN_OR_RETURN(std::string base, TakeIdent("type"));
-    if (base == "list") {
-      OBIWAN_RETURN_IF_ERROR(ExpectPunct("<"));
-      OBIWAN_ASSIGN_OR_RETURN(std::string inner, TakeType());
-      OBIWAN_RETURN_IF_ERROR(ExpectPunct(">"));
-      return "list<" + inner + ">";
-    }
-    return base;
+    Result<std::string> base = TakeIdent("type");
+    if (!base.ok() || *base != "list") return base;
+    OBIWAN_RETURN_IF_ERROR(ExpectPunct("<"));
+    OBIWAN_ASSIGN_OR_RETURN(std::string inner, TakeType());
+    OBIWAN_RETURN_IF_ERROR(ExpectPunct(">"));
+    return "list<" + inner + ">";
   }
 
   Status Advance() {
