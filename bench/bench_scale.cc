@@ -135,7 +135,8 @@ double RunObjectSeries(long objects) {
   std::vector<core::Ref<test::Node>> heads;
   for (long n = 0; n < objects; n += kObjectChainLength) {
     std::vector<core::Ref<test::Node>> chain = pair.ReplicateChain(
-        kObjectChainLength, "c" + std::to_string(n / kObjectChainLength));
+        kObjectChainLength,
+        std::string("c").append(std::to_string(n / kObjectChainLength)));
     if (chain.empty()) return 0;
     heads.push_back(chain.front());
     all.insert(all.end(), chain.begin(), chain.end());

@@ -5,9 +5,17 @@
 // invalidation fan-out) are hard to reconstruct from logs of interleaved
 // sites. A Tracer can be attached to any number of sites; each records its
 // protocol steps as spans with the site id and timestamps from its own clock,
-// and SnapshotSpans() returns the merged view. The ring never allocates after
-// construction beyond the span strings themselves (slot strings are reused in
-// place), and a site without a tracer pays one pointer compare per span.
+// and SnapshotSpans() returns the merged view. A site without a tracer pays
+// one pointer compare per span.
+//
+// The ring holds fixed-size, trivially copyable SpanRecords, so recording a
+// span is one copy into a slot and never allocates. A record keeps its name
+// in parts: the category and a name format are string literals, ids, counts
+// and versions are integers, and the one piece of runtime text a span
+// carries (a peer address, a method name) is a bounded inline copy.
+// SnapshotSpans() formats those parts into Span strings, so readers see the
+// same names a formatted string would have given; only the read pays for
+// them.
 //
 // A Span is a begin/end interval with a process-unique id and the id of the
 // span that was open on the same thread when it began. The paper's cascade —
@@ -34,11 +42,13 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/contention.h"
 #include "common/ids.h"
+#include "common/literal.h"
 #include "common/status.h"
 
 namespace obiwan {
@@ -62,6 +72,53 @@ struct Span {
   Nanos duration() const { return end > begin ? end - begin : 0; }
   std::string ToString() const;
 };
+
+// The parts a span's name is formatted from when the ring is read. In
+// `format`, "{k}" stands for `kind` (an op or message kind), "{o}" for
+// `object`, "{n}" for `number` and "{t}" for `text`; e.g.
+// {.format = "{o} via {t}", .object = id, .text = provider} reads
+// "obj(1:17) via 127.0.0.1:40123". Only `text` is copied when the span is
+// recorded, into the record's bounded buffer.
+struct SpanName {
+  Literal format;
+  Literal kind = "";
+  ObjectId object = {};
+  std::uint64_t number = 0;
+  std::string_view text = {};
+};
+
+// One span as a Tracer's ring stores it: fixed size and trivially copyable,
+// so recording is a plain copy into a slot. SnapshotSpans() formats a Span
+// from it.
+struct SpanRecord {
+  // Runtime text longer than this is cut, and the copy ends in "..." so a
+  // reader can tell.
+  static constexpr std::size_t kTextCapacity = 32;
+
+  std::uint64_t id = 0;
+  std::uint64_t parent = 0;
+  std::uint64_t trace_seq = 0;
+  Nanos begin = 0;
+  Nanos end = 0;
+  std::uint64_t object_local = 0;
+  std::uint64_t number = 0;
+  // Literals. A null category means a span named at run time (the
+  // string_view overloads below): `text` then holds the category's
+  // `category_size` bytes followed by the name.
+  const char* category = nullptr;
+  const char* format = nullptr;
+  const char* kind = nullptr;
+  SiteId site = kInvalidSite;
+  SiteId trace_site = kInvalidSite;
+  SiteId object_site = kInvalidSite;
+  std::uint8_t category_size = 0;
+  std::uint8_t text_size = 0;
+  bool failed = false;
+  char text[kTextCapacity] = {};
+};
+static_assert(std::is_trivially_copyable_v<SpanRecord>,
+              "a ring slot is written by a plain copy");
+static_assert(sizeof(SpanRecord) == 128, "two cache lines per span");
 
 // Per-thread correlation context. The dispatcher installs the envelope's id
 // around each inbound handler; client-side operations install a fresh id when
@@ -120,6 +177,9 @@ class Tracer {
   }
 
   // Record a *completed* span (SpanScope does this from its destructor).
+  void RecordSpan(const SpanRecord& record);
+  // Record an already formatted span. Its category and name are stored as
+  // runtime text, so they share the record's bounded text buffer.
   void RecordSpan(const Span& span);
 
   // Completed spans in completion order (oldest first); `spans_dropped`
@@ -149,7 +209,8 @@ class Tracer {
   // on one global mutex. A snapshot taken while a writer sits between
   // reservation and write may transiently see the slot's previous content;
   // the flight-recorder use case (post-mortem dumps of quiesced rings) never
-  // observes this.
+  // observes this. A snapshot copies the records under the stripe locks and
+  // formats them after releasing them.
   static constexpr std::size_t kStripes = 16;
   TrackedMutex& StripeFor(std::size_t slot) const {
     return stripes_[slot % kStripes];
@@ -159,7 +220,7 @@ class Tracer {
 
   const std::size_t capacity_;
   mutable std::array<TrackedMutex, kStripes> stripes_;
-  std::vector<Span> span_ring_;
+  std::vector<SpanRecord> span_ring_;
   std::atomic<std::uint64_t> span_total_{0};  // spans ever recorded
 };
 
@@ -173,9 +234,9 @@ class TraceSinks {
   void SetAttached(Tracer* tracer) { attached_ = tracer; }
   bool active() const { return flight_ != nullptr || attached_ != nullptr; }
 
-  void RecordSpan(const Span& span) const {
-    if (flight_ != nullptr) flight_->RecordSpan(span);
-    if (attached_ != nullptr) attached_->RecordSpan(span);
+  void RecordSpan(const SpanRecord& record) const {
+    if (flight_ != nullptr) flight_->RecordSpan(record);
+    if (attached_ != nullptr) attached_->RecordSpan(record);
   }
 
  private:
@@ -185,14 +246,27 @@ class TraceSinks {
 
 // RAII span: begins on construction, completes (and records into `sinks`) on
 // destruction. Maintains the thread's parent chain via SpanContext. A null or
-// inactive sinks makes the scope a no-op — no id is allocated and the parent
-// chain is left untouched, so children attach to the enclosing span.
+// inactive sinks makes the scope a no-op — no id is allocated, the clock is
+// not read and the parent chain is left untouched, so children attach to the
+// enclosing span.
 //
 // Given a `parent`, the span records under it and does not become the
 // thread's innermost span: for spans that overlap on one thread instead of
 // nesting (the exchanges of one Transport::RequestAll), and their children.
+//
+// A span named by a SpanName builds no string; the string_view overload
+// copies both views into the record's text buffer, cut at its capacity.
 class SpanScope {
  public:
+  SpanScope(const TraceSinks* sinks, Clock& clock, SiteId site,
+            Literal category, const SpanName& name, TraceId trace,
+            std::optional<std::uint64_t> parent = std::nullopt);
+  // As above, but the span begins at `begin`: a reading of `clock` that a
+  // caller timing the same interval already took. It then ends the span
+  // with its own reading too (EndAt), so each boundary reads the clock once.
+  SpanScope(const TraceSinks* sinks, Clock& clock, Nanos begin, SiteId site,
+            Literal category, const SpanName& name, TraceId trace,
+            std::optional<std::uint64_t> parent = std::nullopt);
   SpanScope(const TraceSinks* sinks, Clock& clock, SiteId site,
             std::string_view category, std::string_view name,
             TraceId trace, std::optional<std::uint64_t> parent = std::nullopt);
@@ -201,22 +275,32 @@ class SpanScope {
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
-  void MarkFailed() { span_.failed = true; }
-  std::uint64_t id() const { return span_.id; }
+  void MarkFailed() { record_.failed = true; }
+  std::uint64_t id() const { return record_.id; }
+  // The span ends at `end` (a reading of its clock), not at destruction.
+  void EndAt(Nanos end) {
+    record_.end = end;
+    ended_ = true;
+  }
 
  private:
+  // Allocates the id and links the span into the parent chain.
+  void Open(SiteId site, TraceId trace, std::optional<std::uint64_t> parent);
+
   const TraceSinks* sinks_ = nullptr;  // null when inactive
   Clock* clock_ = nullptr;
   bool installed_ = false;
-  Span span_;
+  bool ended_ = false;
+  SpanRecord record_;
 };
 
-// A point-in-time step: a span that begins and ends at once, parented under
-// whatever span is open on this thread.
-inline void RecordInstant(const TraceSinks* sinks, Clock& clock, SiteId site,
-                          std::string_view category, std::string_view name,
-                          TraceId trace) {
-  SpanScope instant(sinks, clock, site, category, name, trace);
-}
+// A point-in-time step: a span that begins and ends at one clock reading,
+// parented under `parent` or else whatever span is open on this thread.
+void RecordInstant(const TraceSinks* sinks, Clock& clock, SiteId site,
+                   Literal category, const SpanName& name, TraceId trace,
+                   std::optional<std::uint64_t> parent = std::nullopt);
+void RecordInstant(const TraceSinks* sinks, Clock& clock, SiteId site,
+                   std::string_view category, std::string_view name,
+                   TraceId trace);
 
 }  // namespace obiwan

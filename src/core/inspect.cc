@@ -290,7 +290,8 @@ InspectReport Site::Inspect() {
 
 Result<InspectReport> Site::InspectRemote(const net::Address& to) {
   TraceContext::Scope flow(TraceContext::CurrentOrNew(id_));
-  SpanScope span(&sinks_, clock_, id_, "inspect", "pull from " + to,
+  SpanScope span(&sinks_, clock_, id_, "inspect",
+                 {.format = "pull from {t}", .text = to},
                  TraceContext::Current());
   wire::Writer body;  // kInspect carries no request body
   OBIWAN_ASSIGN_OR_RETURN(

@@ -140,7 +140,7 @@ SiteTelemetry::SiteTelemetry(SiteId site, MetricsRegistry& metrics) {
       "means the site restarted");
   RegisterBuildInfo(metrics);
 
-  auto op = [&](const char* name) {
+  auto op = [&](Literal name) {
     MetricLabels op_labels = labels;
     op_labels.emplace_back("op", name);
     Histogram& latency =
@@ -273,20 +273,25 @@ Site::OutboundRpc::OutboundRpc(Site& site, const SiteTelemetry::Op& op,
     : site_(site),
       op_(op),
       to_(to),
-      span_(&site.sinks_, site.clock_, site.id_, "rpc",
-            std::string(op.name) + " " + to, TraceContext::Current(),
-            overlapping ? std::optional(SpanContext::Current()) : std::nullopt),
-      start_(site.clock_.Now()) {}
+      start_(site.clock_.Now()),
+      span_(&site.sinks_, site.clock_, start_, site.id_, "rpc",
+            {.format = "{k} {t}", .kind = op.name, .text = to},
+            TraceContext::Current(),
+            overlapping ? std::optional(SpanContext::Current()) : std::nullopt) {}
 
 void Site::OutboundRpc::Finish(const Status& status) {
-  op_.latency->Observe(site_.clock_.Now() - start_);
+  const Nanos end = site_.clock_.Now();
+  span_.EndAt(end);
+  op_.latency->Observe(end - start_);
   if (status.ok()) return;
   op_.errors->Inc();
   span_.MarkFailed();
   // An instant under the rpc span, which the thread may not have open.
-  SpanScope(&site_.sinks_, site_.clock_, site_.id_, "error",
-            std::string(op_.name) + " to " + to_ + ": " + status.ToString(),
-            TraceContext::Current(), span_.id());
+  RecordInstant(&site_.sinks_, site_.clock_, site_.id_, "error",
+                {.format = "{k} to {t}",
+                 .kind = op_.name,
+                 .text = to_ + ": " + status.ToString()},
+                TraceContext::Current(), span_.id());
   // A Status error escaping the site is the flight recorder's cue: if a
   // dump is armed, this writes the black boxes of every site.
   FlightRecorder::Global().NotifyFailure(status.message());
@@ -668,8 +673,10 @@ bool Site::BindRef(RefBase& rb, const RefView& entry,
 
 Result<Bytes> Site::ServeGet(const net::Address& from, const GetRequest& req) {
   SpanScope span(&sinks_, clock_, id_, "serve.get",
-                 "root " + ToString(req.root) + " for " + from +
-                     (req.refresh ? " (refresh)" : ""),
+                 {.format = req.refresh ? Literal("root {o} for {t} (refresh)")
+                                        : Literal("root {o} for {t}"),
+                  .object = req.root,
+                  .text = from},
                  TraceContext::Current());
   telemetry_.gets_served->Inc();
 
@@ -744,8 +751,11 @@ Result<Bytes> Site::ServeGet(const net::Address& from, const GetRequest& req) {
 
 Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req) {
   SpanScope span(&sinks_, clock_, id_, "serve.put",
-                 std::to_string(req.items.size()) + " item(s) from " + from +
-                     (req.transactional ? " (tx)" : ""),
+                 {.format = req.transactional
+                                ? Literal("{n} item(s) from {t} (tx)")
+                                : Literal("{n} item(s) from {t}"),
+                  .number = req.items.size(),
+                  .text = from},
                  TraceContext::Current());
   telemetry_.puts_served->Inc();
 
@@ -945,8 +955,9 @@ Status Site::MarkMasterUpdated(ObjectId id) {
     update.version = e->version;
     update.recipients = e->holders;  // snapshot; notify outside the guard
   }
-  Trace("update",
-        ToString(id) + " now at version " + std::to_string(update.version));
+  Trace("update", {.format = "{o} now at version {n}",
+                   .object = id,
+                   .number = update.version});
 
   // BuildPushRecord takes the same shard's guard, so publishing runs after
   // the bump above is released. A racing second bump just makes the pushed
@@ -1131,7 +1142,9 @@ void Site::DropHolder(const net::Address& addr) {
     return pending.note.addr == addr;
   });
   telemetry_.holders_dropped->Inc();
-  Trace("holder", addr + " dropped after repeated notification failures");
+  Trace("holder",
+        {.format = "{t} dropped after repeated notification failures",
+         .text = addr});
 }
 
 // Caller holds pins_mutex_.
@@ -1184,7 +1197,8 @@ std::size_t Site::pending_notify_retries() const {
 
 Status Site::ServePush(const BatchView& batch) {
   const RecordView& record = batch.records.front();
-  SpanScope span(&sinks_, clock_, id_, "serve.push", ToString(record.id),
+  SpanScope span(&sinks_, clock_, id_, "serve.push",
+                 {.format = "{o}", .object = record.id},
                  TraceContext::Current());
   {
     // Early filter only — the authoritative check is Materialize's monotonic
@@ -1215,7 +1229,7 @@ Status Site::ServePush(const BatchView& batch) {
     journey->OnReplicaApply(record.id, record.version, clock_.Now());
   }
   telemetry_.invalidations_received->Inc();  // counted as an update notification
-  Trace("push", ToString(record.id) + " updated in place");
+  Trace("push", {.format = "{o} updated in place", .object = record.id});
   ReplicaUpdateCallback callback;
   {
     std::lock_guard lock(mutex_);
@@ -1251,7 +1265,7 @@ Status Site::SendPinRequest(const SiteTelemetry::Op& op, rmi::MessageKind kind,
 
 Status Site::ServeInvalidate(const InvalidateRequest& req) {
   SpanScope span(&sinks_, clock_, id_, "serve.invalidate",
-                 std::to_string(req.ids.size()) + " id(s)",
+                 {.format = "{n} id(s)", .number = req.ids.size()},
                  TraceContext::Current());
   std::vector<ObjectId> invalidated;
   std::vector<std::pair<ObjectId, std::uint64_t>> received;
@@ -1271,7 +1285,7 @@ Status Site::ServeInvalidate(const InvalidateRequest& req) {
           std::max(e->known_master_version, e->version + 1);
     }
     telemetry_.invalidations_received->Inc();
-    Trace("invalidate", ToString(oid) + " marked stale");
+    Trace("invalidate", {.format = "{o} marked stale", .object = oid});
     invalidated.push_back(oid);
     received.emplace_back(oid, e->known_master_version);
   }
@@ -1342,7 +1356,9 @@ Status Site::ServeRelease(const net::Address& from, ProxyId pin) {
 
 Result<Bytes> Site::ServeCall(const rmi::CallRequest& call) {
   SpanScope span(&sinks_, clock_, id_, "serve.call",
-                 call.method + " on " + ToString(call.target),
+                 {.format = "{t} on {o}",
+                  .object = call.target,
+                  .text = call.method},
                  TraceContext::Current());
   telemetry_.calls_served->Inc();
   std::shared_ptr<Shareable> obj = table_.FindLocked(call.target);
@@ -1381,14 +1397,18 @@ Result<std::shared_ptr<Shareable>> Site::DemandThrough(
     // the fault without touching the network.
     if (auto local = table_.FindLocked(root)) return local;
     telemetry_.object_faults->Inc();
-    fault_span.emplace(&sinks_, clock_, id_, "fault",
-                       ToString(root) + " via " + descriptor.provider,
+    fault_span.emplace(&sinks_, clock_, id_, Literal("fault"),
+                       SpanName{.format = "{o} via {t}",
+                                .object = root,
+                                .text = descriptor.provider},
                        TraceContext::Current());
   }
   telemetry_.gets_sent->Inc();
   SpanScope get_span(&sinks_, clock_, id_, "get",
-                     ToString(root) + (refresh ? " (refresh)" : "") + " from " +
-                         descriptor.provider,
+                     {.format = refresh ? Literal("{o} (refresh) from {t}")
+                                        : Literal("{o} from {t}"),
+                      .object = root,
+                      .text = descriptor.provider},
                      TraceContext::Current());
 
   // The request travels with the site lock *released*: a synchronous
@@ -1418,7 +1438,7 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
                                                      bool refresh,
                                                      ObjectId root) {
   SpanScope span(&sinks_, clock_, id_, "materialize",
-                 std::to_string(batch.records.size()) + " object(s)",
+                 {.format = "{n} object(s)", .number = batch.records.size()},
                  TraceContext::Current());
   const std::vector<RecordView>& records = batch.records;
   const std::size_t n = records.size();
@@ -1515,6 +1535,8 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
       }
     }
 
+    // One sync instant for the whole batch.
+    const Nanos synced_at = clock_.Now();
     for (std::size_t i = 0; i < n; ++i) {
       const RecordView& rec = records[i];
       Slot& slot = slots[i];
@@ -1526,7 +1548,7 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
           e->version = rec.version;
           e->stale = false;
           e->known_master_version = std::max(e->known_master_version, rec.version);
-          e->last_sync = clock_.Now();
+          e->last_sync = synced_at;
           ++e->sync_count;
           policy.OnReplicaData(ReplicaView{rec.id, e->version, e->policy_state},
                                rec.policy_data);
@@ -1545,7 +1567,7 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
       entry.obj = slot.obj;
       entry.version = rec.version;
       entry.known_master_version = rec.version;
-      entry.last_sync = clock_.Now();
+      entry.last_sync = synced_at;
       entry.sync_count = 1;
       if (rec.provider.valid()) {
         entry.provider = rec.provider.Owned();
@@ -1647,9 +1669,10 @@ Status Site::PutItems(const ProxyDescriptor& provider,
   // serialization included — records as one span under one correlation id.
   TraceContext::Scope flow(TraceContext::CurrentOrNew(id_));
   SpanScope span(&sinks_, clock_, id_,
-                 transactional ? "commit" : "put",
-                 std::to_string(ids.size()) + " item(s) to " +
-                     provider.provider,
+                 transactional ? Literal("commit") : Literal("put"),
+                 {.format = "{n} item(s) to {t}",
+                  .number = ids.size(),
+                  .text = provider.provider},
                  TraceContext::Current());
   PutRequest req;
   req.pin = provider.pin;
@@ -1679,6 +1702,7 @@ Status Site::PutItems(const ProxyDescriptor& provider,
     return DataLossError("put reply version count mismatch");
   }
 
+  const Nanos synced_at = clock_.Now();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (ids[i].second) continue;  // read-only items do not advance
     ObjectTable::ShardGuard guard(table_, ids[i].first);
@@ -1688,7 +1712,7 @@ Status Site::PutItems(const ProxyDescriptor& provider,
       // An accepted put is a synchronisation: we now hold exactly the master
       // state our write produced.
       e->known_master_version = std::max(e->known_master_version, e->version);
-      e->last_sync = clock_.Now();
+      e->last_sync = synced_at;
       ++e->put_count;
     }
   }
@@ -1865,8 +1889,8 @@ Status Site::PrefetchAll(RefBase& ref) {
   // One flow id + one parent span for the whole walk, so the prefetcher's
   // cascade of faults shows up as a single tree in the timeline.
   TraceContext::Scope flow(TraceContext::CurrentOrNew(id_));
-  SpanScope span(&sinks_, clock_, id_, "prefetch", ToString(ref.id()),
-                 TraceContext::Current());
+  SpanScope span(&sinks_, clock_, id_, "prefetch",
+                 {.format = "{o}", .object = ref.id()}, TraceContext::Current());
   OBIWAN_RETURN_IF_ERROR(ref.Demand());
 
   std::unordered_set<const Shareable*> visited;
@@ -1959,7 +1983,8 @@ Status Site::ReleaseProxy(const ProxyDescriptor& descriptor) {
 Result<Bytes> Site::CallRaw(const net::Address& to, ObjectId target,
                             const std::string& method, Bytes args) {
   TraceContext::Scope flow(TraceContext::CurrentOrNew(id_));
-  SpanScope span(&sinks_, clock_, id_, "rmi", method + " on " + ToString(target),
+  SpanScope span(&sinks_, clock_, id_, "rmi",
+                 {.format = "{t} on {o}", .object = target, .text = method},
                  TraceContext::Current());
   telemetry_.calls_sent->Inc();
   rmi::CallRequest call{target, method, std::move(args)};
@@ -1972,7 +1997,9 @@ Result<Bytes> Site::CallBatchRaw(const net::Address& to,
                                  const std::vector<rmi::CallRequest>& calls) {
   TraceContext::Scope flow(TraceContext::CurrentOrNew(id_));
   SpanScope span(&sinks_, clock_, id_, "batch",
-                 std::to_string(calls.size()) + " call(s) at " + to,
+                 {.format = "{n} call(s) at {t}",
+                  .number = calls.size(),
+                  .text = to},
                  TraceContext::Current());
   telemetry_.calls_sent->Inc(calls.size());
   return TimedRequest(

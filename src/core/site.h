@@ -129,7 +129,7 @@ struct SiteTelemetry {
   struct Op {
     Histogram* latency = nullptr;  // round-trip time on the site's clock
     Counter* errors = nullptr;
-    const char* name = "";  // op label, reused as the rpc span name
+    Literal name = "";  // op label, reused as the rpc span's kind
   };
   Op op_call;
   Op op_get;
@@ -606,17 +606,18 @@ class Site final : public rmi::Service {
   // Refresh a pin's lease on any use.
   void TouchPin(ProxyInEntry& entry);
 
-  void Trace(std::string_view category, std::string_view detail) {
+  void Trace(Literal category, const SpanName& name) {
     // An instant under the open span, fanned out to the flight-recorder ring
     // (always on) and the attached tracer (when set) — a detached site keeps
     // its black box.
-    RecordInstant(&sinks_, clock_, id_, category, detail,
+    RecordInstant(&sinks_, clock_, id_, category, name,
                   TraceContext::Current());
   }
 
   // One outbound RPC's bookkeeping from send to reply: its `rpc` span, its
-  // round trip in `op`'s latency histogram and, on failure, the error count,
-  // an `error` instant under the span and the flight recorder's cue.
+  // round trip in `op`'s latency histogram (the span's own interval, one
+  // clock reading at each end) and, on failure, the error count, an `error`
+  // instant under the span and the flight recorder's cue.
   // `overlapping` RPCs (one RequestAll's) never become the innermost span.
   class OutboundRpc {
    public:
@@ -628,8 +629,8 @@ class Site final : public rmi::Service {
     Site& site_;
     const SiteTelemetry::Op& op_;
     const net::Address& to_;
-    SpanScope span_;
     Nanos start_;
+    SpanScope span_;
   };
 
   // One RPC through Transport::Request under an OutboundRpc. `frame` must

@@ -99,18 +99,23 @@ class Dispatcher final : public net::MessageHandler {
     // every span the handler opens — records under the originating trace.
     // With in-process delivery the handler runs on the caller's thread and
     // the span parents under the caller's client span, which is exactly the
-    // causal chain: client rmi → dispatch → serve → nested faults.
+    // causal chain: client rmi → dispatch → serve → nested faults. The
+    // latency histogram times the dispatch span's own interval, from the
+    // same two clock readings.
     TraceContext::Scope scope(parsed->trace);
-    SpanScope span(sinks_, *clock_, site_, "dispatch", KindName(parsed->kind),
-                   parsed->trace);
     const Nanos start = clock_->Now();
+    SpanScope span(sinks_, *clock_, start, site_, "dispatch",
+                   {.format = "{k}", .kind = KindName(parsed->kind)},
+                   parsed->trace);
     wire::Reader body(parsed->body);
     // Identity-bearing requests declare the address the sender serves at;
     // the transport's peer address (ephemeral for TCP) is only a fallback.
     const net::Address& effective_from =
         parsed->origin.empty() ? from : parsed->origin;
     Result<Bytes> reply = service->Handle(parsed->kind, effective_from, body);
-    pk.latency->Observe(clock_->Now() - start);
+    const Nanos end = clock_->Now();
+    span.EndAt(end);
+    pk.latency->Observe(end - start);
     if (!reply.ok()) {
       pk.errors->Inc();
       span.MarkFailed();

@@ -20,6 +20,7 @@
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "common/ids.h"
+#include "common/literal.h"
 #include "common/status.h"
 #include "wire/reader.h"
 #include "wire/writer.h"
@@ -65,8 +66,9 @@ inline constexpr std::uint8_t kOriginFlag = 0x20;
 // The kind value lives in the low 5 bits.
 inline constexpr std::uint8_t kKindMask = 0x1F;
 
-// Diagnostic name of a message kind ("call", "get", ...), for metric labels.
-inline std::string_view KindName(MessageKind kind) {
+// Diagnostic name of a message kind ("call", "get", ...), for metric labels
+// and as the kind of a dispatch span.
+inline Literal KindName(MessageKind kind) {
   switch (kind) {
     case MessageKind::kCall: return "call";
     case MessageKind::kPing: return "ping";

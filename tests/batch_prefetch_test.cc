@@ -164,8 +164,11 @@ TEST(BackgroundPrefetcher, MultipleGraphsAndShutdown) {
   std::vector<core::Ref<Node>> refs;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(
-        provider.Bind("g" + std::to_string(i), test::MakeChain(10, 16, "g")).ok());
-    auto remote = demander.Lookup<Node>("g" + std::to_string(i));
+        provider.Bind(std::string("g").append(std::to_string(i)),
+                      test::MakeChain(10, 16, "g"))
+            .ok());
+    auto remote =
+        demander.Lookup<Node>(std::string("g").append(std::to_string(i)));
     ASSERT_TRUE(remote.ok());
     refs.push_back(*remote->Replicate(ReplicationMode::Incremental(1)));
   }

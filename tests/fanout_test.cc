@@ -84,7 +84,7 @@ class SimRequestAll : public ::testing::Test {
  protected:
   void Serve(int n) {
     for (int i = 0; i < n; ++i) {
-      targets_.push_back("t" + std::to_string(i));
+      targets_.push_back(std::string("t").append(std::to_string(i)));
       handlers_.push_back(std::make_unique<EchoAddress>(targets_.back()));
       endpoints_.push_back(network_.CreateEndpoint(targets_.back()));
       ASSERT_TRUE(endpoints_.back()->Serve(handlers_.back().get()).ok());

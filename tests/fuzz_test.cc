@@ -61,7 +61,8 @@ TEST_P(FuzzTest, SnapshotLoaderSurvivesRandomBytes) {
   net::LoopbackNetwork network;
   std::mt19937_64 rng(GetParam());
   for (int i = 0; i < 300; ++i) {
-    core::Site site(1, network.CreateEndpoint("s" + std::to_string(i)));
+    core::Site site(
+        1, network.CreateEndpoint(std::string("s").append(std::to_string(i))));
     Bytes snapshot = RandomBytes(rng, 256);
     Status s = site.LoadSnapshot(AsView(snapshot));
     ASSERT_FALSE(s.ok());

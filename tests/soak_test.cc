@@ -49,8 +49,11 @@ TEST_P(SoakTest, RandomizedWorkloadConverges) {
   constexpr int kListLen = 6;
   std::vector<std::shared_ptr<Node>> masters;
   for (int i = 0; i < kLists; ++i) {
-    masters.push_back(test::MakeChain(kListLen, 32, "l" + std::to_string(i) + "-"));
-    ASSERT_TRUE(hub.Bind("list" + std::to_string(i), masters.back()).ok());
+    masters.push_back(test::MakeChain(
+        kListLen, 32, std::string("l").append(std::to_string(i)).append("-")));
+    ASSERT_TRUE(
+        hub.Bind(std::string("list").append(std::to_string(i)), masters.back())
+            .ok());
   }
 
   // Each demander's handle per list (replicated lazily during the run).

@@ -37,7 +37,8 @@ TEST_P(VvSoakTest, ConcurrentWritersNeverLoseCausality) {
   std::vector<core::Ref<Node>> refs(kWriters);
   for (int i = 0; i < kWriters; ++i) {
     writers.push_back(std::make_unique<core::Site>(
-        static_cast<SiteId>(2 + i), network.CreateEndpoint("w" + std::to_string(i)),
+        static_cast<SiteId>(2 + i),
+        network.CreateEndpoint(std::string("w").append(std::to_string(i))),
         clock));
     ASSERT_TRUE(writers.back()->Start().ok());
     writers.back()->UseRegistry("hub");
@@ -64,7 +65,8 @@ TEST_P(VvSoakTest, ConcurrentWritersNeverLoseCausality) {
 
     switch (rng() % 4) {
       case 0: {  // connectivity flap
-        network.SetEndpointUp("w" + std::to_string(w), (rng() & 1) != 0u);
+        network.SetEndpointUp(std::string("w").append(std::to_string(w)),
+                              (rng() & 1) != 0u);
         break;
       }
       case 1: {  // refresh to catch up
@@ -105,7 +107,7 @@ TEST_P(VvSoakTest, ConcurrentWritersNeverLoseCausality) {
 
   // Everyone converges after reconnect + refresh.
   for (int i = 0; i < kWriters; ++i) {
-    network.SetEndpointUp("w" + std::to_string(i), true);
+    network.SetEndpointUp(std::string("w").append(std::to_string(i)), true);
     ASSERT_TRUE(writers[i]->Refresh(refs[i]).ok());
     EXPECT_EQ(refs[i]->Value(), master->value) << "writer " << i;
   }

@@ -2,6 +2,7 @@
 // timeline.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <utility>
@@ -79,6 +80,31 @@ TEST(Tracer, RecordTakesNonNulTerminatedViews) {
   EXPECT_EQ(spans[0].duration(), 0);
 }
 
+TEST(Tracer, LongRuntimeTextIsCutAndMarked) {
+  VirtualClock clock;
+  Tracer tracer(4);
+  TraceSinks sinks;
+  sinks.SetAttached(&tracer);
+  const std::size_t capacity = SpanRecord::kTextCapacity;
+  // Fits exactly: kept whole.
+  const std::string exact(capacity, 'a');
+  RecordInstant(&sinks, clock, 1, "holder", {.format = "{t}", .text = exact},
+                {});
+  // One byte over: cut to leave room for the mark.
+  const std::string over = exact + "b";
+  RecordInstant(&sinks, clock, 1, "holder", {.format = "{t}", .text = over},
+                {});
+  // A two-byte UTF-8 character straddling the cut is dropped whole.
+  const std::string utf8 = std::string(capacity - 4, 'c') + "\xC3\xA9zzzz";
+  RecordInstant(&sinks, clock, 1, "holder", {.format = "{t}", .text = utf8},
+                {});
+  const auto spans = tracer.SnapshotSpans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, exact);
+  EXPECT_EQ(spans[1].name, std::string(capacity - 3, 'a') + "...");
+  EXPECT_EQ(spans[2].name, std::string(capacity - 4, 'c') + "...");
+}
+
 TEST(Tracer, ConcurrentRecordKeepsEveryEventCounted) {
   // Regression: RecordSpan from many threads must neither tear the ring
   // indices nor lose spans from the total counter.
@@ -101,6 +127,60 @@ TEST(Tracer, ConcurrentRecordKeepsEveryEventCounted) {
   EXPECT_EQ(tracer.SnapshotSpans().size(), 64u);
   EXPECT_EQ(tracer.spans_dropped(),
             static_cast<std::uint64_t>(kThreads) * kPerThread - 64);
+}
+
+TEST(Tracer, SnapshotsWhileFourThreadsRecord) {
+  // Four recorders share one ring while a fifth thread snapshots it: every
+  // snapshot holds whole records (each span's name matches its site), and
+  // every recorded span is counted.
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 2000;
+  Tracer tracer(64);
+  TraceSinks sinks;
+  sinks.SetAttached(&tracer);
+  auto peer_of = [](SiteId site) {
+    return "10.0.0." + std::to_string(site) + ":7501";
+  };
+  auto record = [&](SiteId site, const std::string& peer) {
+    SpanScope span(&sinks, SystemClock::Instance(), site, "rpc",
+                   {.format = "{k} {t}", .kind = "call", .text = peer},
+                   TraceContext::NewId(site));
+  };
+  // A snapshot may see a slot's previous record while its next writer is
+  // between reserving and writing it; fill the ring so that is a whole one.
+  for (int i = 0; i < 64; ++i) record(1, peer_of(1));
+  std::atomic<bool> writing{true};
+  std::atomic<int> torn{0};
+  std::atomic<int> snapshots{0};
+  std::thread reader([&] {
+    while (writing.load()) {
+      const std::vector<Span> spans = tracer.SnapshotSpans();
+      if (spans.size() > 64) torn.fetch_add(1);
+      for (const Span& span : spans) {
+        if (span.category != "rpc" || span.name != "call " + peer_of(span.site)) {
+          torn.fetch_add(1);
+        }
+      }
+      snapshots.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      const SiteId site = static_cast<SiteId>(t + 1);
+      const std::string peer = peer_of(site);
+      for (int i = 0; i < kPerWriter; ++i) record(site, peer);
+    });
+  }
+  for (auto& w : writers) w.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(snapshots.load(), 0);
+  EXPECT_EQ(tracer.spans_recorded(),
+            static_cast<std::uint64_t>(kWriters) * kPerWriter + 64);
+  EXPECT_EQ(tracer.SnapshotSpans().size(), 64u);
 }
 
 TEST(TraceContext, ScopesNestAndRestore) {

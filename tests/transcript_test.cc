@@ -42,6 +42,7 @@ using test::Pair;
 const char* const kGoldenPath = OBIWAN_TEST_DIR "/testdata/transcript.golden";
 const char* const kSnapshotGoldenPath =
     OBIWAN_TEST_DIR "/testdata/snapshot.golden";
+const char* const kSpansGoldenPath = OBIWAN_TEST_DIR "/testdata/spans.golden";
 
 std::string Hex(BytesView bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -261,7 +262,9 @@ class Scenario {
   }
 
   const std::vector<Frame>& log() const { return log_; }
+  core::Site& provider() { return *provider_; }
   core::Site& laptop() { return *laptop_; }
+  core::Site& pda() { return *pda_; }
   // The diamond's root, as the laptop replicated it.
   ObjectId tree_id() const { return tree_id_; }
 
@@ -362,6 +365,32 @@ TEST(Transcript, SnapshotMatchesTheGoldenAndResumes) {
   EXPECT_TRUE(d.IsProxy());
   ASSERT_TRUE(d.Demand().ok());
   EXPECT_EQ(d.get()->name, "d");
+}
+
+// Every site's flight-recorder ring after the scenario, as span names only
+// (no ids, no times), matches tests/testdata/spans.golden: how spans are
+// stored may change, what the flight dumps, /flight and the collectors read
+// may not.
+TEST(Transcript, FlightSpansMatchTheGolden) {
+  Scenario scenario;
+  scenario.Run();
+  if (HasFatalFailure()) return;
+
+  std::vector<std::string> lines;
+  for (core::Site* site :
+       {&scenario.provider(), &scenario.laptop(), &scenario.pda()}) {
+    for (const Span& span : site->flight_recorder().SnapshotSpans()) {
+      lines.push_back(std::to_string(span.site) + " " + span.category + " " +
+                      span.name + " " + (span.failed ? "1" : "0"));
+    }
+  }
+  ExpectGolden(
+      kSpansGoldenPath,
+      "# Golden span names (tests/transcript_test.cc): the provider's, the\n"
+      "# laptop's and the PDA's flight-recorder rings after the transcript\n"
+      "# scenario, one span per line as \"<site> <category> <name> <failed>\".\n"
+      "# Regenerate with OBIWAN_REGEN_TRANSCRIPT=1.\n",
+      lines);
 }
 
 // Every get reply and push record in the transcript survives a decode and

@@ -72,16 +72,18 @@ run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined
 # background worker), the contention observatory (tracked mutexes,
 # exemplar captures and scrapes racing lock traffic), the sharded object
 # table (shard/world guards racing protocol paths, holder drops racing
-# re-registration) and the update-journey tracker (writers' fanouts
-# stamping hops against scrapes and alert evaluation) — so TSan runs those
-# groups rather than the whole (slow under TSan) suite.
+# re-registration), the update-journey tracker (writers' fanouts
+# stamping hops against scrapes and alert evaluation) and the span rings
+# (every server thread records into its site's ring while dumps snapshot
+# it) — so TSan runs those groups rather than the whole (slow under TSan)
+# suite.
 echo "=== [tsan] configure ==="
 cmake -B build-tsan -S . -DOBIWAN_SANITIZE=thread
 echo "=== [tsan] build ==="
-cmake --build build-tsan -j "$JOBS" --target tcp_test net_test compress_test fanout_test obs_test contention_test object_table_test journey_test
+cmake --build build-tsan -j "$JOBS" --target tcp_test net_test compress_test fanout_test obs_test contention_test object_table_test journey_test trace_test span_test
 echo "=== [tsan] test ==="
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R '^(Tcp|TcpDeadline|TcpPool|TcpRetry|TcpServer|Loopback|Sim|SimDeadline|RetryingTransport|CompressedTransport|FanoutTcp|AdminHttp|FleetMonitor|Contention|ObjectTable|Journey|BurnRate)'
+    -R '^(Tcp|TcpDeadline|TcpPool|TcpRetry|TcpServer|Loopback|Sim|SimDeadline|RetryingTransport|CompressedTransport|FanoutTcp|AdminHttp|FleetMonitor|Contention|ObjectTable|Journey|BurnRate|Tracer|TraceContext|SpanScope|Span|TraceCollector|ChromeTrace|FlightRecorder)'
 
 # The fig4 bench must emit a schema-valid BENCH_*.json with latency
 # percentiles (skip the google-benchmark micro-benchmarks; the paper series
