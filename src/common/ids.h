@@ -6,10 +6,15 @@
 // proxy pair, paper §2) get ProxyIds scoped the same way.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace obiwan {
 
@@ -81,6 +86,61 @@ struct ObjectIdHash {
   std::size_t operator()(const ObjectId& id) const {
     return std::hash<std::uint64_t>{}((std::uint64_t{id.site} << 40) ^ id.local);
   }
+};
+
+// A set of valid ObjectIds in one flat array (open addressing, linear
+// probing): no node per member, so a reserved set inserts without
+// allocating.
+class FlatIdSet {
+ public:
+  // Room for `n` members without growing.
+  void reserve(std::size_t n) {
+    if (2 * n > slots_.size()) Rehash(std::bit_ceil(2 * n));
+  }
+
+  // Never true for the invalid id, which marks an empty slot.
+  bool contains(const ObjectId& id) const {
+    if (slots_.empty() || !id.valid()) return false;
+    for (std::size_t i = Home(id);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == id) return true;
+      if (!slots_[i].valid()) return false;
+    }
+  }
+
+  // False if `id` was a member already.
+  bool insert(const ObjectId& id) {
+    assert(id.valid());
+    if (2 * (size_ + 1) > slots_.size()) {
+      Rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+    }
+    for (std::size_t i = Home(id);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == id) return false;
+      if (!slots_[i].valid()) {
+        slots_[i] = id;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+ private:
+  // Fibonacci hashing: a multiply spreads ids that share low bits.
+  std::size_t Home(const ObjectId& id) const {
+    const std::uint64_t h = ObjectIdHash{}(id) * 0x9E3779B97F4A7C15ull;
+    return static_cast<std::size_t>(h >> 32) & (slots_.size() - 1);
+  }
+
+  void Rehash(std::size_t capacity) {
+    std::vector<ObjectId> old =
+        std::exchange(slots_, std::vector<ObjectId>(capacity));
+    size_ = 0;
+    for (const ObjectId& id : old) {
+      if (id.valid()) insert(id);
+    }
+  }
+
+  std::vector<ObjectId> slots_;  // invalid id = empty; size a power of two
+  std::size_t size_ = 0;
 };
 
 struct ProxyIdHash {

@@ -168,8 +168,9 @@ InspectReport Site::InspectLocked() {
     report.proxy_ins = proxy_ins_.size();
   }
 
-  // EnsureGraphIds ran: the pointer-identity map covers every local target,
-  // so this lookup never mutates the tables mid-iteration.
+  // EnsureGraphIds ran: every local target this site can hold has an id, so
+  // this lookup never mutates the tables mid-iteration (a target another
+  // site holds has none here, and its edge is left out).
   auto edges_of = [&](const std::shared_ptr<Shareable>& obj) {
     std::vector<InspectEdge> edges;
     for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {

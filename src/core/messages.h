@@ -86,6 +86,10 @@ struct GetRequest {
   bool refresh = false;  // update already-held replicas instead of expanding
 };
 
+// The longest encoded GetRequest: two ids (two varints each, at most 5 + 10
+// bytes), the mode (a kind byte and two 32-bit varints) and the flag.
+inline constexpr std::size_t kMaxGetRequestBytes = 2 * 15 + 11 + 1;
+
 struct GetReply {
   std::vector<ObjectRecord> objects;  // objects[0] is the root
   std::optional<ClusterInfo> cluster;
@@ -305,6 +309,7 @@ inline void ReadGetReply(wire::Reader& r, BatchView& batch) {
   const std::uint64_t n = r.Varint();
   if (!CountFits(r, n)) return;
   batch.records.reserve(n);
+  batch.refs.reserve(n);  // one reference field a record, until one has more
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) ReadRecord(r, batch);
   batch.has_cluster = r.Bool();
   if (!batch.has_cluster) return;

@@ -1,32 +1,83 @@
 #include "core/object_table.h"
 
+#include <bit>
 #include <cassert>
 
 namespace obiwan::core {
 
-// Internal leaf lock over one pointer stripe: skipped when the thread owns
-// the world (the WorldGuard already holds every stripe).
-namespace {
-class StripeLock {
- public:
-  StripeLock(const ObjectTable& table, TrackedMutex& mutex)
-      : mutex_(mutex), locked_(!table.WorldHeldByThisThread()) {
-    if (locked_) mutex_.lock();
-  }
-  ~StripeLock() {
-    if (locked_) mutex_.unlock();
-  }
-  StripeLock(const StripeLock&) = delete;
-  StripeLock& operator=(const StripeLock&) = delete;
+// --- identity slot -----------------------------------------------------------
+//
+// A sequence lock: a writer moves seq_ from even to odd by compare-and-swap,
+// writes owner and id, and publishes the next even value; a reader retries
+// until it reads the same even value before and after the fields. The fields
+// are stored with release and loaded with acquire, so a reader that sees any
+// field a writer stored also sees seq_ odd on its second read. Writers are
+// claims and releases, a few per object lifetime, so a writer that finds
+// another one in simply yields.
 
- private:
-  TrackedMutex& mutex_;
-  bool locked_;
-};
-}  // namespace
+std::uint32_t IdentitySlot::LockForWrite() {
+  std::uint32_t seq = seq_.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((seq & 1) == 0 &&
+        seq_.compare_exchange_weak(seq, seq + 1, std::memory_order_acquire,
+                                   std::memory_order_relaxed)) {
+      return seq;
+    }
+    if ((seq & 1) != 0) {
+      std::this_thread::yield();
+      seq = seq_.load(std::memory_order_relaxed);
+    }
+  }
+}
+
+ObjectId IdentitySlot::HeldBy(const ObjectTable* table) const {
+  const ObjectTable* owner = owner_.load(std::memory_order_acquire);
+  const ObjectId id{site_.load(std::memory_order_acquire),
+                    local_.load(std::memory_order_acquire)};
+  return owner == table ? id : ObjectId{};
+}
+
+void IdentitySlot::Set(const ObjectTable* owner, ObjectId id) {
+  owner_.store(owner, std::memory_order_release);
+  site_.store(id.site, std::memory_order_release);
+  local_.store(id.local, std::memory_order_release);
+}
+
+ObjectId IdentitySlot::Read(const ObjectTable* table) const {
+  for (;;) {
+    const std::uint32_t before = seq_.load(std::memory_order_acquire);
+    if ((before & 1) != 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    const ObjectId held = HeldBy(table);
+    if (seq_.load(std::memory_order_relaxed) == before) return held;
+  }
+}
+
+ObjectId IdentitySlot::Claim(const ObjectTable* table, ObjectId candidate) {
+  const std::uint32_t seq = LockForWrite();
+  const bool unowned = owner_.load(std::memory_order_relaxed) == nullptr;
+  if (unowned) Set(table, candidate);
+  const ObjectId held = HeldBy(table);
+  seq_.store(unowned ? seq + 2 : seq, std::memory_order_release);
+  return held;
+}
+
+void IdentitySlot::Release(const ObjectTable* table, ObjectId id) {
+  const std::uint32_t seq = LockForWrite();
+  // Only our own binding: the object may have been registered again under a
+  // fresh id since.
+  const bool ours = HeldBy(table) == id;
+  if (ours) Set(nullptr, ObjectId{});
+  seq_.store(ours ? seq + 2 : seq, std::memory_order_release);
+}
 
 ObjectTable::ObjectTable() = default;
-ObjectTable::~ObjectTable() = default;
+
+// Objects an application still holds outlive the table: they leave it
+// unregistered, free to join another site's.
+ObjectTable::~ObjectTable() { ReleaseAll(); }
 
 // --- guards ------------------------------------------------------------------
 
@@ -43,16 +94,17 @@ ObjectTable::BatchGuard::BatchGuard(const ObjectTable& table,
                                     const std::vector<ObjectId>& ids)
     : table_(table) {
   if (table.WorldHeldByThisThread()) return;
-  shards_.reserve(ids.size());
-  for (const ObjectId& id : ids) shards_.push_back(table.ShardOf(id));
-  std::sort(shards_.begin(), shards_.end());
-  shards_.erase(std::unique(shards_.begin(), shards_.end()), shards_.end());
-  for (std::size_t shard : shards_) table_.shards_[shard].mutex.lock();
+  for (const ObjectId& id : ids) shards_ |= std::uint64_t{1} << table.ShardOf(id);
+  // Lowest set bit first: ascending shard order.
+  for (std::uint64_t rest = shards_; rest != 0; rest &= rest - 1) {
+    table_.shards_[std::countr_zero(rest)].mutex.lock();
+  }
 }
 
 ObjectTable::BatchGuard::~BatchGuard() {
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it)
-    table_.shards_[*it].mutex.unlock();
+  for (std::uint64_t rest = shards_; rest != 0; rest &= rest - 1) {
+    table_.shards_[std::countr_zero(rest)].mutex.unlock();
+  }
 }
 
 ObjectTable::WorldGuard::WorldGuard(const ObjectTable& table)
@@ -63,7 +115,6 @@ ObjectTable::WorldGuard::WorldGuard(const ObjectTable& table)
     return;
   }
   for (auto& shard : self.shards_) shard.mutex.lock();
-  for (auto& stripe : self.stripes_) stripe.mutex.lock();
   self.world_owner_.store(std::this_thread::get_id(),
                           std::memory_order_release);
   self.world_depth_ = 1;
@@ -78,8 +129,6 @@ ObjectTable::WorldGuard::~WorldGuard() {
   assert(self.world_depth_ == 1);
   self.world_depth_ = 0;
   self.world_owner_.store(std::thread::id{}, std::memory_order_release);
-  for (auto it = self.stripes_.rbegin(); it != self.stripes_.rend(); ++it)
-    it->mutex.unlock();
   for (auto it = self.shards_.rbegin(); it != self.shards_.rend(); ++it)
     it->mutex.unlock();
 }
@@ -132,6 +181,9 @@ std::pair<MasterEntry*, bool> ObjectTable::EmplaceMaster(ObjectId id,
     if (it->second.master) return {&shard.masters[it->second.index], false};
     return {nullptr, false};
   }
+  if (record.obj && PtrIdOrInsert(record.obj.get(), id) != id) {
+    return {nullptr, false};
+  }
   std::uint32_t index;
   if (!shard.master_free.empty()) {
     index = shard.master_free.back();
@@ -145,7 +197,6 @@ std::pair<MasterEntry*, bool> ObjectTable::EmplaceMaster(ObjectId id,
   shard.master_ids[index] = id;
   shard.index.emplace(id, Slot{true, index});
   MasterEntry* stored = &shard.masters[index];
-  if (stored->obj) PtrIdOrInsert(stored->obj.get(), id);
   for (const net::Address& addr : stored->holders)
     shard.holders_by_addr[addr].insert(id);
   master_count_.fetch_add(1, std::memory_order_relaxed);
@@ -158,6 +209,9 @@ std::pair<ReplicaEntry*, bool> ObjectTable::EmplaceReplica(
   auto it = shard.index.find(id);
   if (it != shard.index.end()) {
     if (!it->second.master) return {&shard.replicas[it->second.index], false};
+    return {nullptr, false};
+  }
+  if (record.obj && PtrIdOrInsert(record.obj.get(), id) != id) {
     return {nullptr, false};
   }
   std::uint32_t index;
@@ -173,7 +227,6 @@ std::pair<ReplicaEntry*, bool> ObjectTable::EmplaceReplica(
   shard.replica_ids[index] = id;
   shard.index.emplace(id, Slot{false, index});
   ReplicaEntry* stored = &shard.replicas[index];
-  if (stored->obj) PtrIdOrInsert(stored->obj.get(), id);
   for (const net::Address& addr : stored->holders)
     shard.holders_by_addr[addr].insert(id);
   replica_count_.fetch_add(1, std::memory_order_relaxed);
@@ -186,7 +239,7 @@ bool ObjectTable::EraseMaster(ObjectId id) {
   if (it == shard.index.end() || !it->second.master) return false;
   std::uint32_t index = it->second.index;
   MasterEntry& record = shard.masters[index];
-  if (record.obj) ErasePtr(record.obj.get(), id);
+  if (record.obj) record.obj->identity_.Release(this, id);
   for (const net::Address& addr : record.holders) {
     auto hit = shard.holders_by_addr.find(addr);
     if (hit == shard.holders_by_addr.end()) continue;
@@ -207,7 +260,7 @@ bool ObjectTable::EraseReplica(ObjectId id) {
   if (it == shard.index.end() || it->second.master) return false;
   std::uint32_t index = it->second.index;
   ReplicaEntry& record = shard.replicas[index];
-  if (record.obj) ErasePtr(record.obj.get(), id);
+  if (record.obj) record.obj->identity_.Release(this, id);
   for (const net::Address& addr : record.holders) {
     auto hit = shard.holders_by_addr.find(addr);
     if (hit == shard.holders_by_addr.end()) continue;
@@ -242,31 +295,6 @@ bool ObjectTable::ContainsMaster(ObjectId id) const {
 bool ObjectTable::ContainsReplica(ObjectId id) const {
   ShardGuard guard(*this, id);
   return Replica(id) != nullptr;
-}
-
-// --- pointer identity --------------------------------------------------------
-
-ObjectId ObjectTable::PtrId(const Shareable* ptr) const {
-  const PtrStripe& stripe = stripes_[StripeOf(ptr)];
-  StripeLock lock(*this, stripe.mutex);
-  auto it = stripe.ids.find(ptr);
-  return it == stripe.ids.end() ? ObjectId{} : it->second;
-}
-
-ObjectId ObjectTable::PtrIdOrInsert(const Shareable* ptr, ObjectId candidate) {
-  PtrStripe& stripe = stripes_[StripeOf(ptr)];
-  StripeLock lock(*this, stripe.mutex);
-  auto [it, inserted] = stripe.ids.emplace(ptr, candidate);
-  return it->second;
-}
-
-void ObjectTable::ErasePtr(const Shareable* ptr, ObjectId expect) {
-  PtrStripe& stripe = stripes_[StripeOf(ptr)];
-  StripeLock lock(*this, stripe.mutex);
-  auto it = stripe.ids.find(ptr);
-  // Only erase our own binding: the address may already have been recycled
-  // and re-registered under a fresh id.
-  if (it != stripe.ids.end() && it->second == expect) stripe.ids.erase(it);
 }
 
 // --- holder index ------------------------------------------------------------
@@ -372,7 +400,23 @@ void ObjectTable::ForEachReplica(
       [&fn](ObjectId id, ReplicaEntry& record) { fn(id, record); });
 }
 
+void ObjectTable::ReleaseAll() {
+  for (auto& shard : shards_) {
+    for (std::size_t slot = 0; slot < shard.master_ids.size(); ++slot) {
+      const ObjectId id = shard.master_ids[slot];
+      if (id.valid() && shard.masters[slot].obj)
+        shard.masters[slot].obj->identity_.Release(this, id);
+    }
+    for (std::size_t slot = 0; slot < shard.replica_ids.size(); ++slot) {
+      const ObjectId id = shard.replica_ids[slot];
+      if (id.valid() && shard.replicas[slot].obj)
+        shard.replicas[slot].obj->identity_.Release(this, id);
+    }
+  }
+}
+
 void ObjectTable::Clear() {
+  ReleaseAll();
   for (auto& shard : shards_) {
     shard.masters.clear();
     shard.replicas.clear();
@@ -383,7 +427,6 @@ void ObjectTable::Clear() {
     shard.index.clear();
     shard.holders_by_addr.clear();
   }
-  for (auto& stripe : stripes_) stripe.ids.clear();
   master_count_.store(0, std::memory_order_relaxed);
   replica_count_.store(0, std::memory_order_relaxed);
 }
@@ -391,8 +434,6 @@ void ObjectTable::Clear() {
 bool ObjectTable::CheckConsistency() const {
   std::size_t masters = 0;
   std::size_t replicas = 0;
-  std::size_t ptr_entries = 0;
-  for (const auto& stripe : stripes_) ptr_entries += stripe.ids.size();
   for (const auto& shard : shards_) {
     std::unordered_map<net::Address,
                        std::unordered_set<ObjectId, ObjectIdHash>>
@@ -421,11 +462,9 @@ bool ObjectTable::CheckConsistency() const {
     if (expected_holders != shard.holders_by_addr) return false;
     if (shard.index.size() != live) return false;
   }
-  if (masters != master_count()) return false;
-  if (replicas != replica_count()) return false;
-  // Every live record registers exactly one pointer entry; no dangling
-  // pointer keys survive an erase.
-  return ptr_entries == masters + replicas;
+  // Two records sharing one object would fail the identity check above for
+  // one of them.
+  return masters == master_count() && replicas == replica_count();
 }
 
 }  // namespace obiwan::core

@@ -13,29 +13,30 @@
 //   - flat master/replica records stored in per-shard deque arenas with
 //     free lists — stable addresses, stable indices, prefetch-friendly
 //     iteration, no per-record heap node;
-//   - a striped pointer-identity map (Shareable* -> ObjectId) behind leaf
-//     TrackedMutex{"site.ptr"} stripes, kept symmetric with the record
-//     arenas *by construction*: EmplaceMaster/EmplaceReplica insert the
-//     pointer entry, EraseMaster/EraseReplica remove it, and debug builds
-//     can assert the symmetry with CheckConsistency(). (The old Site only
-//     erased ptr_ids_ on the replica-eviction path, so a recycled heap
-//     address could alias a dead object's id.)
+//   - pointer identity (Shareable* -> ObjectId) kept in the object itself:
+//     each Shareable's IdentitySlot names the one table that holds it and
+//     its id there, read without a lock. It is symmetric with the record
+//     arenas *by construction*: EmplaceMaster/EmplaceReplica claim the
+//     slot, EraseMaster/EraseReplica, Clear() and the table's destruction
+//     release it, and debug builds can assert the symmetry with
+//     CheckConsistency(). An object belongs to at most one table: a table
+//     never registers an object another table holds.
 //   - a per-shard holder index (holder address -> object ids it holds), so
 //     dropping an unreachable holder is O(objects it holds) instead of the
 //     old O(all objects) sweep.
 //
 // Lock order (see DESIGN.md "Object table"):
-//   1. shard mutexes, always in ascending shard order (BatchGuard sorts;
-//      WorldGuard takes all of them);
-//   2. then at most one leaf lock: a ptr stripe, the site pins mutex, or
-//      the site mutex. Leaf locks never nest inside each other and no
-//      shard lock is ever acquired while a leaf lock is held.
+//   1. shard mutexes, always in ascending shard order (BatchGuard walks its
+//      shard mask upward; WorldGuard takes all of them);
+//   2. then at most one leaf lock: the site pins mutex or the site mutex.
+//      Leaf locks never nest inside each other and no shard lock is ever
+//      acquired while a leaf lock is held.
 //
-// WorldGuard (all shards + all stripes) replaces the old recursive-mutex
-// semantics for whole-table operations (snapshot save and load, Inspect,
-// eviction, holder drops, Site::CheckTableConsistency): while a thread owns
-// the world, every ShardGuard / BatchGuard / stripe guard it takes is a
-// no-op, so site code can call straight through helpers that normally lock.
+// WorldGuard (all 64 shards) replaces the old recursive-mutex semantics for
+// whole-table operations (snapshot save and load, Inspect, eviction, holder
+// drops, Site::CheckTableConsistency): while a thread owns the world, every
+// ShardGuard / BatchGuard it takes is a no-op, so site code can call
+// straight through helpers that normally lock.
 #pragma once
 
 #include <algorithm>
@@ -96,7 +97,6 @@ struct ReplicaEntry {
 class ObjectTable {
  public:
   static constexpr std::size_t kShardCount = 64;
-  static constexpr std::size_t kPtrStripeCount = 64;
 
   ObjectTable();
   ~ObjectTable();
@@ -137,13 +137,14 @@ class ObjectTable {
 
    private:
     const ObjectTable& table_;
-    std::vector<std::size_t> shards_;  // sorted, deduplicated; empty if world
+    std::uint64_t shards_ = 0;  // bit i set: shard i is locked; 0 if world
   };
+  static_assert(kShardCount == 64, "BatchGuard keeps one bit per shard");
 
-  // Every shard (ascending) plus every pointer stripe. Reentrant: a thread
-  // already owning the world just bumps a depth counter, which is what lets
-  // snapshot code call helpers that take their own guards — the replacement
-  // for the old recursive site mutex.
+  // Every shard, in ascending order. Reentrant: a thread already owning the
+  // world just bumps a depth counter, which is what lets snapshot code call
+  // helpers that take their own guards — the replacement for the old
+  // recursive site mutex.
   class WorldGuard {
    public:
     explicit WorldGuard(const ObjectTable& table);
@@ -181,13 +182,15 @@ class ObjectTable {
   // Insert a record. Returns the stored record and whether this call
   // inserted it (false = a record of either role already existed; the
   // existing one is returned if it has the same role, else null). Also
-  // registers the object's pointer in the identity map and its holders in
-  // the holder index.
+  // claims the object's identity slot and registers its holders in the
+  // holder index. An object already held under another id, here or at
+  // another table, is refused: null, false.
   std::pair<MasterEntry*, bool> EmplaceMaster(ObjectId id, MasterEntry record);
   std::pair<ReplicaEntry*, bool> EmplaceReplica(ObjectId id, ReplicaEntry record);
 
-  // Remove a record together with its pointer-identity entry and holder-index
-  // rows — the symmetry the old ptr_ids_ map lacked on master teardown paths.
+  // Remove a record together with its object's identity and its
+  // holder-index rows — the symmetry the old ptr_ids_ map lacked on master
+  // teardown paths.
   bool EraseMaster(ObjectId id);
   bool EraseReplica(ObjectId id);
 
@@ -198,15 +201,18 @@ class ObjectTable {
   bool ContainsMaster(ObjectId id) const;
   bool ContainsReplica(ObjectId id) const;
 
-  // --- pointer identity (leaf stripe locks; safe under shard guards) ---------
+  // --- pointer identity (the object's slot; no lock, safe anywhere) --------
 
-  // Known id for `ptr`, or the invalid id.
-  ObjectId PtrId(const Shareable* ptr) const;
-  // Atomically: return the existing id for `ptr`, or bind `candidate` to it
-  // and return `candidate`. The caller that wins the race is responsible for
+  // The id this table holds `ptr` under, or the invalid id.
+  ObjectId PtrId(const Shareable* ptr) const { return ptr->identity_.Read(this); }
+  // Atomically: return the id this table holds `ptr` under, or bind
+  // `candidate` to it and return `candidate`; the invalid id if another
+  // table holds it. The caller that wins the race is responsible for
   // emplacing the matching record while still holding candidate's shard
   // guard, so observers that look the id up block until the record exists.
-  ObjectId PtrIdOrInsert(const Shareable* ptr, ObjectId candidate);
+  ObjectId PtrIdOrInsert(const Shareable* ptr, ObjectId candidate) {
+    return ptr->identity_.Claim(this, candidate);
+  }
 
   // --- holder index (caller holds the shard guard of `id` or the world) ------
 
@@ -228,7 +234,7 @@ class ObjectTable {
   // Visit every live record. Unless the caller owns the world, each shard is
   // locked for the duration of its records' callbacks (a per-shard-consistent
   // sweep, not a global snapshot). The callback runs under the shard's guard:
-  // it may use the leaf-lock helpers (PtrId) but must not take other shard
+  // it may read pointer identity (PtrId) but must not take other shard
   // guards or self-locking lookups.
   void ForEachMaster(const std::function<void(ObjectId, MasterEntry&)>& fn);
   void ForEachMaster(
@@ -244,14 +250,15 @@ class ObjectTable {
     return replica_count_.load(std::memory_order_relaxed);
   }
 
-  // Drop everything (records, pointer map, holder index). Caller owns the
-  // world or is otherwise single-threaded (snapshot-restore failure path).
+  // Drop everything (records, their objects' identities, holder index).
+  // Caller owns the world or is otherwise single-threaded (snapshot-restore
+  // failure path).
   void Clear();
 
-  // Debug invariant check (call with the world held): every live record has
-  // exactly one pointer-map entry and vice versa, holder index matches the
-  // holders lists, and the counts add up. Returns false on violation (and
-  // asserts in debug builds at the call sites that use it).
+  // Debug invariant check (call with the world held): every live record's
+  // object names this table and the record's id, the holder index matches
+  // the holders lists, and the counts add up. Returns false on violation
+  // (and asserts in debug builds at the call sites that use it).
   bool CheckConsistency() const;
 
  private:
@@ -279,28 +286,19 @@ class ObjectTable {
         holders_by_addr;
   };
 
-  struct PtrStripe {
-    mutable TrackedMutex mutex{"site.ptr"};
-    std::unordered_map<const Shareable*, ObjectId> ids;
-  };
-
-  std::size_t StripeOf(const Shareable* ptr) const {
-    return std::hash<const void*>{}(ptr) & (kPtrStripeCount - 1);
-  }
-
   Shard& ShardFor(ObjectId id) { return shards_[ShardOf(id)]; }
   const Shard& ShardFor(ObjectId id) const { return shards_[ShardOf(id)]; }
 
-  void ErasePtr(const Shareable* ptr, ObjectId expect);
   void LinkHolderInShard(Shard& shard, ObjectId id, const net::Address& addr);
+  // Release the identity of every live record's object.
+  void ReleaseAll();
 
   std::array<Shard, kShardCount> shards_;
-  std::array<PtrStripe, kPtrStripeCount> stripes_;
 
   std::atomic<std::size_t> master_count_{0};
   std::atomic<std::size_t> replica_count_{0};
 
-  // World ownership: the thread id that holds every shard + stripe, plus its
+  // World ownership: the thread id that holds every shard, plus its
   // reentrancy depth. Guards consult this to no-op under the world.
   std::atomic<std::thread::id> world_owner_{};
   std::size_t world_depth_ = 0;  // touched only by the owning thread

@@ -32,6 +32,8 @@
 #pragma once
 
 #include <any>
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,12 +52,55 @@
 namespace obiwan::core {
 
 class ClassInfo;
+class ObjectTable;
+
+// Where an object is registered: the one ObjectTable (one per Site) that
+// holds its master or replica record, and the id it is held there under.
+// ObjectTable is its only user (core/object_table.cc). Owner and id change
+// together under a sequence counter that a writer claims by compare-and-swap
+// and holds odd while it writes, so a reader takes no lock and never sees one
+// without the other.
+class IdentitySlot {
+ public:
+  IdentitySlot() = default;
+  // A copy of an object is a new object: it starts unregistered, and an
+  // assigned-to object keeps its own registration.
+  IdentitySlot(const IdentitySlot&) noexcept {}
+  IdentitySlot& operator=(const IdentitySlot&) noexcept { return *this; }
+
+  // The id `table` holds the object under, or the invalid id.
+  ObjectId Read(const ObjectTable* table) const;
+  // Register the object at `table` under `candidate` unless it is registered
+  // already (first writer wins). Returns the id it is held under at `table`,
+  // or the invalid id if another table holds it.
+  ObjectId Claim(const ObjectTable* table, ObjectId candidate);
+  // Unregister the object if `table` holds it under `id`.
+  void Release(const ObjectTable* table, ObjectId id);
+
+ private:
+  std::uint32_t LockForWrite();
+  // The fields, read or written by the holder of the write lock or inside
+  // a reader's sequence check.
+  ObjectId HeldBy(const ObjectTable* table) const;
+  void Set(const ObjectTable* owner, ObjectId id);
+
+  std::atomic<std::uint32_t> seq_{0};  // odd while a writer is in
+  std::atomic<SiteId> site_{kInvalidSite};
+  std::atomic<const ObjectTable*> owner_{nullptr};
+  std::atomic<std::uint64_t> local_{0};
+};
 
 // Base class of every object OBIWAN can replicate or invoke remotely.
 class Shareable {
  public:
   virtual ~Shareable() = default;
   virtual const ClassInfo& obiwan_class() const = 0;
+
+ private:
+  friend class ObjectTable;
+  // An object belongs to at most one site's table; mutable because the
+  // table registers objects it reaches through const pointers.
+  mutable IdentitySlot identity_;
 };
 
 struct FieldInfo {

@@ -1,7 +1,6 @@
 #include "core/site.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/flight_recorder.h"
 #include "common/log.h"
@@ -326,6 +325,9 @@ Result<rmi::BoundObject> Site::AnchoredBinding(
     return FailedPreconditionError("no registry configured (UseRegistry/HostRegistry)");
   }
   ObjectId oid = EnsureId(obj);
+  if (!oid.valid()) {
+    return FailedPreconditionError("object is registered at another site");
+  }
   std::lock_guard lock(pins_mutex_);
   ProxyId pin = NewProxyInLocked(oid, {});
   // A bound name is advertised indefinitely; its pin must not be swept by
@@ -362,15 +364,16 @@ ObjectId Site::Export(const std::shared_ptr<Shareable>& obj) {
 }
 
 ObjectId Site::EnsureId(const std::shared_ptr<Shareable>& obj) {
-  // Fast path: the pointer-identity stripes resolve known objects (masters
-  // and replicas alike) without touching any shard.
+  // Fast path: the object's identity slot names known objects (masters and
+  // replicas alike) without taking any lock.
   ObjectId existing = table_.PtrId(obj.get());
   if (existing.valid()) return existing;
-  // Mint a candidate id, take its shard, then race for the pointer binding.
+  // Mint a candidate id, take its shard, then race for the object's slot.
   // The winner emplaces the master record while still holding the shard
   // guard, so a loser that looks the returned id up blocks until the record
   // exists; a lost race wastes the minted id, which is harmless (ids are
-  // never required to be dense). Must not be called with another shard
+  // never required to be dense), and so does an object another site holds
+  // (the invalid id comes back). Must not be called with another shard
   // guard held (the world is fine: guards no-op under it).
   ObjectId oid{id_, next_object_.fetch_add(1, std::memory_order_relaxed)};
   ObjectTable::ShardGuard guard(table_, oid);
@@ -502,7 +505,7 @@ void Site::SetConsistencyPolicy(std::unique_ptr<ConsistencyPolicy> policy) {
 // Records: walk, capture and bind references
 // ---------------------------------------------------------------------------
 
-bool Site::WalkAdd(OutboundBatch& batch, ObjectId id) {
+Result<bool> Site::WalkAdd(OutboundBatch& batch, ObjectId id) {
   const std::size_t first = batch.refs.size();
   std::shared_ptr<Shareable> obj;
   {
@@ -515,7 +518,12 @@ bool Site::WalkAdd(OutboundBatch& batch, ObjectId id) {
   }
   for (std::size_t k = first; k < batch.refs.size(); ++k) {
     OutboundBatch::RefTarget& target = batch.refs[k];
-    if (target.local != nullptr) target.id = EnsureId(target.local);
+    if (target.local == nullptr) continue;
+    target.id = EnsureId(target.local);
+    if (!target.id.valid()) {
+      return FailedPreconditionError(ToString(id) +
+                                     " links to an object of another site");
+    }
   }
   batch.nodes.push_back({id, first, MetaRef{std::move(obj)}});
   batch.ids.push_back(id);
@@ -546,7 +554,8 @@ Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
     // Check the walk's targets against the fields as they are now. A field
     // relinked since the walk to an object that has no id yet cannot be
     // named under the guard (EnsureId locks the target's shard): name those
-    // after releasing it and look again.
+    // after releasing it and look again, when the target is the same but
+    // its id is still to be read.
     for (OutboundBatch::Node& node : batch.nodes) {
       OBIWAN_ASSIGN_OR_RETURN(node.meta, FindMeta(node.id));
       const auto& ref_infos = node.meta.obj->obiwan_class().refs();
@@ -554,18 +563,25 @@ Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
         OutboundBatch::RefTarget& target = batch.refs[node.first_ref + j];
         const std::shared_ptr<Shareable>& local =
             ref_infos[j].get_const(*node.meta.obj).local();
-        if (local == target.local) continue;
+        if (local == target.local && (local == nullptr || target.id.valid())) {
+          continue;
+        }
         target = {local, local ? table_.PtrId(local.get()) : ObjectId{}};
         if (local != nullptr && !target.id.valid()) unnamed.push_back(local);
       }
     }
     if (unnamed.empty()) break;
     guard.reset();
-    for (const auto& obj : unnamed) EnsureId(obj);
+    for (const auto& obj : unnamed) {
+      if (!EnsureId(obj).valid()) {
+        return FailedPreconditionError("batch links to an object of another site");
+      }
+    }
     unnamed.clear();
   }
 
   std::vector<ProxyId> pins;
+  pins.reserve(batch.refs.size() + (object_pins ? batch.nodes.size() : 0));
   ProxyId cluster_pin;
   {
     std::lock_guard lock(pins_mutex_);
@@ -701,9 +717,13 @@ Result<Bytes> Site::ServeGet(const net::Address& from, const GetRequest& req) {
     // Refresh returns current state of what the pin covers: the whole
     // cluster for a cluster pin, the requested root otherwise.
     if (pin_cluster) {
-      for (ObjectId member : pin_members) WalkAdd(batch, member);
-    } else if (!WalkAdd(batch, req.root)) {
-      return NotFoundError("refresh root not present");
+      batch.Reserve(pin_members.size());
+      for (ObjectId member : pin_members) {
+        OBIWAN_RETURN_IF_ERROR(WalkAdd(batch, member).status());
+      }
+    } else {
+      OBIWAN_ASSIGN_OR_RETURN(const bool added, WalkAdd(batch, req.root));
+      if (!added) return NotFoundError("refresh root not present");
     }
     if (batch.nodes.empty()) return NotFoundError("nothing left to refresh");
   } else {
@@ -714,14 +734,20 @@ Result<Bytes> Site::ServeGet(const net::Address& from, const GetRequest& req) {
 
     // Breadth-first expansion from the root; boundaries are refs that are
     // unresolved proxies here (forwarded) or nodes beyond the batch budget.
-    std::deque<std::pair<ObjectId, std::uint32_t>> queue;
+    // The scratch is sized by the count only up to what this site holds:
+    // the count comes off the wire, and a batch never outgrows the table.
+    const std::size_t expected = std::min<std::size_t>(
+        limit, table_.master_count() + table_.replica_count());
+    batch.Reserve(expected);
+    std::vector<std::pair<ObjectId, std::uint32_t>> queue;
+    queue.reserve(expected + 1);  // the root and one target per object
     queue.emplace_back(req.root, 0);
-    while (!queue.empty()) {
-      auto [oid, depth] = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const auto [oid, depth] = queue[head];
       if (batch.members.contains(oid)) continue;
       if (limit != 0 && batch.nodes.size() >= limit) break;
-      if (!WalkAdd(batch, oid)) continue;
+      OBIWAN_ASSIGN_OR_RETURN(const bool added, WalkAdd(batch, oid));
+      if (!added) continue;
       if (req.mode.kind == ReplicationMode::Kind::kClusterDepth &&
           depth >= req.mode.depth) {
         continue;  // depth-bounded cluster boundary
@@ -888,9 +914,8 @@ Status Site::BuildPushRecord(ObjectId id,
                              std::span<const net::Address> recipients,
                              wire::Writer& body) {
   OutboundBatch batch;
-  if (!WalkAdd(batch, id)) {
-    return NotFoundError("object not present: " + ToString(id));
-  }
+  OBIWAN_ASSIGN_OR_RETURN(const bool added, WalkAdd(batch, id));
+  if (!added) return NotFoundError("object not present: " + ToString(id));
   // Nothing travels inline: every local target goes out as one shared pin
   // that each recipient of this record can fault through.
   return CaptureBatch(batch, /*get=*/nullptr, recipients, body);
@@ -1415,7 +1440,7 @@ Result<std::shared_ptr<Shareable>> Site::DemandThrough(
   // transport may serve the provider side on another thread of this very
   // process (or even this very site, over TCP loopback).
   GetRequest req{descriptor.pin, root, mode, refresh};
-  wire::Writer body;
+  wire::Writer body(kMaxGetRequestBytes);
   wire::Encode(body, req);
   OBIWAN_ASSIGN_OR_RETURN(
       Bytes reply_bytes,
@@ -1652,7 +1677,10 @@ Result<PutItem> Site::BuildPutItem(ObjectId id, bool read_only) {
       item.refs.push_back(RefEntry::Inline(snap.proxy()->target()));
     } else if (!snap.IsLocal()) {
       item.refs.push_back(RefEntry::Null());
-    } else if (ObjectId tid = EnsureId(snap.local()); table_.ContainsMaster(tid)) {
+    } else if (ObjectId tid = EnsureId(snap.local()); !tid.valid()) {
+      return FailedPreconditionError(ToString(id) +
+                                     " links to an object of another site");
+    } else if (table_.ContainsMaster(tid)) {
       item.refs.push_back(RefEntry::Proxy(DescriptorFor(
           NewProxyIn(tid), tid, snap.local()->obiwan_class().name())));
     } else {

@@ -35,7 +35,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -173,7 +172,8 @@ class Site final : public rmi::Service {
   // Point this site at a name server (possibly its own address).
   void UseRegistry(net::Address registry_address);
 
-  // Export `obj` (if needed) and register it under `name`.
+  // Export `obj` (if needed) and register it under `name`. Fails with
+  // kFailedPrecondition if another site of this process holds `obj`.
   Status Bind(const std::string& name, const std::shared_ptr<Shareable>& obj);
   Status Rebind(const std::string& name, const std::shared_ptr<Shareable>& obj);
   Status Unbind(const std::string& name);
@@ -185,6 +185,8 @@ class Site final : public rmi::Service {
   // --- masters ----------------------------------------------------------------
 
   // Make `obj` a master of this site (idempotent); returns its ObjectId.
+  // An object belongs to at most one site of a process: one another site
+  // holds gets the invalid id.
   ObjectId Export(const std::shared_ptr<Shareable>& obj);
 
   // Master version counter (bumped on every accepted put).
@@ -482,8 +484,9 @@ class Site final : public rmi::Service {
   std::size_t replica_count() const;
   std::size_t proxy_in_count() const;
 
-  // ObjectTable::CheckConsistency under the world guard (records, pointer
-  // identity, holder index and counts agree), for tests and debug checks.
+  // ObjectTable::CheckConsistency under the world guard (records, their
+  // objects' identities, holder index and counts agree), for tests and
+  // debug checks.
   bool CheckTableConsistency() const {
     ObjectTable::WorldGuard world(table_);
     return table_.CheckConsistency();
@@ -520,7 +523,9 @@ class Site final : public rmi::Service {
   };
 
   // Assign an ObjectId to a local object if it does not have one, making it
-  // a master of this site. Replicas keep their master's id.
+  // a master of this site. Replicas keep their master's id. The invalid id
+  // if another site's table holds the object: the caller fails its
+  // operation.
   ObjectId EnsureId(const std::shared_ptr<Shareable>& obj);
 
   // `users` are registered on the pin (see ProxyInEntry::users). Per-target
@@ -577,15 +582,23 @@ class Site final : public rmi::Service {
       std::shared_ptr<Shareable> local;  // null unless the field is local
       ObjectId id;
     };
+    // Room for `n` objects with a reference field each.
+    void Reserve(std::size_t n) {
+      nodes.reserve(n);
+      ids.reserve(n);
+      members.reserve(n);
+      refs.reserve(n);
+    }
     std::vector<Node> nodes;
     std::vector<ObjectId> ids;  // nodes' ids, in order
-    std::unordered_set<ObjectId, ObjectIdHash> members;
+    FlatIdSet members;
     std::vector<RefTarget> refs;  // every node's fields, back to back
   };
   // Append `id` to `batch`: its fields are read under its shard guard, and
   // ids are assigned to its local targets after the guard is released
-  // (EnsureId may lock other shards). False if `id` is not present here.
-  bool WalkAdd(OutboundBatch& batch, ObjectId id);
+  // (EnsureId may lock other shards). False if `id` is not present here;
+  // kFailedPrecondition if a local target belongs to another site.
+  Result<bool> WalkAdd(OutboundBatch& batch, ObjectId id);
 
   // With `get`, the batch is written as the GetReply to the demander
   // users[0]: record count, records carrying the policy's get data, and the
@@ -768,8 +781,8 @@ class Site final : public rmi::Service {
   std::vector<std::unique_ptr<ConsistencyPolicy>> policies_;
   bool started_ = false;
 
-  // The sharded object table: masters, replicas, the pointer-identity map
-  // and the per-shard holder index, each shard behind its own
+  // The sharded object table: masters, replicas and the per-shard holder
+  // index, each shard behind its own
   // TrackedMutex{"site.shard"} (see core/object_table.h for the layout and
   // the full lock-order rules). What used to be the single recursive
   // TrackedRecursiveMutex{"site"} over every table — the serialization

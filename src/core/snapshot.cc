@@ -15,6 +15,17 @@ namespace {
 // "OBI2": version 2 added the per-pin user list (holder lifecycle).
 constexpr std::uint32_t kSnapshotMagic = 0x4F424932;
 
+// A hash map's entries in key order, so equal state saves to equal bytes.
+template <typename Map>
+std::vector<const typename Map::value_type*> InKeyOrder(const Map& map) {
+  std::vector<const typename Map::value_type*> entries;
+  entries.reserve(map.size());
+  for (const auto& entry : map) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
+
 }  // namespace
 
 Result<Bytes> Site::SaveSnapshot() {
@@ -33,18 +44,28 @@ Result<Bytes> Site::SaveSnapshot() {
 
   // Serialize one object's refs as wire RefEntries: every local target is
   // inline (it is in the snapshot too), every proxy-out its descriptor.
-  // Assigns ids to local targets as needed.
-  auto encode_refs = [&](Shareable& obj) {
+  // Assigns ids to local targets as needed; fails on a target another site
+  // holds.
+  auto encode_refs = [&](Shareable& obj) -> Status {
     const ClassInfo& ci = obj.obiwan_class();
     std::vector<RefEntry> refs;
     refs.reserve(ci.refs().size());
     for (const RefFieldInfo& rf : ci.refs()) {
       RefBase& rb = rf.get(obj);
-      refs.push_back(rb.IsLocal()   ? RefEntry::Inline(EnsureId(rb.local()))
-                     : rb.IsProxy() ? RefEntry::Proxy(rb.proxy()->descriptor())
+      if (rb.IsLocal()) {
+        const ObjectId tid = EnsureId(rb.local());
+        if (!tid.valid()) {
+          return FailedPreconditionError(
+              "snapshot links to an object of another site");
+        }
+        refs.push_back(RefEntry::Inline(tid));
+      } else {
+        refs.push_back(rb.IsProxy() ? RefEntry::Proxy(rb.proxy()->descriptor())
                                     : RefEntry::Null());
+      }
     }
     wire::Encode(w, refs);
+    return Status::Ok();
   };
 
   // Pre-pass: assign ids to every locally referenced object so the master
@@ -72,7 +93,7 @@ Result<Bytes> Site::SaveSnapshot() {
     wire::Writer fields;
     entry.obj->obiwan_class().EncodeFields(*entry.obj, fields);
     w.Blob(AsView(fields.data()));
-    encode_refs(*entry.obj);
+    OBIWAN_RETURN_IF_ERROR(encode_refs(*entry.obj));
   }
 
   std::vector<ObjectId> replica_ids;
@@ -99,13 +120,14 @@ Result<Bytes> Site::SaveSnapshot() {
     wire::Writer fields;
     entry.obj->obiwan_class().EncodeFields(*entry.obj, fields);
     w.Blob(AsView(fields.data()));
-    encode_refs(*entry.obj);
+    OBIWAN_RETURN_IF_ERROR(encode_refs(*entry.obj));
   }
 
   {
     std::lock_guard pins(pins_mutex_);
     w.Varint(proxy_ins_.size());
-    for (const auto& [pin, entry] : proxy_ins_) {
+    for (const auto* pinned : InKeyOrder(proxy_ins_)) {
+      const auto& [pin, entry] = *pinned;
       wire::Encode(w, pin);
       wire::Encode(w, entry.target);
       wire::Encode(w, entry.members);
@@ -115,7 +137,8 @@ Result<Bytes> Site::SaveSnapshot() {
     }
 
     w.Varint(cluster_members_.size());
-    for (const auto& [pin, members] : cluster_members_) {
+    for (const auto* cluster : InKeyOrder(cluster_members_)) {
+      const auto& [pin, members] = *cluster;
       wire::Encode(w, pin);
       wire::Encode(w, members);
     }
@@ -202,8 +225,8 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
     for (std::size_t i = 0; i < refs.size(); ++i) {
       pending.push_back(PendingRef{&ci->refs()[i].get(*obj), std::move(refs[i])});
     }
-    // No manual pointer-map insert: EmplaceMaster/EmplaceReplica register
-    // the pointer identity (and the holder index) themselves.
+    // EmplaceMaster/EmplaceReplica claim the object's identity (and
+    // register the holder index) themselves.
     return obj;
   };
 

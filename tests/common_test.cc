@@ -155,6 +155,23 @@ TEST(Ids, HashSpreadsAcrossSitesAndLocals) {
   EXPECT_GT(hashes.size(), 1000u - 24u);
 }
 
+// The invalid id marks FlatIdSet's empty slots; it is never a member.
+TEST(Ids, FlatIdSetHoldsValidIdsOnly) {
+  FlatIdSet set;
+  EXPECT_FALSE(set.contains(ObjectId{}));
+  set.reserve(4);
+  for (std::uint64_t local = 1; local <= 100; ++local) {
+    EXPECT_TRUE(set.insert(ObjectId{2, local}));
+  }
+  EXPECT_FALSE(set.insert(ObjectId{2, 50}));
+  for (std::uint64_t local = 1; local <= 100; ++local) {
+    EXPECT_TRUE(set.contains(ObjectId{2, local}));
+  }
+  EXPECT_FALSE(set.contains(ObjectId{2, 101}));
+  EXPECT_FALSE(set.contains(ObjectId{3, 1}));
+  EXPECT_FALSE(set.contains(ObjectId{}));
+}
+
 TEST(Log, LevelGate) {
   LogLevel before = GetLogLevel();
   SetLogLevel(LogLevel::kOff);

@@ -8,9 +8,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/object_table.h"
@@ -154,6 +157,52 @@ TEST(ObjectTableTest, PtrIdOrInsertFirstWriterWins) {
   EXPECT_EQ(table.PtrId(obj.get()), winner);
 }
 
+// An object's identity lives in the object, and it names one table: a
+// second table neither reads nor takes it until the first lets go.
+TEST(ObjectTableTest, IdentityBelongsToOneTable) {
+  auto obj = std::make_shared<Node>();
+  ObjectTable other;
+  const ObjectId id{1, 7};
+  {
+    ObjectTable table;
+    {
+      ObjectTable::ShardGuard guard(table, id);
+      ASSERT_TRUE(table.EmplaceMaster(id, MakeMaster(obj)).second);
+    }
+    EXPECT_FALSE(other.PtrId(obj.get()).valid());
+    EXPECT_FALSE(other.PtrIdOrInsert(obj.get(), ObjectId{2, 1}).valid());
+    ObjectTable::ShardGuard guard(other, ObjectId{2, 1});
+    auto [record, inserted] = other.EmplaceMaster(ObjectId{2, 1}, MakeMaster(obj));
+    EXPECT_EQ(record, nullptr);
+    EXPECT_FALSE(inserted);
+  }
+  // The first table is gone; the object it held is free again.
+  EXPECT_EQ(other.PtrIdOrInsert(obj.get(), ObjectId{2, 1}), (ObjectId{2, 1}));
+}
+
+// A copy of a registered object is a new, unregistered object, and
+// assignment leaves the target's own registration alone.
+TEST(ObjectTableTest, CopyOfARegisteredObjectIsUnregistered) {
+  net::LoopbackNetwork network;
+  core::Site site(1, network.CreateEndpoint("s"));
+  auto obj = std::make_shared<Node>();
+  obj->label = "original";
+  const ObjectId id = site.Export(obj);
+  ASSERT_TRUE(id.valid());
+
+  auto copy = std::make_shared<Node>(*obj);
+  EXPECT_EQ(copy->label, "original");
+  const ObjectId copy_id = site.Export(copy);
+  EXPECT_TRUE(copy_id.valid());
+  EXPECT_NE(copy_id, id);
+  EXPECT_EQ(site.Export(obj), id);
+
+  *copy = *obj;
+  EXPECT_EQ(site.Export(copy), copy_id);
+  EXPECT_EQ(site.master_count(), 2u);
+  EXPECT_TRUE(site.CheckTableConsistency());
+}
+
 TEST(ObjectTableTest, HolderIndexTracksLinksAcrossShards) {
   ObjectTable table;
   const net::Address pda = "pda:1";
@@ -290,9 +339,181 @@ TEST(ObjectTableTest, ConcurrentMutationKeepsInvariants) {
   EXPECT_EQ(table.replica_count(), 0u);
 }
 
+// Many threads export one fresh object at once: the identity slot's claim
+// makes them agree on one id, and the losers' minted ids never become
+// records (TSan flavour in CI).
+TEST(ObjectTableTest, RacingExportsAgreeOnOneId) {
+  constexpr int kThreads = 8;
+  constexpr int kObjects = 64;
+  net::LoopbackNetwork network;
+  core::Site site(1, network.CreateEndpoint("s"));
+  std::vector<std::shared_ptr<Node>> objects;
+  for (int i = 0; i < kObjects; ++i) objects.push_back(std::make_shared<Node>());
+  std::vector<std::vector<ObjectId>> ids(kThreads,
+                                         std::vector<ObjectId>(kObjects));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kObjects; ++i) ids[t][i] = site.Export(objects[i]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int i = 0; i < kObjects; ++i) {
+    ASSERT_TRUE(ids[0][i].valid());
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(ids[t][i], ids[0][i]) << "object " << i << ", thread " << t;
+    }
+  }
+  EXPECT_EQ(site.master_count(), static_cast<std::size_t>(kObjects));
+  EXPECT_TRUE(site.CheckTableConsistency());
+}
+
 // ---------------------------------------------------------------------------
 // Site-level: snapshots and a real-socket soak over the sharded table
 // ---------------------------------------------------------------------------
+
+// An object belongs to at most one site of a process. A second site's Bind
+// or Rebind of an object the first holds is refused, and it succeeds once
+// the first site is gone.
+TEST(ObjectTableIdentity, SecondSiteBindIsRefusedUntilTheFirstIsDestroyed) {
+  net::LoopbackNetwork network;
+  core::Site registry(1, network.CreateEndpoint("r"));
+  ASSERT_TRUE(registry.Start().ok());
+  registry.HostRegistry();
+  auto first = std::make_unique<core::Site>(2, network.CreateEndpoint("a"));
+  core::Site second(3, network.CreateEndpoint("b"));
+  first->UseRegistry("r");
+  second.UseRegistry("r");
+
+  auto obj = std::make_shared<Node>();
+  ASSERT_TRUE(first->Bind("at-a", obj).ok());
+  EXPECT_EQ(second.Bind("at-b", obj).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(second.Rebind("at-b", obj).code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(second.Export(obj).valid());
+  EXPECT_EQ(second.master_count(), 0u);
+
+  first.reset();
+  EXPECT_TRUE(second.Bind("at-b", obj).ok());
+  EXPECT_EQ(second.master_count(), 1u);
+  EXPECT_TRUE(second.CheckTableConsistency());
+}
+
+// A get whose batch links to an object another site holds cannot name that
+// object: the provider fails the get with kFailedPrecondition instead of
+// retrying, and the demander sees that status.
+TEST(ObjectTableIdentity, GetLinkingAnObjectOfAnotherSiteFails) {
+  net::LoopbackNetwork network;
+  core::Site provider(1, network.CreateEndpoint("p"));
+  core::Site other(2, network.CreateEndpoint("o"));
+  core::Site demander(3, network.CreateEndpoint("d"));
+  ASSERT_TRUE(provider.Start().ok());
+  ASSERT_TRUE(demander.Start().ok());
+  provider.HostRegistry();
+  demander.UseRegistry("p");
+
+  auto head = test::MakeChain(4, 8, "n");
+  ASSERT_TRUE(provider.Bind("list", head).ok());
+  auto foreign = std::make_shared<Node>();
+  ASSERT_TRUE(other.Export(foreign).valid());
+  head->next.get()->next = core::Ref<Node>(foreign);
+
+  auto remote = demander.Lookup<Node>("list");
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  auto ref = remote->Replicate(ReplicationMode::Incremental(4));
+  ASSERT_FALSE(ref.ok());
+  EXPECT_EQ(ref.status().code(), StatusCode::kFailedPrecondition) << ref.status();
+  EXPECT_EQ(demander.replica_count(), 0u);
+  EXPECT_FALSE(provider.Export(foreign).valid());
+  EXPECT_TRUE(provider.CheckTableConsistency());
+
+  // With the link gone the same get goes through.
+  head->next.get()->next.Reset();
+  EXPECT_TRUE(remote->Replicate(ReplicationMode::Incremental(4)).ok());
+}
+
+// A node whose reference field is relinked by its own accessor, so a get's
+// walk and its capture see different targets without a second thread.
+// While `relink_to` is set the field reads as before `reads_before_relink`
+// times; the read after that first points it at `relink_to`.
+class Relinking : public core::Shareable {
+ public:
+  static constexpr std::string_view kObiwanClassName = "Relinking";
+
+  static const core::ClassInfo& Class() {
+    static const core::ClassInfo info(
+        std::string(kObiwanClassName), [] { return std::make_shared<Relinking>(); },
+        {{"value",
+          [](const core::Shareable& obj, wire::Writer& w) {
+            wire::Encode(w, static_cast<const Relinking&>(obj).value);
+          },
+          [](core::Shareable& obj, wire::Reader& r) {
+            static_cast<Relinking&>(obj).value = wire::Decode<std::int64_t>(r);
+          }}},
+        {{"next",
+          [](core::Shareable& obj) -> core::RefBase& {
+            return static_cast<Relinking&>(obj).next;
+          },
+          [](const core::Shareable& obj) -> const core::RefBase& {
+            // The objects are made non-const; the test relinks on read.
+            auto& self = const_cast<Relinking&>(static_cast<const Relinking&>(obj));
+            if (self.relink_to != nullptr && self.reads_before_relink-- == 0) {
+              self.next = std::exchange(self.relink_to, nullptr);
+            }
+            return self.next;
+          }}},
+        {});
+    return info;
+  }
+  const core::ClassInfo& obiwan_class() const override { return Class(); }
+
+  std::int64_t value = 0;
+  core::Ref<Relinking> next;
+  std::shared_ptr<Relinking> relink_to;
+  int reads_before_relink = 0;
+};
+
+// A field relinked between the walk and the capture to an object with no
+// id yet: the capture names the new target and sends it as a boundary
+// proxy under that id, which the demander can fault through.
+TEST(ObjectTableIdentity, FieldRelinkedAfterTheWalkIsNamedAndPinned) {
+  core::ClassRegistry::Instance().Register(&Relinking::Class());
+  net::LoopbackNetwork network;
+  core::Site provider(1, network.CreateEndpoint("p"));
+  core::Site demander(2, network.CreateEndpoint("d"));
+  ASSERT_TRUE(provider.Start().ok());
+  ASSERT_TRUE(demander.Start().ok());
+  provider.HostRegistry();
+  demander.UseRegistry("p");
+
+  auto root = std::make_shared<Relinking>();
+  auto walked = std::make_shared<Relinking>();
+  walked->value = 1;
+  root->next = walked;
+  ASSERT_TRUE(provider.Bind("root", root).ok());
+  auto remote = demander.Lookup<Relinking>("root");
+  ASSERT_TRUE(remote.ok()) << remote.status();
+
+  auto fresh = std::make_shared<Relinking>();
+  fresh->value = 2;
+  root->relink_to = fresh;
+  root->reads_before_relink = 1;  // the walk's read
+  auto ref = remote->Replicate(ReplicationMode::Incremental(1));
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  EXPECT_EQ(root->relink_to, nullptr);
+  const ObjectId fresh_id = provider.Export(fresh);
+  ASSERT_TRUE(fresh_id.valid());
+  EXPECT_EQ(demander.replica_count(), 1u);
+
+  core::Ref<Relinking>& next = (*ref)->next;
+  ASSERT_TRUE(next.IsProxy());
+  EXPECT_EQ(next.id(), fresh_id);
+  ASSERT_TRUE(next.Demand().ok());
+  EXPECT_EQ(next->value, 2);
+  EXPECT_TRUE(provider.CheckTableConsistency());
+}
 
 // The OBI2 snapshot format round-trips over the sharded table, and the
 // restore rebuilds the derived state the old code kept in separate maps:

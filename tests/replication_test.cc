@@ -2,6 +2,9 @@
 // (Figure 1/2, §2.2) and the surrounding invariants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "obiwan.h"
 #include "test_objects.h"
 
@@ -150,6 +153,24 @@ TEST_F(ReplicationTest, IncrementalBatchSizes) {
   EXPECT_EQ(sum, kLen * (kLen - 1) / 2);
   EXPECT_EQ(demander_->replica_count(), 10u);
   EXPECT_EQ(demander_->telemetry().gets_sent->Value(), 3u);
+}
+
+// A batch count is the demander's to choose and may far exceed the graph:
+// the provider serves what the graph holds and sizes nothing by the count.
+TEST_F(ReplicationTest, BatchCountBeyondTheGraphServesTheGraph) {
+  auto head = test::MakeChain(4, 16, "n");
+  ASSERT_TRUE(provider_->Bind("list", head).ok());
+  auto remote = demander_->Lookup<Node>("list");
+  ASSERT_TRUE(remote.ok());
+
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  for (const ReplicationMode mode :
+       {ReplicationMode::Incremental(kMax), ReplicationMode::Cluster(kMax)}) {
+    auto ref = remote->Replicate(mode);
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    EXPECT_EQ(demander_->replica_count(), 4u);
+    EXPECT_EQ((*ref)->next.get()->next.get()->next.get()->Label(), "n3");
+  }
 }
 
 TEST_F(ReplicationTest, TransitiveClosureReplicatesEverything) {

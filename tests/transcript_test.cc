@@ -329,8 +329,8 @@ TEST(Transcript, FramesMatchTheGoldenTranscript) {
 }
 
 // The laptop's snapshot after the scenario matches the golden bytes, and a
-// fresh site with the laptop's id restores it and faults past the diamond's
-// frontier through a restored proxy.
+// fresh site with the laptop's id restores it, saves the same bytes again,
+// and faults past the diamond's frontier through a restored proxy.
 TEST(Transcript, SnapshotMatchesTheGoldenAndResumes) {
   Scenario scenario;
   scenario.Run();
@@ -356,6 +356,10 @@ TEST(Transcript, SnapshotMatchesTheGoldenAndResumes) {
   ASSERT_TRUE(restored->LoadSnapshot(AsView(*snapshot)).ok());
   EXPECT_EQ(restored->master_count(), scenario.laptop().master_count());
   EXPECT_EQ(restored->replica_count(), scenario.laptop().replica_count());
+  // Equal state saves to equal bytes, however the site's tables were built.
+  auto resaved = restored->SaveSnapshot();
+  ASSERT_TRUE(resaved.ok()) << resaved.status();
+  EXPECT_EQ(Hex(AsView(*resaved)), hex);
 
   auto root = restored->FindLocal(scenario.tree_id());
   ASSERT_TRUE(root.ok()) << root.status();

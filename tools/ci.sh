@@ -5,8 +5,9 @@
 #      by a 1 s-per-workload run of perfbench/ whose correctness checks
 #      must pass, and by the lock telemetry tax gate (an uncontended
 #      TrackedMutex lock/unlock costs at most 3x the bare std::mutex),
-#   2. an AddressSanitizer build (OBIWAN_SANITIZE=address),
-#   3. an UndefinedBehaviorSanitizer build (OBIWAN_SANITIZE=undefined), and
+#   2. an AddressSanitizer build (OBIWAN_SANITIZE=address, with -Werror),
+#   3. an UndefinedBehaviorSanitizer build (OBIWAN_SANITIZE=undefined, with
+#      -Werror), and
 #   4. a ThreadSanitizer build (OBIWAN_SANITIZE=thread) running the
 #      concurrency-heavy transport tests (real sockets, retry decorator,
 #      connection pool, server thread lifecycle).
@@ -61,8 +62,8 @@ print(f"lock tax OK: tracked {tracked:.1f} ns, plain {plain:.1f} ns "
       f"({tracked / plain:.2f}x, bound 3x)")
 EOF
 
-run_flavour asan build-asan -DOBIWAN_SANITIZE=address
-run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined
+run_flavour asan build-asan -DOBIWAN_SANITIZE=address -DCMAKE_CXX_FLAGS=-Werror
+run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined -DCMAKE_CXX_FLAGS=-Werror
 
 # ThreadSanitizer flavour: the transport layer is the concurrency hot spot
 # (client threads sharing one pooled TCP transport, the retry decorator's
