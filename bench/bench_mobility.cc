@@ -282,10 +282,7 @@ std::pair<std::string, std::string> FleetConvergence() {
   core::Site vantage(99, network.CreateEndpoint("monitor"), clock);
   (void)vantage.Start();
   vantage.SetRequestDeadline(500 * kMilli);
-  obs::FleetOptions fleet_options;
-  fleet_options.slo_lag_versions = 1;           // breach while max lag > 1
-  fleet_options.slo_lag_age = 3600 * kSecond;   // age alone never breaches
-  obs::FleetMonitor monitor(vantage, targets, fleet_options);
+  obs::FleetMonitor monitor(vantage, targets);
 
   const obs::FleetReport baseline = monitor.PollOnce();
 
@@ -347,10 +344,9 @@ std::pair<std::string, std::string> FleetConvergence() {
               static_cast<unsigned long long>(peak.lag_versions_max),
               static_cast<unsigned long long>(peak.stale_replicas),
               peak.sites - peak.reachable);
-  std::printf("reconverged in %.1f ms over %d polls | slo burn %.3f s | "
-              "%.0f bytes/update at peak\n",
-              converge_ms, rounds, report.slo_breach_seconds,
-              peak.bytes_per_update);
+  std::printf("reconverged in %.1f ms over %d polls | %.0f bytes/update at "
+              "peak\n",
+              converge_ms, rounds, peak.bytes_per_update);
 
   std::string out = "\"fleet\":{";
   out += "\"sites\":" + std::to_string(kSites);
@@ -367,7 +363,6 @@ std::pair<std::string, std::string> FleetConvergence() {
   out += ",\"converge_polls\":" + std::to_string(rounds);
   out += ",\"final_lag_versions_max\":" + std::to_string(report.lag_versions_max);
   out += ",\"final_stale_replicas\":" + std::to_string(report.stale_replicas);
-  out += ",\"slo_breach_s\":" + JsonNumber(report.slo_breach_seconds);
   out += "}";
 
   // --- journey cross-check -------------------------------------------------

@@ -23,7 +23,7 @@ namespace {
 // the site mutex links back to the flight recorder.
 constexpr Nanos kLockWaitExemplarThreshold = 100 * kMicro;
 
-// One outermost hold in this many, per instance, is timed; the others read
+// One hold in this many, per instance, is timed; the others read
 // no clock. A timed hold is observed with the weight of the holds it stands
 // for, so obiwan_lock_hold_ns's count and sum still estimate every hold.
 constexpr std::uint64_t kHoldSampleEvery = 64;
@@ -72,8 +72,8 @@ LockStats* BindLockStats(MetricsRegistry& registry, const char* name) {
   stats->wait->SetExemplarThreshold(kLockWaitExemplarThreshold);
   stats->hold = &registry.GetHistogram(
       "obiwan_lock_hold_ns", labels, LockLatencyBuckets(),
-      "Lock hold time, outermost acquisition to final release; 1 in 64 "
-      "holds timed, each weighted by the holds it stands for");
+      "Lock hold time, acquisition to release; 1 in 64 holds timed, each "
+      "weighted by the holds it stands for");
   stats->contended = &registry.GetCounter(
       "obiwan_lock_contended_total", labels,
       "Acquisitions that found the lock held and had to block");
@@ -97,34 +97,28 @@ LockStats* BindLockStats(MetricsRegistry& registry, const char* name) {
   return stats;
 }
 
-template <typename MutexT>
-void TrackedMutexImpl<MutexT>::Configure(const char* name, Clock& clock) {
+void TrackedMutex::Configure(const char* name, Clock& clock) {
   BindTo(MetricsRegistry::Default(), name, clock);
 }
 
-template <typename MutexT>
-void TrackedMutexImpl<MutexT>::BindTo(MetricsRegistry& registry,
-                                      const char* name, Clock& clock) {
+void TrackedMutex::BindTo(MetricsRegistry& registry, const char* name,
+                          Clock& clock) {
   clock_ = &clock;
   stats_.store(BindLockStats(registry, name), std::memory_order_release);
 }
 
-template <typename MutexT>
-void TrackedMutexImpl<MutexT>::Acquired(const LockStats* stats) {
-  ++depth_;
+void TrackedMutex::Acquired(const LockStats* stats) {
   if (stats == nullptr) return;
   stats->acquisitions->Inc();
-  if (depth_ != 1) return;
-  // Time outermost holds 0, 64, 128, ...: the first stands for itself, each
-  // later one for the kHoldSampleEvery holds since the previous timed one.
+  // Time holds 0, 64, 128, ...: the first stands for itself, each later one
+  // for the kHoldSampleEvery holds since the previous timed one.
   const std::uint64_t k = holds_++;
   if (k % kHoldSampleEvery != 0) return;
   hold_weight_ = k == 0 ? 1 : kHoldSampleEvery;
   held_since_ = clock_->Now();
 }
 
-template <typename MutexT>
-void TrackedMutexImpl<MutexT>::lock() {
+void TrackedMutex::lock() {
   const LockStats* stats = stats_.load(std::memory_order_acquire);
   if (stats == nullptr) {
     mutex_.lock();
@@ -142,17 +136,14 @@ void TrackedMutexImpl<MutexT>::lock() {
   Acquired(stats);
 }
 
-template <typename MutexT>
-bool TrackedMutexImpl<MutexT>::try_lock() {
+bool TrackedMutex::try_lock() {
   if (!mutex_.try_lock()) return false;
   Acquired(stats_.load(std::memory_order_acquire));
   return true;
 }
 
-template <typename MutexT>
-void TrackedMutexImpl<MutexT>::unlock() {
-  const std::uint64_t weight =
-      --depth_ == 0 ? std::exchange(hold_weight_, 0) : 0;
+void TrackedMutex::unlock() {
+  const std::uint64_t weight = std::exchange(hold_weight_, 0);
   const Nanos held = weight != 0 ? clock_->Now() - held_since_ : 0;
   // Observe only after releasing: the histogram update must not stretch the
   // measured hold time or the critical section itself.
@@ -161,9 +152,6 @@ void TrackedMutexImpl<MutexT>::unlock() {
     stats_.load(std::memory_order_acquire)->hold->Observe(held, weight);
   }
 }
-
-template class TrackedMutexImpl<std::mutex>;
-template class TrackedMutexImpl<std::recursive_mutex>;
 
 std::vector<LockSiteReport> LockHotness(const MetricsRegistry& registry,
                                         std::size_t top_k) {

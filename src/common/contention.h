@@ -2,20 +2,19 @@
 //
 // The ROADMAP's sharded-object-table refactor needs evidence before surgery:
 // which lock is hot, how long do threads wait on it, how long is it held, and
-// how does that scale with concurrency. TrackedMutex / TrackedRecursiveMutex
-// are drop-in std::mutex / std::recursive_mutex replacements (same
-// lock/try_lock/unlock surface, so std::lock_guard and std::unique_lock call
-// sites are untouched) that record per-lock-name telemetry into the metrics
-// registry:
+// how does that scale with concurrency. TrackedMutex is a drop-in std::mutex
+// replacement (same lock/try_lock/unlock surface, so std::lock_guard and
+// std::unique_lock call sites are untouched) that records per-lock-name
+// telemetry into the metrics registry:
 //
 //   obiwan_lock_wait_ns{name}            histogram of time threads blocked
 //                                        acquiring the lock (contended
 //                                        acquisitions only; uncontended ones
 //                                        wait 0 by definition)
-//   obiwan_lock_hold_ns{name}            histogram of outermost-acquisition-
-//                                        to-final-release hold times; 1 in
-//                                        64 holds per instance is timed and
-//                                        weighted by the holds it stands for
+//   obiwan_lock_hold_ns{name}            histogram of acquisition-to-release
+//                                        hold times; 1 in 64 holds per
+//                                        instance is timed and weighted by
+//                                        the holds it stands for
 //   obiwan_lock_contended_total{name}    acquisitions that had to block
 //   obiwan_lock_acquisitions_total{name} all acquisitions
 //   obiwan_lock_waiters{name}            threads blocked right now
@@ -108,17 +107,16 @@ class LockWaitWindow {
 //                                        registry's own lock)
 // An unbound instance is a plain passthrough, which is what lets the metrics
 // registry instrument its own mutex without a bootstrap cycle.
-template <typename MutexT>
-class TrackedMutexImpl {
+class TrackedMutex {
  public:
-  TrackedMutexImpl() = default;
-  explicit TrackedMutexImpl(const char* name,
-                            Clock& clock = SystemClock::Instance()) {
+  TrackedMutex() = default;
+  explicit TrackedMutex(const char* name,
+                        Clock& clock = SystemClock::Instance()) {
     Configure(name, clock);
   }
 
-  TrackedMutexImpl(const TrackedMutexImpl&) = delete;
-  TrackedMutexImpl& operator=(const TrackedMutexImpl&) = delete;
+  TrackedMutex(const TrackedMutex&) = delete;
+  TrackedMutex& operator=(const TrackedMutex&) = delete;
 
   // Bind into the process-default registry. Call before the mutex is shared
   // across threads (constructors); not thread-safe against concurrent locks.
@@ -134,23 +132,16 @@ class TrackedMutexImpl {
   // Common post-acquisition bookkeeping; runs with the mutex held.
   void Acquired(const LockStats* stats);
 
-  MutexT mutex_;
+  std::mutex mutex_;
   std::atomic<const LockStats*> stats_{nullptr};
   Clock* clock_ = nullptr;
-  // Touched only while mutex_ is held: recursion depth, the count of
-  // outermost holds (which picks the timed ones), and the current hold's
-  // weight (0 = untimed) and start. Binding can race an in-flight critical
-  // section, so unlock trusts hold_weight_, not stats_.
-  int depth_ = 0;
+  // Touched only while mutex_ is held: the count of holds (which picks the
+  // timed ones), and the current hold's weight (0 = untimed) and start.
+  // Binding can race an in-flight critical section, so unlock trusts
+  // hold_weight_, not stats_.
   std::uint64_t holds_ = 0;
   std::uint64_t hold_weight_ = 0;
   Nanos held_since_ = 0;
 };
-
-extern template class TrackedMutexImpl<std::mutex>;
-extern template class TrackedMutexImpl<std::recursive_mutex>;
-
-using TrackedMutex = TrackedMutexImpl<std::mutex>;
-using TrackedRecursiveMutex = TrackedMutexImpl<std::recursive_mutex>;
 
 }  // namespace obiwan

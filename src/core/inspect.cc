@@ -135,42 +135,49 @@ void Site::RefreshTelemetry() {
 }
 
 void Site::EnsureGraphIds() {
-  // Minting an id inserts a new master whose own refs must be visited too —
-  // iterate to a fixed point (and never call EnsureId while iterating a
-  // shard it can grow: collect the objects first, then mint).
-  std::size_t known = table_.master_count() + 1;  // force one pass
-  while (known != table_.master_count()) {
-    known = table_.master_count();
-    std::vector<std::shared_ptr<Shareable>> objects;
-    objects.reserve(table_.master_count() + table_.replica_count());
-    table_.ForEachMaster(
-        [&](ObjectId, const MasterEntry& e) { objects.push_back(e.obj); });
-    table_.ForEachReplica(
-        [&](ObjectId, const ReplicaEntry& e) { objects.push_back(e.obj); });
-    for (const auto& obj : objects) {
-      for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
-        RefBase& rb = rf.get(*obj);
-        if (rb.IsLocal()) (void)EnsureId(rb.local());
+  // Naming a target makes it a master whose own refs must be visited too,
+  // so sweep to a fixed point. A sweep reads each object's fields under its
+  // shard's guard and only collects the local targets that have no id yet;
+  // they are named after the sweep, because EnsureId takes a shard guard of
+  // its own. Naming follows sweep order, so under the world (SaveSnapshot)
+  // the ids are the ones a single locked pass would mint. A target another
+  // site holds never gets an id here, so a sweep that names nothing ends
+  // the loop.
+  std::vector<std::shared_ptr<Shareable>> unnamed;
+  auto collect = [&](const std::shared_ptr<Shareable>& obj) {
+    for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
+      RefBase& rb = rf.get(*obj);
+      if (rb.IsLocal() && !table_.PtrId(rb.local_raw()).valid()) {
+        unnamed.push_back(rb.local());
       }
     }
+  };
+  for (;;) {
+    table_.ForEachMaster(
+        [&](ObjectId, const MasterEntry& e) { collect(e.obj); });
+    table_.ForEachReplica(
+        [&](ObjectId, const ReplicaEntry& e) { collect(e.obj); });
+    bool named = false;
+    for (const auto& obj : unnamed) named |= EnsureId(obj).valid();
+    unnamed.clear();
+    if (!named) return;
   }
 }
 
-InspectReport Site::InspectLocked() {
+InspectReport Site::Inspect() {
+  // Shard by shard, like RefreshTelemetry: each row is read under its
+  // shard's guard, so a report is consistent per shard, not a global cut,
+  // and the protocol keeps running while it is assembled.
+  EnsureGraphIds();
+  RefreshTelemetry();
+
   InspectReport report;
   report.site = id_;
   report.address = transport_->LocalAddress();
   report.now = clock_.Now();
-  report.masters = table_.master_count();
-  report.replicas = table_.replica_count();
-  {
-    std::lock_guard pins(pins_mutex_);
-    report.proxy_ins = proxy_ins_.size();
-  }
 
-  // EnsureGraphIds ran: every local target this site can hold has an id, so
-  // this lookup never mutates the tables mid-iteration (a target another
-  // site holds has none here, and its edge is left out).
+  // EnsureGraphIds ran: a local target without an id here is another
+  // site's object (or was linked since), and its edge is left out.
   auto edges_of = [&](const std::shared_ptr<Shareable>& obj) {
     std::vector<InspectEdge> edges;
     for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
@@ -200,7 +207,6 @@ InspectReport Site::InspectLocked() {
     return static_cast<std::uint64_t>(fields.size());
   };
 
-  std::unordered_set<ObjectId, ObjectIdHash> frontier;
   report.objects.reserve(table_.master_count() + table_.replica_count());
 
   table_.ForEachMaster([&](ObjectId oid, const MasterEntry& e) {
@@ -220,6 +226,7 @@ InspectReport Site::InspectLocked() {
     row.edges = edges_of(e.obj);
     report.objects.push_back(std::move(row));
   });
+  report.masters = report.objects.size();
 
   table_.ForEachReplica([&](ObjectId oid, const ReplicaEntry& e) {
     InspectEntry row;
@@ -243,10 +250,13 @@ InspectReport Site::InspectLocked() {
     row.edges = edges_of(e.obj);
     report.objects.push_back(std::move(row));
   });
+  report.replicas = report.objects.size() - report.masters;
 
+  // Presence is probed after the sweeps: Contains takes a shard guard,
+  // which must not nest inside a sweep's.
+  std::unordered_set<ObjectId, ObjectIdHash> frontier;
   for (const InspectEntry& row : report.objects) {
     for (const InspectEdge& edge : row.edges) {
-      // Contains self-locks, which no-ops under the world guard Inspect holds.
       if (edge.proxy && !table_.Contains(edge.to)) {
         frontier.insert(edge.to);
       }
@@ -256,6 +266,7 @@ InspectReport Site::InspectLocked() {
 
   {
     std::lock_guard pins(pins_mutex_);
+    report.proxy_ins = proxy_ins_.size();
     report.pins.reserve(proxy_ins_.size());
     for (const auto& [pin, e] : proxy_ins_) {
       InspectPin row;
@@ -277,16 +288,6 @@ InspectReport Site::InspectLocked() {
   std::sort(report.pins.begin(), report.pins.end(),
             [](const InspectPin& a, const InspectPin& b) { return a.pin < b.pin; });
   return report;
-}
-
-InspectReport Site::Inspect() {
-  // The world guard freezes every shard at once: the report is a consistent
-  // global snapshot, and the helpers below (EnsureId, lookups, sweeps) all
-  // no-op their own guards under it.
-  ObjectTable::WorldGuard world(table_);
-  EnsureGraphIds();
-  RefreshTelemetry();
-  return InspectLocked();
 }
 
 Result<InspectReport> Site::InspectRemote(const net::Address& to) {

@@ -334,10 +334,12 @@ bool ObjectTable::UnlinkHolder(ObjectId id, const net::Address& addr) {
   return true;
 }
 
-std::size_t ObjectTable::RemoveHolderEverywhere(const net::Address& addr) {
+std::size_t ObjectTable::RemoveHolderEverywhere(
+    const net::Address& addr, const std::function<bool()>& stop) {
   std::size_t removed = 0;
   for (std::size_t i = 0; i < kShardCount; ++i) {
     ShardGuard guard(*this, i);
+    if (stop && stop()) break;
     Shard& shard = shards_[i];
     auto hit = shard.holders_by_addr.find(addr);
     if (hit == shard.holders_by_addr.end()) continue;

@@ -32,11 +32,12 @@
 //      Leaf locks never nest inside each other and no shard lock is ever
 //      acquired while a leaf lock is held.
 //
-// WorldGuard (all 64 shards) replaces the old recursive-mutex semantics for
-// whole-table operations (snapshot save and load, Inspect, eviction, holder
-// drops, Site::CheckTableConsistency): while a thread owns the world, every
-// ShardGuard / BatchGuard it takes is a no-op, so site code can call
-// straight through helpers that normally lock.
+// WorldGuard (all 64 shards) is for the whole-table operations that need
+// one global cut: snapshot save and load, eviction (a cascade erases in any
+// shard) and Site::CheckTableConsistency. While a thread owns the world,
+// every ShardGuard / BatchGuard it takes is a no-op, so site code can call
+// straight through helpers that normally lock. Inspect and holder drops read
+// and sweep shard by shard instead.
 #pragma once
 
 #include <algorithm>
@@ -143,8 +144,7 @@ class ObjectTable {
 
   // Every shard, in ascending order. Reentrant: a thread already owning the
   // world just bumps a depth counter, which is what lets snapshot code call
-  // helpers that take their own guards — the replacement for the old
-  // recursive site mutex.
+  // helpers that take their own guards.
   class WorldGuard {
    public:
     explicit WorldGuard(const ObjectTable& table);
@@ -224,8 +224,11 @@ class ObjectTable {
 
   // Remove `addr` from every holders list, via the holder index —
   // O(objects held), not O(all objects). Locks shard by shard unless the
-  // caller owns the world. Returns the number of lists it was removed from.
-  std::size_t RemoveHolderEverywhere(const net::Address& addr);
+  // caller owns the world. `stop`, if set, runs first under each shard's
+  // guard and ends the sweep when it returns true. Returns the number of
+  // lists `addr` was removed from.
+  std::size_t RemoveHolderEverywhere(const net::Address& addr,
+                                     const std::function<bool()>& stop = {});
   // Is `addr` on any record's holders list?
   bool HolderAnywhere(const net::Address& addr) const;
 

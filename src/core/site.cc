@@ -545,8 +545,9 @@ Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
   // One consistent snapshot of the batch: fields, versions, policy data and
   // ref targets all read under the batch's shard guards. Holder registration
   // rides the same guard with the site mutex nested inside (shard -> site is
-  // the legal lock order), so registering can never interleave with a
-  // concurrent DropHolder sweep, which holds both.
+  // the legal lock order), so a concurrent DropHolder sweep, which checks
+  // the holder's health under each shard's guard, never unlinks a
+  // registration that completed before it reached the shard.
   std::optional<ObjectTable::BatchGuard> guard;
   std::vector<std::shared_ptr<Shareable>> unnamed;
   for (;;) {
@@ -1047,8 +1048,8 @@ void Site::DispatchNotifications(std::vector<OutboundNotify> batch) {
       net::CallOptions{request_deadline_}, hooks);
 
   // Holders that crossed the failure threshold are dropped *after* the site
-  // mutex is released: DropHolder takes the table's world guard, and shard
-  // locks must never be acquired under the site mutex (it is a leaf).
+  // mutex is released: DropHolder takes shard guards, and shard locks must
+  // never be acquired under the site mutex (it is a leaf).
   std::vector<net::Address> drops;
   {
     std::lock_guard lock(mutex_);
@@ -1147,26 +1148,33 @@ bool Site::HandleNotifyFailureLocked(OutboundNotify note) {
 }
 
 void Site::DropHolder(const net::Address& addr) {
-  // Atomic with respect to re-registration: the world guard excludes every
-  // ServeGet holder registration (which runs under a shard guard with the
-  // health reset nested inside it), and the site mutex covers the health and
-  // retry state. Re-check the threshold under both before acting — a get
-  // that raced in after the failing batch healed the holder, and dropping it
-  // now would erase a live registration.
-  ObjectTable::WorldGuard world(table_);
-  std::lock_guard lock(mutex_);
-  auto hit = holder_health_.find(addr);
-  if (hit == holder_health_.end()) return;
-  if (holder_failure_threshold_ == 0 ||
-      hit->second.consecutive_failures < holder_failure_threshold_) {
-    return;  // re-registered (healed) since the drop was decided
+  // The decision is atomic under the site mutex: re-check the threshold (a
+  // get that raced in after the failing batch healed the holder, and
+  // dropping it now would erase a live registration), forget its health and
+  // purge its retries.
+  {
+    std::lock_guard lock(mutex_);
+    auto hit = holder_health_.find(addr);
+    if (hit == holder_health_.end()) return;
+    if (holder_failure_threshold_ == 0 ||
+        hit->second.consecutive_failures < holder_failure_threshold_) {
+      return;  // re-registered (healed) since the drop was decided
+    }
+    holder_health_.erase(hit);
+    std::erase_if(notify_retries_, [&](const PendingNotify& pending) {
+      return pending.note.addr == addr;
+    });
+    telemetry_.holders_dropped->Inc();
   }
-  holder_health_.erase(hit);
-  table_.RemoveHolderEverywhere(addr);
-  std::erase_if(notify_retries_, [&](const PendingNotify& pending) {
-    return pending.note.addr == addr;
+  // Then unlink it shard by shard. CaptureBatch links a holder and gives it
+  // a health entry under the same batch guards, so a health entry seen under
+  // a shard's guard means a registration has completed since the decision:
+  // the sweep stops there and keeps it. A registration in a shard the sweep
+  // already passed linked after the sweep did, so it stays too.
+  table_.RemoveHolderEverywhere(addr, [&] {
+    std::lock_guard lock(mutex_);
+    return holder_health_.contains(addr);
   });
-  telemetry_.holders_dropped->Inc();
   Trace("holder",
         {.format = "{t} dropped after repeated notification failures",
          .text = addr});
@@ -1857,14 +1865,25 @@ std::vector<ObjectId> Site::StaleReplicaIds() const {
 }
 
 Status Site::RefreshReplica(ObjectId id) {
+  // kNotFound tells the resync daemon the replica is gone (evicted or
+  // restored away) and the entry can be forgotten, not retried.
+  return RefreshReplica(id, StatusCode::kNotFound);
+}
+
+Status Site::Refresh(RefBase& ref) {
+  if (!ref.IsLocal()) {
+    return FailedPreconditionError("refresh requires a resolved local replica");
+  }
+  return RefreshReplica(ref.id(), StatusCode::kFailedPrecondition);
+}
+
+Status Site::RefreshReplica(ObjectId id, StatusCode absent) {
   ProxyDescriptor provider;
   {
     ObjectTable::ShardGuard guard(table_, id);
     ReplicaEntry* e = table_.Replica(id);
     if (e == nullptr) {
-      // kNotFound tells the resync daemon the replica is gone (evicted or
-      // restored away) and the entry can be forgotten, not retried.
-      return NotFoundError("not a replica here: " + ToString(id));
+      return Status(absent, "not a replica here: " + ToString(id));
     }
     if (!e->provider.valid()) {
       return FailedPreconditionError("replica has no provider channel");
@@ -1888,28 +1907,6 @@ Status Site::RefreshReplica(ObjectId id) {
     }
   }
   return refreshed;
-}
-
-Status Site::Refresh(RefBase& ref) {
-  if (!ref.IsLocal()) {
-    return FailedPreconditionError("refresh requires a resolved local replica");
-  }
-  ObjectId oid = ref.id();
-  ProxyDescriptor provider;
-  {
-    ObjectTable::ShardGuard guard(table_, oid);
-    ReplicaEntry* e = table_.Replica(oid);
-    if (e == nullptr) {
-      return FailedPreconditionError("not a replica here: " + ToString(oid));
-    }
-    if (!e->provider.valid()) {
-      return FailedPreconditionError("replica has no provider channel");
-    }
-    provider = e->provider;
-  }
-  return DemandThrough(provider, oid, ReplicationMode::Incremental(),
-                       /*refresh=*/true)
-      .status();
 }
 
 Status Site::PrefetchAll(RefBase& ref) {

@@ -20,8 +20,8 @@
 //   - DemandThrough: the object-fault path used by ProxyOut
 //
 // Both halves live in one lock-striped ObjectTable (core/object_table.h);
-// the site mutex is a small non-recursive leaf guarding holder health and
-// the notify retry queue only.
+// the site mutex is a small leaf guarding holder health and the notify
+// retry queue only.
 //
 // A site is usually both at once: it re-exports replicas it holds, so chains
 // of sites (PDA <- laptop <- office PC) work without special cases.
@@ -252,7 +252,8 @@ class Site final : public rmi::Service {
   Status PutCluster(RefBase& ref);
 
   // Re-fetch current master state into the existing replica (the paper's
-  // "refresh replica B' (method BProxyIn.get)").
+  // "refresh replica B' (method BProxyIn.get)"). kFailedPrecondition unless
+  // `ref` is a resolved local replica.
   Status Refresh(RefBase& ref);
 
   // Resolve every proxy-out reachable from `ref`, using each proxy's own
@@ -269,7 +270,8 @@ class Site final : public rmi::Service {
 
   // Re-fetch current master state into the replica `id` through its
   // provider channel — Refresh(RefBase&) addressed by ObjectId, for
-  // callers (the resync daemon) that hold no application Ref.
+  // callers (the resync daemon) that hold no application Ref. kNotFound if
+  // `id` is not a replica here.
   Status RefreshReplica(ObjectId id);
 
   // Memory reclamation for limited-memory info-appliances (§2.1 motivates
@@ -398,7 +400,7 @@ class Site final : public rmi::Service {
   // Inspect() call it, no protocol path does, so a registry dump that
   // skips all three shows the gauges as of the last pull while every
   // protocol operation stays O(batch). Locks shard by shard; call with no
-  // shard guard or leaf lock held (or with the world, as Inspect does).
+  // shard guard or leaf lock held.
   void RefreshTelemetry();
 
   // --- introspection -------------------------------------------------------------
@@ -410,9 +412,11 @@ class Site final : public rmi::Service {
   // Structured report over the replica tables: per-object role, versions,
   // staleness (versions + virtual-time age), payload bytes, serve counts and
   // reference topology; per-proxy-in lease countdown. Also refreshes every
-  // site gauge (RefreshTelemetry). (Non-const for the same reason as
-  // SaveSnapshot: locally referenced objects that never needed an id are
-  // assigned one so the report's edge set is complete.)
+  // site gauge (RefreshTelemetry). Read shard by shard while the protocol
+  // runs: each row is consistent with its shard, the report is not a global
+  // cut. (Non-const for the same reason as SaveSnapshot: locally referenced
+  // objects that never needed an id are assigned one so the report's edge
+  // set is complete.)
   InspectReport Inspect();
 
   // Pull a remote site's report through the kInspect RMI method — a
@@ -656,11 +660,14 @@ class Site final : public rmi::Service {
   // -1 (no header) when requests are unbounded.
   Nanos DeadlineBudget() const;
 
-  // Inspect() body; call with the world held.
-  InspectReport InspectLocked();
+  // The body of Refresh and RefreshReplica: re-fetch `id` through its
+  // provider channel and close its journey's apply hop. `absent` is the
+  // code for an id that is not a replica here.
+  Status RefreshReplica(ObjectId id, StatusCode absent);
 
   // Assign ids to every locally referenced object (fixed point), so reports
-  // and snapshots cover the complete edge set. World held.
+  // and snapshots cover the complete edge set. Sweeps shard by shard and
+  // names after each sweep, so it needs no guard held (the world is fine).
   void EnsureGraphIds();
 
   // Snapshot restore body; the public wrapper clears all tables on failure.
@@ -719,7 +726,7 @@ class Site final : public rmi::Service {
   // site mutex: successes reset holder health and count bytes/invalidations;
   // failures advance health toward the drop threshold or queue a retry.
   // Holders that crossed the threshold are dropped after the mutex is
-  // released (DropHolder needs the world lock, which must never be acquired
+  // released (DropHolder takes shard guards, which must never be acquired
   // under the site mutex).
   void DispatchNotifications(std::vector<OutboundNotify> batch);
   // Move retry-queue entries whose backoff deadline passed into `out`.
@@ -728,12 +735,10 @@ class Site final : public rmi::Service {
   // Returns true when `note`'s holder just crossed the failure threshold
   // and should be dropped. Site mutex held.
   bool HandleNotifyFailureLocked(OutboundNotify note);
-  // Drop an unreachable holder: remove `addr` from every holders list (via
-  // the per-shard holder index) and purge its queued retries. Takes the
-  // world lock and the site mutex together, re-checks the failure count
-  // under both, and aborts if the holder re-registered (a get resets its
-  // health) in the window since the threshold was observed — the drop and
-  // the sweep are atomic with respect to re-registration.
+  // Drop an unreachable holder: re-check the failure count, forget its
+  // health and purge its queued retries under the site mutex, then remove
+  // `addr` from every holders list shard by shard, stopping where it has
+  // registered again. Call with no guard held.
   void DropHolder(const net::Address& addr);
 
   // Does `addr` still hold a pin covering `oid`? Pins mutex held.
@@ -782,21 +787,16 @@ class Site final : public rmi::Service {
   bool started_ = false;
 
   // The sharded object table: masters, replicas and the per-shard holder
-  // index, each shard behind its own
-  // TrackedMutex{"site.shard"} (see core/object_table.h for the layout and
-  // the full lock-order rules). What used to be the single recursive
-  // TrackedRecursiveMutex{"site"} over every table — the serialization
-  // bench_contention's committed baseline measures — is now split three
-  // ways: the table's shard locks, the pins mutex below, and a shrunken
-  // non-recursive site mutex over cross-shard holder state only.
+  // index, each shard behind its own TrackedMutex{"site.shard"} (see
+  // core/object_table.h for the layout and the full lock-order rules).
   mutable ObjectTable table_;
 
   // Cross-shard state: holder health, the notification retry queue, the
   // replica-update callback, the installed consistency policies and the
-  // retry/threshold knobs. Non-recursive, still tracked under lock name
-  // "site". Lock order: a shard guard (or the world) may be held when
-  // acquiring this mutex, never the reverse; no shard lock and no pins lock
-  // may be acquired while holding it.
+  // retry/threshold knobs. Tracked under lock name "site". Lock order: a
+  // shard guard (or the world) may be held when acquiring this mutex, never
+  // the reverse; no shard lock and no pins lock may be acquired while
+  // holding it.
   mutable TrackedMutex mutex_{"site"};
 
   // Provider-side pins: proxy_ins_, the per-target index and demander-side

@@ -31,7 +31,7 @@ std::vector<const typename Map::value_type*> InKeyOrder(const Map& map) {
 Result<Bytes> Site::SaveSnapshot() {
   // The world guard freezes every shard: the snapshot is a consistent global
   // cut, and every helper below (EnsureId, lookups, sweeps) no-ops its own
-  // guards under it — the role the recursive site mutex used to play.
+  // guards under it.
   ObjectTable::WorldGuard world(table_);
   wire::Writer w;
   w.U32(kSnapshotMagic);

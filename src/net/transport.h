@@ -166,7 +166,8 @@ class Transport {
   // default) preserves unbounded waits; TcpTransport installs a finite
   // default because a real socket must never hang forever. Virtual so
   // decorators (retry, compression) can forward to the transport that
-  // actually enforces it. Sites configure this via Site::SetRequestDeadline.
+  // actually enforces it. Site::SetRequestDeadline does not change it: it
+  // sets a per-site override that the site passes as CallOptions::deadline.
   virtual void SetDefaultDeadline(Nanos deadline) {
     default_deadline_.store(deadline, std::memory_order_relaxed);
   }

@@ -1,7 +1,6 @@
 #include "obs/fleet_monitor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -9,6 +8,9 @@
 namespace obiwan::obs {
 
 namespace {
+
+// Hotness leaderboard length.
+constexpr std::size_t kHottest = 5;
 
 // Nearest-rank percentile over per-site values (p in [0,1]); 0 when empty.
 template <typename T>
@@ -35,9 +37,7 @@ std::string ToJson(const FleetReport& r) {
      << ",\"max\":" << r.lag_versions_max << "},\"lag_age_ns\":{\"p50\":"
      << r.lag_age_p50 << ",\"p95\":" << r.lag_age_p95
      << ",\"max\":" << r.lag_age_max << "},\"updates\":" << r.updates
-     << ",\"bytes_per_update\":" << r.bytes_per_update
-     << ",\"slo_breached\":" << (r.slo_breached ? "true" : "false")
-     << ",\"slo_breach_seconds\":" << r.slo_breach_seconds << ",\"hottest\":[";
+     << ",\"bytes_per_update\":" << r.bytes_per_update << ",\"hottest\":[";
   for (std::size_t i = 0; i < r.hottest.size(); ++i) {
     const FleetHotObject& h = r.hottest[i];
     if (i) os << ",";
@@ -72,9 +72,7 @@ std::string ToText(const FleetReport& r) {
      << " p95=" << r.lag_age_p95 / kMilli << " max=" << r.lag_age_max / kMilli
      << "\n"
      << "  updates: " << r.updates << " total, " << r.bytes_per_update
-     << " bytes/update since last poll\n"
-     << "  slo: " << (r.slo_breached ? "BREACHED" : "ok") << ", burn "
-     << r.slo_breach_seconds << "s total\n";
+     << " bytes/update since last poll\n";
   if (!r.hottest.empty()) {
     os << "  hottest:";
     for (const FleetHotObject& h : r.hottest) {
@@ -90,11 +88,7 @@ std::string ToText(const FleetReport& r) {
 }
 
 FleetMonitor::FleetMonitor(core::Site& via, std::vector<net::Address> targets)
-    : FleetMonitor(via, std::move(targets), FleetOptions{}) {}
-
-FleetMonitor::FleetMonitor(core::Site& via, std::vector<net::Address> targets,
-                           FleetOptions options)
-    : via_(via), options_(options), targets_(std::move(targets)) {
+    : via_(via), targets_(std::move(targets)) {
   auto& registry = MetricsRegistry::Default();
   MetricLabels labels{{"inst", std::to_string(MetricsRegistry::NextInstance())}};
   auto gauge = [&](const char* name, const char* help) {
@@ -137,19 +131,12 @@ FleetMonitor::FleetMonitor(core::Site& via, std::vector<net::Address> targets,
   bytes_per_update_ =
       gauge("obiwan_fleet_bytes_per_update",
             "Replica payload bytes shipped per master put, last poll interval");
-  slo_breached_ = gauge("obiwan_fleet_slo_breached",
-                        "1 while any site's convergence lag exceeds the SLO");
   polls_total_ = &registry.GetCounter("obiwan_fleet_polls_total", labels,
                                       "Fleet poll rounds completed");
   unreachable_polls_total_ =
       &registry.GetCounter("obiwan_fleet_unreachable_polls_total", labels,
                            "Per-target polls that failed to reach the site");
-  slo_breach_seconds_total_ = &registry.GetCounter(
-      "obiwan_fleet_slo_breach_seconds_total", labels,
-      "Accumulated time the convergence-lag SLO was in breach");
 }
-
-FleetMonitor::~FleetMonitor() { Stop(); }
 
 void FleetMonitor::AddTarget(net::Address target) {
   std::lock_guard lock(mutex_);
@@ -252,19 +239,19 @@ FleetReport FleetMonitor::MergeLocked(
   out.lag_age_max =
       lag_ages.empty() ? 0 : *std::max_element(lag_ages.begin(), lag_ages.end());
 
-  // Hotness top-K by traffic.
+  // Hotness: the kHottest objects with the most traffic.
   std::vector<FleetHotObject> hottest;
   hottest.reserve(hot.size());
   for (auto& [key, h] : hot) hottest.push_back(std::move(h));
   // Traffic descending, ties broken by object id ascending: unordered_map
   // iteration order would otherwise decide which of two equal-traffic
-  // objects survives the top-K cut, and the report would flap between polls.
+  // objects survives the cut, and the report would flap between polls.
   std::sort(hottest.begin(), hottest.end(),
             [](const FleetHotObject& a, const FleetHotObject& b) {
               if (a.traffic != b.traffic) return a.traffic > b.traffic;
               return a.id < b.id;
             });
-  if (hottest.size() > options_.top_k) hottest.resize(options_.top_k);
+  if (hottest.size() > kHottest) hottest.resize(kHottest);
   out.hottest = std::move(hottest);
 
   // Updates + bytes-per-update, as deltas against the previous poll. A
@@ -288,27 +275,6 @@ FleetReport FleetMonitor::MergeLocked(
   out.updates = updates_total;
   out.bytes_per_update = delta_puts ? delta_bytes / delta_puts : 0;
   prev_masters_ = std::move(masters_now);
-  prev_updates_total_ = updates_total;
-
-  // SLO burn: while breached, the whole interval since the previous poll
-  // counts (the monitor cannot see inside an interval).
-  out.slo_breached =
-      out.reachable > 0 &&
-      (out.lag_age_max > options_.slo_lag_age ||
-       (options_.slo_lag_versions > 0 &&
-        out.lag_versions_max > options_.slo_lag_versions));
-  if (out.slo_breached && last_poll_at_ >= 0 && out.now > last_poll_at_) {
-    breach_ns_total_ += out.now - last_poll_at_;
-  }
-  last_poll_at_ = out.now;
-  out.slo_breach_seconds =
-      static_cast<double>(breach_ns_total_) / static_cast<double>(kSecond);
-  const std::int64_t whole_seconds = breach_ns_total_ / kSecond;
-  if (whole_seconds > breach_sec_counted_) {
-    slo_breach_seconds_total_->Inc(
-        static_cast<std::uint64_t>(whole_seconds - breach_sec_counted_));
-    breach_sec_counted_ = whole_seconds;
-  }
 
   out.site_samples = std::move(samples);
 
@@ -326,7 +292,6 @@ FleetReport FleetMonitor::MergeLocked(
   lag_age_p95_->Set(out.lag_age_p95);
   lag_age_max_->Set(out.lag_age_max);
   bytes_per_update_->Set(static_cast<std::int64_t>(out.bytes_per_update));
-  slo_breached_->Set(out.slo_breached ? 1 : 0);
   polls_total_->Inc();
 
   last_ = out;
@@ -336,25 +301,6 @@ FleetReport FleetMonitor::MergeLocked(
 FleetReport FleetMonitor::last() const {
   std::lock_guard lock(mutex_);
   return last_;
-}
-
-Status FleetMonitor::Start() {
-  if (running_.exchange(true)) return Status::Ok();
-  poll_thread_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      PollOnce();
-      std::unique_lock lock(cv_mutex_);
-      cv_.wait_for(lock, std::chrono::nanoseconds(options_.poll_interval),
-                   [this] { return !running_.load(std::memory_order_relaxed); });
-    }
-  });
-  return Status::Ok();
-}
-
-void FleetMonitor::Stop() {
-  if (!running_.exchange(false)) return;
-  cv_.notify_all();
-  if (poll_thread_.joinable()) poll_thread_.join();
 }
 
 }  // namespace obiwan::obs

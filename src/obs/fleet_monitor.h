@@ -13,46 +13,30 @@
 //     p50/p95/max of those per-site maxima. A healthy fleet converges these
 //     to zero after churn.
 //   - holder health and object-role totals across every polled site.
-//   - per-object hotness: top-K objects by serve traffic (gets + puts on
+//   - per-object hotness: the top 5 objects by serve traffic (gets + puts on
 //     their master), for finding the content everyone replicates.
 //   - bytes-per-update: replica payload bytes shipped per master put since
 //     the previous poll — the incremental-replication cost figure.
 //
-// It also burns a convergence-lag SLO: while any site's lag exceeds the
-// configured bound, wall-clock (or virtual-clock) time accrues into
-// obiwan_fleet_slo_breach_seconds_total. Surfaced via `obiwan_shell fleet`
-// and every /metrics endpoint in the monitoring process.
+// Polling is on demand (PollOnce): `obiwan_shell fleet` and the benches
+// drive it, and the fleet gauges reach every /metrics endpoint in the
+// monitoring process. The convergence SLO is the update-journey tracker's
+// burn-rate alert (obs/journey.h), not a lag bound here.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/ids.h"
 #include "common/metrics.h"
-#include "common/status.h"
 #include "core/inspect.h"
 #include "core/site.h"
 
 namespace obiwan::obs {
-
-struct FleetOptions {
-  // Background-poll cadence (Start/Stop; PollOnce ignores it).
-  Nanos poll_interval = 2 * kSecond;
-  // Convergence-lag SLO: breach while any reachable site's replica lag
-  // exceeds either bound. slo_lag_versions 0 means versions alone never
-  // breach (age still does).
-  Nanos slo_lag_age = 30 * kSecond;
-  std::uint64_t slo_lag_versions = 0;
-  // Hotness leaderboard length.
-  std::size_t top_k = 5;
-};
 
 // One polled site's contribution to the fleet view.
 struct FleetSiteSample {
@@ -96,11 +80,8 @@ struct FleetReport {
   // put since the previous poll (0 on the first round or an idle interval).
   std::uint64_t updates = 0;
   double bytes_per_update = 0;
-  // SLO state: breached this round, and total breach time so far.
-  bool slo_breached = false;
-  double slo_breach_seconds = 0;
   std::vector<FleetSiteSample> site_samples;
-  std::vector<FleetHotObject> hottest;  // top-K by traffic, descending
+  std::vector<FleetHotObject> hottest;  // top 5 by traffic, descending
 };
 
 std::string ToJson(const FleetReport& report);
@@ -111,9 +92,6 @@ class FleetMonitor {
   // Polls `targets` through `via` (via.InspectRemote; via's own address is
   // inspected locally). `via` must outlive the monitor.
   FleetMonitor(core::Site& via, std::vector<net::Address> targets);
-  FleetMonitor(core::Site& via, std::vector<net::Address> targets,
-               FleetOptions options);
-  ~FleetMonitor();
 
   FleetMonitor(const FleetMonitor&) = delete;
   FleetMonitor& operator=(const FleetMonitor&) = delete;
@@ -122,32 +100,23 @@ class FleetMonitor {
   std::size_t target_count() const;
 
   // One synchronous poll round: pull every target's InspectReport, merge,
-  // update the fleet gauges and SLO burn, return (and retain) the report.
-  // Deterministic under a VirtualClock — benches drive this directly.
+  // update the fleet gauges, return (and retain) the report. Deterministic
+  // under a VirtualClock.
   FleetReport PollOnce();
 
   // Last merged report (empty before the first poll).
   FleetReport last() const;
-
-  // Background polling every options.poll_interval on the via-site's clock.
-  // For virtual clocks prefer driving PollOnce() explicitly.
-  Status Start();
-  void Stop();
 
  private:
   FleetReport MergeLocked(std::vector<FleetSiteSample> samples,
                           const std::vector<core::InspectReport>& reports);
 
   core::Site& via_;
-  FleetOptions options_;
 
   mutable std::mutex mutex_;
   std::vector<net::Address> targets_;
   FleetReport last_;
   std::uint64_t polls_ = 0;
-  Nanos last_poll_at_ = -1;  // -1 = no completed poll yet
-  std::int64_t breach_ns_total_ = 0;
-  std::int64_t breach_sec_counted_ = 0;  // whole seconds already in the counter
   // Per-object master state at the previous poll, for the bytes-per-update
   // and fleet-updates deltas.
   struct MasterSnapshot {
@@ -155,12 +124,6 @@ class FleetMonitor {
     std::uint64_t payload_bytes = 0;
   };
   std::map<std::pair<SiteId, std::uint64_t>, MasterSnapshot> prev_masters_;
-  std::uint64_t prev_updates_total_ = 0;
-
-  std::atomic<bool> running_{false};
-  std::thread poll_thread_;
-  std::condition_variable cv_;
-  std::mutex cv_mutex_;
 
   // Fleet-wide gauges/counters (labels {"inst"}), updated on every poll.
   Gauge* sites_polled_;
@@ -177,10 +140,8 @@ class FleetMonitor {
   Gauge* lag_age_p95_;
   Gauge* lag_age_max_;
   Gauge* bytes_per_update_;
-  Gauge* slo_breached_;
   Counter* polls_total_;
   Counter* unreachable_polls_total_;
-  Counter* slo_breach_seconds_total_;
 };
 
 }  // namespace obiwan::obs

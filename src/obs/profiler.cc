@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <utility>
 
 #include "net/tcp.h"
 
@@ -71,20 +70,15 @@ std::string ProfileReport::ToText() const {
   return out;
 }
 
-Profiler::Profiler(core::Site& site, ProfilerOptions options,
-                   MetricsRegistry& registry)
-    : site_(site), options_(std::move(options)), registry_(registry) {
-  notify_retries_ = MakeSeries("notify_retries");
+Profiler::Profiler(core::Site& site, MetricsRegistry& registry)
+    : site_(site), registry_(registry) {
   stale_replicas_ = MakeSeries("stale_replicas");
   fanout_inflight_ = MakeSeries("fanout_inflight");
   if (dynamic_cast<net::TcpTransport*>(&site_.transport()) != nullptr) {
     tcp_pool_idle_ = MakeSeries("tcp_pool_idle");
     tcp_connections_ = MakeSeries("tcp_connections");
   }
-  admin_http_ = MakeSeries("admin_http");
 }
-
-Profiler::~Profiler() { Stop(); }
 
 Profiler::QueueSeries Profiler::MakeSeries(const char* queue) {
   const MetricLabels labels{{"site", std::to_string(site_.id())},
@@ -109,9 +103,6 @@ ProfileReport Profiler::SampleOnce() {
   ProfileReport report;
   report.at = site_.clock().Now();
 
-  Record(notify_retries_, "notify_retries",
-         static_cast<std::int64_t>(site_.pending_notify_retries()),
-         report.queues);
   Record(stale_replicas_, "stale_replicas",
          static_cast<std::int64_t>(site_.StaleReplicaIds().size()),
          report.queues);
@@ -125,50 +116,16 @@ ProfileReport Profiler::SampleOnce() {
            static_cast<std::int64_t>(tcp->active_connections()),
            report.queues);
   }
-  // Process-wide: admin connections in flight across every served site.
-  Record(admin_http_, "admin_http",
-         registry_.SumGauges("obiwan_admin_http_active"), report.queues);
-
-  report.locks = LockHotness(registry_, options_.top_k_locks);
+  report.locks = LockHotness(registry_);
 
   std::lock_guard lock(mutex_);
   last_ = report;
   return report;
 }
 
-void Profiler::Start() {
-  {
-    std::lock_guard lock(mutex_);
-    if (running_) return;
-    running_ = true;
-  }
-  worker_ = std::thread([this] { RunLoop(); });
-}
-
-void Profiler::Stop() {
-  {
-    std::lock_guard lock(mutex_);
-    if (!running_) return;
-    running_ = false;
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
-
 ProfileReport Profiler::last() const {
   std::lock_guard lock(mutex_);
   return last_;
-}
-
-void Profiler::RunLoop() {
-  std::unique_lock lock(mutex_);
-  while (running_) {
-    lock.unlock();
-    SampleOnce();
-    lock.lock();
-    if (!running_) break;
-    cv_.wait_for(lock, std::chrono::nanoseconds(options_.interval));
-  }
 }
 
 // ---------------------------------------------------------------------------

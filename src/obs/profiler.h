@@ -3,29 +3,28 @@
 // lock is hot" half).
 //
 // Counters say how much work happened; queue depths say how much is *waiting*
-// — the leading indicator of saturation. The Profiler snapshots every queue a
-// site owns into gauges (instantaneous depth for dashboards) and histograms
-// (depth distribution across samples, so "the retry queue spends 10% of
-// samples above 100" survives scrape aliasing):
+// — the leading indicator of saturation. The Profiler snapshots the queues a
+// site owns that no other series reports into gauges (instantaneous depth
+// for dashboards) and histograms (depth distribution across samples, so "the
+// stale set spends 10% of samples above 100" survives scrape aliasing):
 //
 //   obiwan_queue_depth{queue,...}          last sampled depth
 //   obiwan_queue_depth_samples{queue,...}  histogram of sampled depths
 //
-// Sampled queues: notify_retries (backoff-queued holder notifications),
-// stale_replicas (invalidated replicas awaiting resync), fanout_inflight
-// (holder notifications executing right now), tcp_pool_idle / tcp_connections
-// (client pool occupancy and live server handler threads, TCP transports
-// only) and admin_http (in-flight admin connections, process-wide).
+// Sampled queues: stale_replicas (invalidated replicas awaiting resync),
+// fanout_inflight (holder notifications executing right now) and
+// tcp_pool_idle / tcp_connections (client pool occupancy and live server
+// handler threads, TCP transports only). The retry queue's depth is
+// obiwan_notify_retry_depth and the admin plane's in-flight connections are
+// obiwan_admin_http_active; each has its own writer.
 //
-// Mirrors the FleetMonitor/ResyncDaemon split: deterministic consumers
-// (tests, simulations, the /profile.json route) call SampleOnce() by hand;
-// real deployments call Start() for a background worker on a real clock.
+// Sampling is on demand: the /profile.json route and the shell's `profile`
+// command call SampleOnce(), so a virtual-time simulation samples
+// deterministically.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -52,31 +51,18 @@ struct ProfileReport {
   std::string ToText() const;
 };
 
-struct ProfilerOptions {
-  // Background sampling period (Start/Stop worker; SampleOnce ignores it).
-  Nanos interval = 1 * kSecond;
-  // Lock names kept in the hotness ranking.
-  std::size_t top_k_locks = 10;
-};
-
 class Profiler {
  public:
-  explicit Profiler(core::Site& site) : Profiler(site, ProfilerOptions{}) {}
-  Profiler(core::Site& site, ProfilerOptions options,
-           MetricsRegistry& registry = MetricsRegistry::Default());
-  ~Profiler();
+  explicit Profiler(core::Site& site,
+                    MetricsRegistry& registry = MetricsRegistry::Default());
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
   // One deterministic sweep: read every queue, feed the gauges/histograms,
-  // rank the locks, remember and return the report.
+  // rank the locks (LockHotness's default top 10), remember and return the
+  // report.
   ProfileReport SampleOnce();
-
-  // Background worker on the system clock (queue depths of a virtual-time
-  // simulation should be sampled deterministically via SampleOnce instead).
-  void Start();
-  void Stop();
 
   // The most recent report (empty before the first sample).
   ProfileReport last() const;
@@ -90,24 +76,17 @@ class Profiler {
   QueueSeries MakeSeries(const char* queue);
   void Record(const QueueSeries& series, const char* queue, std::int64_t depth,
               std::vector<QueueSample>& out);
-  void RunLoop();
 
   core::Site& site_;
-  ProfilerOptions options_;
   MetricsRegistry& registry_;
 
-  QueueSeries notify_retries_;
   QueueSeries stale_replicas_;
   QueueSeries fanout_inflight_;
   QueueSeries tcp_pool_idle_;
   QueueSeries tcp_connections_;
-  QueueSeries admin_http_;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   ProfileReport last_;
-  bool running_ = false;
-  std::thread worker_;
 };
 
 // Refresh obiwan_process_rss_bytes / obiwan_process_open_fds /

@@ -102,28 +102,6 @@ TEST(ContentionLock, UncontendedHoldMathOnVirtualClock) {
       0u);
 }
 
-TEST(ContentionLock, RecursiveHoldTimesOutermostAcquisition) {
-  MetricsRegistry reg;
-  VirtualClock clock;
-  TrackedRecursiveMutex mutex;
-  mutex.BindTo(reg, "t_rec", clock);
-
-  mutex.lock();
-  clock.Sleep(2 * kMilli);
-  mutex.lock();  // re-entry must not restart the hold timer
-  clock.Sleep(3 * kMilli);
-  mutex.unlock();
-  clock.Sleep(4 * kMilli);
-  mutex.unlock();  // outermost release: one sample, the full 9ms span
-
-  const auto hold = reg.SummarizeHistograms("obiwan_lock_hold_ns",
-                                            Named("t_rec"));
-  EXPECT_EQ(hold.count, 1u);
-  EXPECT_EQ(hold.sum, 9 * kMilli);
-  EXPECT_EQ(reg.SumCounters("obiwan_lock_acquisitions_total", Named("t_rec")),
-            2u);
-}
-
 // A virtual clock that counts its reads.
 class CountingClock final : public Clock {
  public:
@@ -299,7 +277,7 @@ TEST(ContentionProfiler, SampleOnceReadsQueuesDeterministically) {
   ASSERT_TRUE(ref.ok());
 
   MetricsRegistry reg;
-  obs::Profiler profiler(demander, obs::ProfilerOptions{}, reg);
+  obs::Profiler profiler(demander, reg);
 
   // Quiet site: everything empty.
   obs::ProfileReport before = profiler.SampleOnce();
@@ -310,7 +288,6 @@ TEST(ContentionProfiler, SampleOnceReadsQueuesDeterministically) {
     return std::int64_t{-1};
   };
   EXPECT_EQ(depth_of(before, "stale_replicas"), 0);
-  EXPECT_EQ(depth_of(before, "notify_retries"), 0);
   EXPECT_EQ(depth_of(before, "fanout_inflight"), 0);
   // Loopback transport: no TCP pool series at all.
   EXPECT_EQ(depth_of(before, "tcp_pool_idle"), -1);

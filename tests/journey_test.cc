@@ -135,30 +135,44 @@ TEST_F(JourneySimTest, TimingsAreDeterministicOnTheVirtualClock) {
 TEST_F(JourneySimTest, InvalidateJourneyAppliesOnRefresh) {
   provider_->SetConsistencyPolicy(
       std::make_unique<consistency::WriteInvalidate>());
-  auto obj = std::make_shared<Node>();
-  ASSERT_TRUE(provider_->Bind("obj", obj).ok());
-  const ObjectId oid = provider_->Export(obj);
-  auto ref = Replicate("obj");
+  // Both refresh entry points close the apply hop: the resync daemon's
+  // RefreshReplica(id) and an application's Refresh(ref).
+  for (const bool by_ref : {false, true}) {
+    SCOPED_TRACE(by_ref ? "Refresh(ref)" : "RefreshReplica(id)");
+    const std::string name = by_ref ? "by_ref" : "by_id";
+    auto obj = std::make_shared<Node>();
+    ASSERT_TRUE(provider_->Bind(name, obj).ok());
+    const ObjectId oid = provider_->Export(obj);
+    auto ref = Replicate(name);
+    auto journeys_of_obj = [&] {
+      std::vector<obs::JourneyView> mine;
+      for (const obs::JourneyView& j : holder_tracker_->Recent(8)) {
+        if (j.id == oid) mine.push_back(j);
+      }
+      return mine;
+    };
 
-  obj->value = 9;
-  ASSERT_TRUE(provider_->MarkMasterUpdated(oid).ok());
+    obj->value = 9;
+    ASSERT_TRUE(provider_->MarkMasterUpdated(oid).ok());
 
-  // The invalidation was received but the replica has not caught up yet:
-  // the apply hop is still open.
-  auto pending = holder_tracker_->Recent(4);
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_FALSE(pending[0].push);
-  ASSERT_GE(pending[0].receive, 0);
-  EXPECT_LT(pending[0].apply, 0);
+    // The invalidation was received but the replica has not caught up yet:
+    // the apply hop is still open.
+    auto pending = journeys_of_obj();
+    ASSERT_EQ(pending.size(), 1u);
+    EXPECT_FALSE(pending[0].push);
+    ASSERT_GE(pending[0].receive, 0);
+    EXPECT_LT(pending[0].apply, 0);
 
-  // Refresh closes it: apply stamped at the refreshed version.
-  ASSERT_TRUE(holder_->RefreshReplica(oid).ok());
-  auto applied = holder_tracker_->Recent(4);
-  ASSERT_EQ(applied.size(), 1u);
-  EXPECT_EQ(applied[0].version, 2u);
-  EXPECT_GT(applied[0].apply, applied[0].receive);
-  EXPECT_TRUE(applied[0].complete);
-  EXPECT_EQ(ref.get()->value, 9);
+    // Refresh closes it: apply stamped at the refreshed version.
+    ASSERT_TRUE(
+        (by_ref ? holder_->Refresh(ref) : holder_->RefreshReplica(oid)).ok());
+    auto applied = journeys_of_obj();
+    ASSERT_EQ(applied.size(), 1u);
+    EXPECT_EQ(applied[0].version, 2u);
+    EXPECT_GT(applied[0].apply, applied[0].receive);
+    EXPECT_TRUE(applied[0].complete);
+    EXPECT_EQ(ref.get()->value, 9);
+  }
 }
 
 TEST_F(JourneySimTest, SupersededRetryCountsOnceAndKeepsNewestVersion) {

@@ -8,9 +8,9 @@
 #   2. an AddressSanitizer build (OBIWAN_SANITIZE=address, with -Werror),
 #   3. an UndefinedBehaviorSanitizer build (OBIWAN_SANITIZE=undefined, with
 #      -Werror), and
-#   4. a ThreadSanitizer build (OBIWAN_SANITIZE=thread) running the
-#      concurrency-heavy transport tests (real sockets, retry decorator,
-#      connection pool, server thread lifecycle).
+#   4. a ThreadSanitizer build (OBIWAN_SANITIZE=thread, with -Werror)
+#      running the concurrency-heavy transport tests (real sockets, retry
+#      decorator, connection pool, server thread lifecycle).
 # Any failure fails the script.
 #
 # Usage: tools/ci.sh [jobs]          (jobs defaults to nproc)
@@ -79,7 +79,7 @@ run_flavour ubsan build-ubsan -DOBIWAN_SANITIZE=undefined -DCMAKE_CXX_FLAGS=-Wer
 # it) — so TSan runs those groups rather than the whole (slow under TSan)
 # suite.
 echo "=== [tsan] configure ==="
-cmake -B build-tsan -S . -DOBIWAN_SANITIZE=thread
+cmake -B build-tsan -S . -DOBIWAN_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror
 echo "=== [tsan] build ==="
 cmake --build build-tsan -j "$JOBS" --target tcp_test net_test compress_test fanout_test obs_test contention_test object_table_test journey_test trace_test span_test
 echo "=== [tsan] test ==="
@@ -265,7 +265,7 @@ fl = doc["fleet"]
 for key in ("sites", "churned", "updates", "updates_observed",
             "peak_lag_versions", "peak_stale_replicas", "unreachable_at_peak",
             "bytes_per_update_peak", "converge_ms", "converge_polls",
-            "final_lag_versions_max", "final_stale_replicas", "slo_breach_s"):
+            "final_lag_versions_max", "final_stale_replicas"):
     assert key in fl, f"fleet section missing {key}"
 assert fl["sites"] >= 200, f"fleet too small: {fl['sites']} sites"
 assert fl["churned"] >= 1, "no churned devices in the fleet experiment"
@@ -278,16 +278,14 @@ assert fl["peak_stale_replicas"] >= 1, "no stale replicas observed at peak"
 assert fl["updates_observed"] >= fl["updates"], \
     f"monitor missed updates: {fl['updates_observed']} < {fl['updates']}"
 assert fl["bytes_per_update_peak"] > 0, "bytes-per-update not measured"
-# ...and the reconnection must actually reconverge, with SLO burn recorded
-# for the window the fleet spent out of bounds.
+# ...and the reconnection must actually reconverge. The convergence SLO is
+# the journey tracker's burn-rate alert, checked in the journey block below.
 assert fl["converge_ms"] > 0, "fleet convergence not measured"
 assert fl["final_lag_versions_max"] == 0, "fleet did not reconverge (lag)"
 assert fl["final_stale_replicas"] == 0, "fleet did not reconverge (stale)"
-assert fl["slo_breach_s"] > 0, "SLO burn never accrued during churn"
 print(f"BENCH_mobility.json: fleet OK ({fl['sites']} sites, "
       f"{fl['churned']} churned, peak lag max {fl['peak_lag_versions']['max']}, "
-      f"converged in {fl['converge_ms']:.0f} ms, "
-      f"SLO burn {fl['slo_breach_s']:.2f} s)")
+      f"converged in {fl['converge_ms']:.0f} ms)")
 
 # The journey cross-check: the per-update tracer must have followed the
 # fleet updates hop by hop, its event-driven convergence measurement must
@@ -411,7 +409,7 @@ curl -fsS http://127.0.0.1:7474/inspect.json | python3 -c \
 curl -fsS http://127.0.0.1:7474/profile.json | python3 -c \
     'import json,sys; d=json.load(sys.stdin); \
      queues={q["queue"] for q in d["queues"]}; \
-     assert {"stale_replicas","notify_retries","fanout_inflight"} <= queues, d'
+     assert {"stale_replicas","fanout_inflight"} <= queues, d'
 curl -fsS http://127.0.0.1:7474/contention | grep -q "lock hotness" || {
     echo "/contention missing lock hotness report"; exit 1; }
 # Content negotiation: an OpenMetrics Accept header must switch the
@@ -523,6 +521,10 @@ masters = sample_values("obiwan_objects", role="master", site="7")
 assert masters == [1.0], f"site 7 obiwan_objects{{role=master}}: {masters}"
 pins = sample_values("obiwan_site_proxy_ins", site="7")
 assert pins == [1.0], f"site 7 obiwan_site_proxy_ins: {pins}"
+# The retry queue's depth has one source, the site gauge (the profiler no
+# longer republishes it as a queue): nothing failed, so nothing is queued.
+retries = sample_values("obiwan_notify_retry_depth", site="7")
+assert retries == [0.0], f"site 7 obiwan_notify_retry_depth: {retries}"
 assert types["obiwan_rmi_client_latency_ns"] == "histogram"
 assert types["obiwan_lock_wait_ns"] == "histogram"
 assert any(kind == "histogram" for kind in types.values())
