@@ -134,41 +134,11 @@ void Site::RefreshTelemetry() {
       static_cast<std::int64_t>(notify_retries_.size()));
 }
 
-void Site::EnsureGraphIds() {
-  // Naming a target makes it a master whose own refs must be visited too,
-  // so sweep to a fixed point. A sweep reads each object's fields under its
-  // shard's guard and only collects the local targets that have no id yet;
-  // they are named after the sweep, because EnsureId takes a shard guard of
-  // its own. Naming follows sweep order, so under the world (SaveSnapshot)
-  // the ids are the ones a single locked pass would mint. A target another
-  // site holds never gets an id here, so a sweep that names nothing ends
-  // the loop.
-  std::vector<std::shared_ptr<Shareable>> unnamed;
-  auto collect = [&](const std::shared_ptr<Shareable>& obj) {
-    for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
-      RefBase& rb = rf.get(*obj);
-      if (rb.IsLocal() && !table_.PtrId(rb.local_raw()).valid()) {
-        unnamed.push_back(rb.local());
-      }
-    }
-  };
-  for (;;) {
-    table_.ForEachMaster(
-        [&](ObjectId, const MasterEntry& e) { collect(e.obj); });
-    table_.ForEachReplica(
-        [&](ObjectId, const ReplicaEntry& e) { collect(e.obj); });
-    bool named = false;
-    for (const auto& obj : unnamed) named |= EnsureId(obj).valid();
-    unnamed.clear();
-    if (!named) return;
-  }
-}
-
 InspectReport Site::Inspect() {
   // Shard by shard, like RefreshTelemetry: each row is read under its
   // shard's guard, so a report is consistent per shard, not a global cut,
-  // and the protocol keeps running while it is assembled.
-  EnsureGraphIds();
+  // and the protocol keeps running while it is assembled. A report only
+  // reads: it names nothing.
   RefreshTelemetry();
 
   InspectReport report;
@@ -176,8 +146,9 @@ InspectReport Site::Inspect() {
   report.address = transport_->LocalAddress();
   report.now = clock_.Now();
 
-  // EnsureGraphIds ran: a local target without an id here is another
-  // site's object (or was linked since), and its edge is left out.
+  // A local target without an id here is not yet named (no get or snapshot
+  // has reached it) or another site's object, and its edge is left out; it
+  // enters the report once a get names it.
   auto edges_of = [&](const std::shared_ptr<Shareable>& obj) {
     std::vector<InspectEdge> edges;
     for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {

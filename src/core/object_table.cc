@@ -90,21 +90,51 @@ ObjectTable::ShardGuard::~ShardGuard() {
   if (locked_) table_.shards_[shard_].mutex.unlock();
 }
 
+ObjectTable::BatchGuard::BatchGuard(const ObjectTable& table)
+    : table_(table), world_(table.WorldHeldByThisThread()) {}
+
 ObjectTable::BatchGuard::BatchGuard(const ObjectTable& table,
                                     const std::vector<ObjectId>& ids)
-    : table_(table) {
-  if (table.WorldHeldByThisThread()) return;
-  for (const ObjectId& id : ids) shards_ |= std::uint64_t{1} << table.ShardOf(id);
+    : BatchGuard(table) {
+  if (world_) return;
+  for (const ObjectId& id : ids) shards_ |= std::uint64_t{1} << ShardOf(id);
+  Relock();
+}
+
+ObjectTable::BatchGuard::~BatchGuard() {
+  if (held_) Release();
+}
+
+bool ObjectTable::BatchGuard::Add(ObjectId id) {
+  if (world_) return true;
+  const std::size_t shard = ShardOf(id);
+  const std::uint64_t bit = std::uint64_t{1} << shard;
+  if ((shards_ & bit) != 0) return true;
+  TrackedMutex& mutex = table_.shards_[shard].mutex;
+  if ((shards_ >> shard) == 0) {
+    mutex.lock();  // above every held shard: waiting keeps the order
+  } else if (!mutex.try_lock()) {
+    Release();
+    shards_ |= bit;
+    return false;
+  }
+  shards_ |= bit;
+  return true;
+}
+
+void ObjectTable::BatchGuard::Relock() {
   // Lowest set bit first: ascending shard order.
   for (std::uint64_t rest = shards_; rest != 0; rest &= rest - 1) {
     table_.shards_[std::countr_zero(rest)].mutex.lock();
   }
+  held_ = true;
 }
 
-ObjectTable::BatchGuard::~BatchGuard() {
+void ObjectTable::BatchGuard::Release() {
   for (std::uint64_t rest = shards_; rest != 0; rest &= rest - 1) {
     table_.shards_[std::countr_zero(rest)].mutex.unlock();
   }
+  held_ = false;
 }
 
 ObjectTable::WorldGuard::WorldGuard(const ObjectTable& table)
@@ -139,7 +169,7 @@ MasterEntry* ObjectTable::Master(ObjectId id) {
   Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);
   if (it == shard.index.end() || !it->second.master) return nullptr;
-  return &shard.masters[it->second.index];
+  return &shard.masters.records[it->second.index];
 }
 
 const MasterEntry* ObjectTable::Master(ObjectId id) const {
@@ -150,7 +180,7 @@ ReplicaEntry* ObjectTable::Replica(ObjectId id) {
   Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);
   if (it == shard.index.end() || it->second.master) return nullptr;
-  return &shard.replicas[it->second.index];
+  return &shard.replicas.records[it->second.index];
 }
 
 const ReplicaEntry* ObjectTable::Replica(ObjectId id) const {
@@ -161,84 +191,84 @@ ObjectTable::Entries ObjectTable::Lookup(ObjectId id) {
   Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);
   if (it == shard.index.end()) return {};
-  if (it->second.master) return {&shard.masters[it->second.index], nullptr};
-  return {nullptr, &shard.replicas[it->second.index]};
+  const std::uint32_t index = it->second.index;
+  if (it->second.master) return {&shard.masters.records[index], nullptr};
+  return {nullptr, &shard.replicas.records[index]};
 }
 
 std::shared_ptr<Shareable> ObjectTable::Find(ObjectId id) const {
   const Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);
   if (it == shard.index.end()) return nullptr;
-  return it->second.master ? shard.masters[it->second.index].obj
-                           : shard.replicas[it->second.index].obj;
+  return it->second.master ? shard.masters.records[it->second.index].obj
+                           : shard.replicas.records[it->second.index].obj;
+}
+
+template <typename Entry>
+Entry* ObjectTable::Insert(Shard& shard, ObjectId id, Entry record) {
+  if (record.obj && PtrIdOrInsert(record.obj.get(), id) != id) return nullptr;
+  constexpr bool kMaster = std::is_same_v<Entry, MasterEntry>;
+  Arena<Entry>& arena = ArenaOf<Entry>(shard);
+  std::uint32_t index;
+  if (!arena.free.empty()) {
+    index = arena.free.back();
+    arena.free.pop_back();
+    arena.records[index] = std::move(record);
+  } else {
+    index = static_cast<std::uint32_t>(arena.records.size());
+    arena.records.push_back(std::move(record));
+    arena.ids.push_back(ObjectId{});
+  }
+  arena.ids[index] = id;
+  shard.index.emplace(id, Slot{kMaster, index});
+  Entry* stored = &arena.records[index];
+  for (const net::Address& addr : stored->holders)
+    shard.holders_by_addr[addr].insert(id);
+  CountOf(kMaster).fetch_add(1, std::memory_order_relaxed);
+  return stored;
+}
+
+template <typename Entry>
+std::pair<Entry*, bool> ObjectTable::Emplace(ObjectId id, Entry record) {
+  Shard& shard = ShardFor(id);
+  auto it = shard.index.find(id);
+  if (it != shard.index.end()) {
+    if (it->second.master != std::is_same_v<Entry, MasterEntry>) {
+      return {nullptr, false};
+    }
+    return {&ArenaOf<Entry>(shard).records[it->second.index], false};
+  }
+  Entry* stored = Insert(shard, id, std::move(record));
+  return {stored, stored != nullptr};
 }
 
 std::pair<MasterEntry*, bool> ObjectTable::EmplaceMaster(ObjectId id,
                                                          MasterEntry record) {
-  Shard& shard = ShardFor(id);
-  auto it = shard.index.find(id);
-  if (it != shard.index.end()) {
-    if (it->second.master) return {&shard.masters[it->second.index], false};
-    return {nullptr, false};
-  }
-  if (record.obj && PtrIdOrInsert(record.obj.get(), id) != id) {
-    return {nullptr, false};
-  }
-  std::uint32_t index;
-  if (!shard.master_free.empty()) {
-    index = shard.master_free.back();
-    shard.master_free.pop_back();
-    shard.masters[index] = std::move(record);
-  } else {
-    index = static_cast<std::uint32_t>(shard.masters.size());
-    shard.masters.push_back(std::move(record));
-    shard.master_ids.push_back(ObjectId{});
-  }
-  shard.master_ids[index] = id;
-  shard.index.emplace(id, Slot{true, index});
-  MasterEntry* stored = &shard.masters[index];
-  for (const net::Address& addr : stored->holders)
-    shard.holders_by_addr[addr].insert(id);
-  master_count_.fetch_add(1, std::memory_order_relaxed);
-  return {stored, true};
+  return Emplace(id, std::move(record));
 }
 
 std::pair<ReplicaEntry*, bool> ObjectTable::EmplaceReplica(
     ObjectId id, ReplicaEntry record) {
-  Shard& shard = ShardFor(id);
-  auto it = shard.index.find(id);
-  if (it != shard.index.end()) {
-    if (!it->second.master) return {&shard.replicas[it->second.index], false};
-    return {nullptr, false};
-  }
-  if (record.obj && PtrIdOrInsert(record.obj.get(), id) != id) {
-    return {nullptr, false};
-  }
-  std::uint32_t index;
-  if (!shard.replica_free.empty()) {
-    index = shard.replica_free.back();
-    shard.replica_free.pop_back();
-    shard.replicas[index] = std::move(record);
-  } else {
-    index = static_cast<std::uint32_t>(shard.replicas.size());
-    shard.replicas.push_back(std::move(record));
-    shard.replica_ids.push_back(ObjectId{});
-  }
-  shard.replica_ids[index] = id;
-  shard.index.emplace(id, Slot{false, index});
-  ReplicaEntry* stored = &shard.replicas[index];
-  for (const net::Address& addr : stored->holders)
-    shard.holders_by_addr[addr].insert(id);
-  replica_count_.fetch_add(1, std::memory_order_relaxed);
-  return {stored, true};
+  return Emplace(id, std::move(record));
 }
 
-bool ObjectTable::EraseMaster(ObjectId id) {
+MasterEntry* ObjectTable::InsertMaster(ObjectId id, MasterEntry record) {
+  return Insert(ShardFor(id), id, std::move(record));
+}
+
+ReplicaEntry* ObjectTable::InsertReplica(ObjectId id, ReplicaEntry record) {
+  return Insert(ShardFor(id), id, std::move(record));
+}
+
+template <typename Entry>
+bool ObjectTable::Erase(ObjectId id) {
+  constexpr bool kMaster = std::is_same_v<Entry, MasterEntry>;
   Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);
-  if (it == shard.index.end() || !it->second.master) return false;
-  std::uint32_t index = it->second.index;
-  MasterEntry& record = shard.masters[index];
+  if (it == shard.index.end() || it->second.master != kMaster) return false;
+  Arena<Entry>& arena = ArenaOf<Entry>(shard);
+  const std::uint32_t index = it->second.index;
+  Entry& record = arena.records[index];
   if (record.obj) record.obj->identity_.Release(this, id);
   for (const net::Address& addr : record.holders) {
     auto hit = shard.holders_by_addr.find(addr);
@@ -246,34 +276,16 @@ bool ObjectTable::EraseMaster(ObjectId id) {
     hit->second.erase(id);
     if (hit->second.empty()) shard.holders_by_addr.erase(hit);
   }
-  record = MasterEntry{};  // release the object + policy state in place
-  shard.master_ids[index] = ObjectId{};
-  shard.master_free.push_back(index);
+  record = Entry{};  // release the object + policy state in place
+  arena.ids[index] = ObjectId{};
+  arena.free.push_back(index);
   shard.index.erase(it);
-  master_count_.fetch_sub(1, std::memory_order_relaxed);
+  CountOf(kMaster).fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
-bool ObjectTable::EraseReplica(ObjectId id) {
-  Shard& shard = ShardFor(id);
-  auto it = shard.index.find(id);
-  if (it == shard.index.end() || it->second.master) return false;
-  std::uint32_t index = it->second.index;
-  ReplicaEntry& record = shard.replicas[index];
-  if (record.obj) record.obj->identity_.Release(this, id);
-  for (const net::Address& addr : record.holders) {
-    auto hit = shard.holders_by_addr.find(addr);
-    if (hit == shard.holders_by_addr.end()) continue;
-    hit->second.erase(id);
-    if (hit->second.empty()) shard.holders_by_addr.erase(hit);
-  }
-  record = ReplicaEntry{};
-  shard.replica_ids[index] = ObjectId{};
-  shard.replica_free.push_back(index);
-  shard.index.erase(it);
-  replica_count_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
+bool ObjectTable::EraseMaster(ObjectId id) { return Erase<MasterEntry>(id); }
+bool ObjectTable::EraseReplica(ObjectId id) { return Erase<ReplicaEntry>(id); }
 
 // --- self-locking lookups ----------------------------------------------------
 
@@ -299,22 +311,15 @@ bool ObjectTable::ContainsReplica(ObjectId id) const {
 
 // --- holder index ------------------------------------------------------------
 
-void ObjectTable::LinkHolderInShard(Shard& shard, ObjectId id,
-                                    const net::Address& addr) {
-  shard.holders_by_addr[addr].insert(id);
-}
-
 bool ObjectTable::LinkHolder(ObjectId id, const net::Address& addr) {
   Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);
   if (it == shard.index.end()) return false;
-  std::vector<net::Address>& holders =
-      it->second.master ? shard.masters[it->second.index].holders
-                        : shard.replicas[it->second.index].holders;
+  std::vector<net::Address>& holders = HoldersAt(shard, it->second);
   if (std::find(holders.begin(), holders.end(), addr) != holders.end())
     return false;
   holders.push_back(addr);
-  LinkHolderInShard(shard, id, addr);
+  shard.holders_by_addr[addr].insert(id);
   return true;
 }
 
@@ -322,10 +327,7 @@ bool ObjectTable::UnlinkHolder(ObjectId id, const net::Address& addr) {
   Shard& shard = ShardFor(id);
   auto it = shard.index.find(id);
   if (it == shard.index.end()) return false;
-  std::vector<net::Address>& holders =
-      it->second.master ? shard.masters[it->second.index].holders
-                        : shard.replicas[it->second.index].holders;
-  if (std::erase(holders, addr) == 0) return false;
+  if (std::erase(HoldersAt(shard, it->second), addr) == 0) return false;
   auto hit = shard.holders_by_addr.find(addr);
   if (hit != shard.holders_by_addr.end()) {
     hit->second.erase(id);
@@ -346,10 +348,7 @@ std::size_t ObjectTable::RemoveHolderEverywhere(
     for (const ObjectId& id : hit->second) {
       auto it = shard.index.find(id);
       if (it == shard.index.end()) continue;
-      std::vector<net::Address>& holders =
-          it->second.master ? shard.masters[it->second.index].holders
-                            : shard.replicas[it->second.index].holders;
-      removed += std::erase(holders, addr);
+      removed += std::erase(HoldersAt(shard, it->second), addr);
     }
     shard.holders_by_addr.erase(hit);
   }
@@ -366,16 +365,20 @@ bool ObjectTable::HolderAnywhere(const net::Address& addr) const {
 
 // --- iteration ---------------------------------------------------------------
 
-void ObjectTable::ForEachMaster(
-    const std::function<void(ObjectId, MasterEntry&)>& fn) {
+template <typename Entry>
+void ObjectTable::ForEach(const std::function<void(ObjectId, Entry&)>& fn) {
   for (std::size_t i = 0; i < kShardCount; ++i) {
     ShardGuard guard(*this, i);
-    Shard& shard = shards_[i];
-    for (std::size_t slot = 0; slot < shard.master_ids.size(); ++slot) {
-      if (shard.master_ids[slot].valid())
-        fn(shard.master_ids[slot], shard.masters[slot]);
+    Arena<Entry>& arena = ArenaOf<Entry>(shards_[i]);
+    for (std::size_t slot = 0; slot < arena.ids.size(); ++slot) {
+      if (arena.ids[slot].valid()) fn(arena.ids[slot], arena.records[slot]);
     }
   }
+}
+
+void ObjectTable::ForEachMaster(
+    const std::function<void(ObjectId, MasterEntry&)>& fn) {
+  ForEach(fn);
 }
 
 void ObjectTable::ForEachMaster(
@@ -386,14 +389,7 @@ void ObjectTable::ForEachMaster(
 
 void ObjectTable::ForEachReplica(
     const std::function<void(ObjectId, ReplicaEntry&)>& fn) {
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    ShardGuard guard(*this, i);
-    Shard& shard = shards_[i];
-    for (std::size_t slot = 0; slot < shard.replica_ids.size(); ++slot) {
-      if (shard.replica_ids[slot].valid())
-        fn(shard.replica_ids[slot], shard.replicas[slot]);
-    }
-  }
+  ForEach(fn);
 }
 
 void ObjectTable::ForEachReplica(
@@ -403,29 +399,24 @@ void ObjectTable::ForEachReplica(
 }
 
 void ObjectTable::ReleaseAll() {
+  auto release = [this](const auto& arena) {
+    for (std::size_t slot = 0; slot < arena.ids.size(); ++slot) {
+      const ObjectId id = arena.ids[slot];
+      if (id.valid() && arena.records[slot].obj)
+        arena.records[slot].obj->identity_.Release(this, id);
+    }
+  };
   for (auto& shard : shards_) {
-    for (std::size_t slot = 0; slot < shard.master_ids.size(); ++slot) {
-      const ObjectId id = shard.master_ids[slot];
-      if (id.valid() && shard.masters[slot].obj)
-        shard.masters[slot].obj->identity_.Release(this, id);
-    }
-    for (std::size_t slot = 0; slot < shard.replica_ids.size(); ++slot) {
-      const ObjectId id = shard.replica_ids[slot];
-      if (id.valid() && shard.replicas[slot].obj)
-        shard.replicas[slot].obj->identity_.Release(this, id);
-    }
+    release(shard.masters);
+    release(shard.replicas);
   }
 }
 
 void ObjectTable::Clear() {
   ReleaseAll();
   for (auto& shard : shards_) {
-    shard.masters.clear();
-    shard.replicas.clear();
-    shard.master_free.clear();
-    shard.replica_free.clear();
-    shard.master_ids.clear();
-    shard.replica_ids.clear();
+    shard.masters = {};
+    shard.replicas = {};
     shard.index.clear();
     shard.holders_by_addr.clear();
   }
@@ -440,29 +431,30 @@ bool ObjectTable::CheckConsistency() const {
     std::unordered_map<net::Address,
                        std::unordered_set<ObjectId, ObjectIdHash>>
         expected_holders;
-    std::size_t live = 0;
-    for (std::size_t slot = 0; slot < shard.master_ids.size(); ++slot) {
-      const ObjectId id = shard.master_ids[slot];
-      if (!id.valid()) continue;
-      ++masters;
-      ++live;
-      const MasterEntry& record = shard.masters[slot];
-      if (record.obj && PtrId(record.obj.get()) != id) return false;
-      for (const net::Address& addr : record.holders)
-        expected_holders[addr].insert(id);
-    }
-    for (std::size_t slot = 0; slot < shard.replica_ids.size(); ++slot) {
-      const ObjectId id = shard.replica_ids[slot];
-      if (!id.valid()) continue;
-      ++replicas;
-      ++live;
-      const ReplicaEntry& record = shard.replicas[slot];
-      if (record.obj && PtrId(record.obj.get()) != id) return false;
-      for (const net::Address& addr : record.holders)
-        expected_holders[addr].insert(id);
-    }
+    // The live records of one arena, or -1 if one fails its identity check.
+    auto check = [&](const auto& arena) -> std::ptrdiff_t {
+      std::ptrdiff_t live = 0;
+      for (std::size_t slot = 0; slot < arena.ids.size(); ++slot) {
+        const ObjectId id = arena.ids[slot];
+        if (!id.valid()) continue;
+        ++live;
+        const auto& record = arena.records[slot];
+        if (record.obj && PtrId(record.obj.get()) != id) return -1;
+        for (const net::Address& addr : record.holders)
+          expected_holders[addr].insert(id);
+      }
+      return live;
+    };
+    const std::ptrdiff_t live_masters = check(shard.masters);
+    const std::ptrdiff_t live_replicas = check(shard.replicas);
+    if (live_masters < 0 || live_replicas < 0) return false;
     if (expected_holders != shard.holders_by_addr) return false;
-    if (shard.index.size() != live) return false;
+    if (shard.index.size() !=
+        static_cast<std::size_t>(live_masters + live_replicas)) {
+      return false;
+    }
+    masters += static_cast<std::size_t>(live_masters);
+    replicas += static_cast<std::size_t>(live_replicas);
   }
   // Two records sharing one object would fail the identity check above for
   // one of them.

@@ -16,9 +16,9 @@
 //   - pointer identity (Shareable* -> ObjectId) kept in the object itself:
 //     each Shareable's IdentitySlot names the one table that holds it and
 //     its id there, read without a lock. It is symmetric with the record
-//     arenas *by construction*: EmplaceMaster/EmplaceReplica claim the
-//     slot, EraseMaster/EraseReplica, Clear() and the table's destruction
-//     release it, and debug builds can assert the symmetry with
+//     arenas *by construction*: inserting a record (Emplace*, Insert*)
+//     claims the slot, EraseMaster/EraseReplica, Clear() and the table's
+//     destruction release it, and debug builds can assert the symmetry with
 //     CheckConsistency(). An object belongs to at most one table: a table
 //     never registers an object another table holds.
 //   - a per-shard holder index (holder address -> object ids it holds), so
@@ -26,8 +26,12 @@
 //     old O(all objects) sweep.
 //
 // Lock order (see DESIGN.md "Object table"):
-//   1. shard mutexes, always in ascending shard order (BatchGuard walks its
-//      shard mask upward; WorldGuard takes all of them);
+//   1. a thread waits only for a shard above every shard it holds; a shard
+//      below one it holds is only ever tried. So shards are waited for in
+//      ascending order: BatchGuard locks its shard mask upward, WorldGuard
+//      takes all of them, and a walk that grows its BatchGuard as it
+//      discovers its batch (BatchGuard::Add) lets go of everything and
+//      starts over when a try fails;
 //   2. then at most one leaf lock: the site pins mutex or the site mutex.
 //      Leaf locks never nest inside each other and no shard lock is ever
 //      acquired while a leaf lock is held.
@@ -48,6 +52,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -105,7 +110,7 @@ class ObjectTable {
   ObjectTable(const ObjectTable&) = delete;
   ObjectTable& operator=(const ObjectTable&) = delete;
 
-  std::size_t ShardOf(ObjectId id) const {
+  static std::size_t ShardOf(ObjectId id) {
     return ObjectIdHash{}(id) & (kShardCount - 1);
   }
 
@@ -127,18 +132,33 @@ class ObjectTable {
     bool locked_;
   };
 
-  // The distinct shards of a batch of ids, locked in ascending shard order.
-  // No-op when the calling thread owns the world.
+  // The distinct shards of a batch of ids, locked in ascending shard order,
+  // or, for a walk that discovers its batch as it goes, a set that starts
+  // empty and grows with Add. No-op when the calling thread owns the world.
   class BatchGuard {
    public:
+    explicit BatchGuard(const ObjectTable& table);
     BatchGuard(const ObjectTable& table, const std::vector<ObjectId>& ids);
     ~BatchGuard();
     BatchGuard(const BatchGuard&) = delete;
     BatchGuard& operator=(const BatchGuard&) = delete;
 
+    // Hold the shard of `id` too. A shard above every held one is locked; a
+    // lower one is only tried. When the try fails, every shard is released,
+    // the set is kept with the new shard in it, and false comes back: the
+    // caller calls Relock(), which takes the set in ascending order, and
+    // restarts its walk. Each restart grows the set, so there are at most
+    // 64.
+    bool Add(ObjectId id);
+    void Relock();
+
    private:
+    void Release();
+
     const ObjectTable& table_;
-    std::uint64_t shards_ = 0;  // bit i set: shard i is locked; 0 if world
+    bool world_;          // the thread owns the world: nothing to lock
+    bool held_ = true;    // `shards_` is locked (false after a failed Add)
+    std::uint64_t shards_ = 0;  // bit i set: shard i is in the set
   };
   static_assert(kShardCount == 64, "BatchGuard keeps one bit per shard");
 
@@ -187,6 +207,11 @@ class ObjectTable {
   // another table, is refused: null, false.
   std::pair<MasterEntry*, bool> EmplaceMaster(ObjectId id, MasterEntry record);
   std::pair<ReplicaEntry*, bool> EmplaceReplica(ObjectId id, ReplicaEntry record);
+  // The same for an id the caller knows is absent (a fresh mint, or one it
+  // looked up under the guard it still holds): no existence probe. Null if
+  // the object is held under another id.
+  MasterEntry* InsertMaster(ObjectId id, MasterEntry record);
+  ReplicaEntry* InsertReplica(ObjectId id, ReplicaEntry record);
 
   // Remove a record together with its object's identity and its
   // holder-index rows — the symmetry the old ptr_ids_ map lacked on master
@@ -270,19 +295,22 @@ class ObjectTable {
     std::uint32_t index = 0;
   };
 
+  // Arena storage for one role: records stay at a stable address for their
+  // lifetime; erased slots go on the free list and are reused in place.
+  template <typename Entry>
+  struct Arena {
+    std::deque<Entry> records;
+    std::vector<std::uint32_t> free;
+    // The live id per slot, for iteration without a map walk. The invalid
+    // id marks a freed slot.
+    std::vector<ObjectId> ids;
+  };
+
   struct Shard {
     mutable TrackedMutex mutex{"site.shard"};
-    // Arena storage: records stay at a stable address for their lifetime;
-    // erased slots go on the free list and are reused in place.
-    std::deque<MasterEntry> masters;
-    std::deque<ReplicaEntry> replicas;
-    std::vector<std::uint32_t> master_free;
-    std::vector<std::uint32_t> replica_free;
+    Arena<MasterEntry> masters;
+    Arena<ReplicaEntry> replicas;
     std::unordered_map<ObjectId, Slot, ObjectIdHash> index;
-    // Live ids per arena slot, for iteration without a map walk. Invalid id
-    // marks a freed slot.
-    std::vector<ObjectId> master_ids;
-    std::vector<ObjectId> replica_ids;
     // holder address -> ids of records whose holders list contains it.
     std::unordered_map<net::Address,
                        std::unordered_set<ObjectId, ObjectIdHash>>
@@ -292,7 +320,30 @@ class ObjectTable {
   Shard& ShardFor(ObjectId id) { return shards_[ShardOf(id)]; }
   const Shard& ShardFor(ObjectId id) const { return shards_[ShardOf(id)]; }
 
-  void LinkHolderInShard(Shard& shard, ObjectId id, const net::Address& addr);
+  template <typename Entry>
+  static Arena<Entry>& ArenaOf(Shard& shard) {
+    if constexpr (std::is_same_v<Entry, MasterEntry>) {
+      return shard.masters;
+    } else {
+      return shard.replicas;
+    }
+  }
+  static std::vector<net::Address>& HoldersAt(Shard& shard, Slot slot) {
+    return slot.master ? shard.masters.records[slot.index].holders
+                       : shard.replicas.records[slot.index].holders;
+  }
+  std::atomic<std::size_t>& CountOf(bool master) {
+    return master ? master_count_ : replica_count_;
+  }
+
+  template <typename Entry>
+  std::pair<Entry*, bool> Emplace(ObjectId id, Entry record);
+  template <typename Entry>
+  Entry* Insert(Shard& shard, ObjectId id, Entry record);
+  template <typename Entry>
+  bool Erase(ObjectId id);
+  template <typename Entry>
+  void ForEach(const std::function<void(ObjectId, Entry&)>& fn);
   // Release the identity of every live record's object.
   void ReleaseAll();
 

@@ -329,10 +329,9 @@ Result<rmi::BoundObject> Site::AnchoredBinding(
     return FailedPreconditionError("object is registered at another site");
   }
   std::lock_guard lock(pins_mutex_);
-  ProxyId pin = NewProxyInLocked(oid, {});
+  auto& [pin, entry] = NewProxyInLocked(oid, {});
   // A bound name is advertised indefinitely; its pin must not be swept by
   // the lease collector while the registry still points at it.
-  auto& entry = proxy_ins_.at(pin);
   entry.anchored = true;
   entry.expires_at = 0;
   return rmi::BoundObject{address(), oid, pin, obj->obiwan_class().name()};
@@ -369,20 +368,26 @@ ObjectId Site::EnsureId(const std::shared_ptr<Shareable>& obj) {
   ObjectId existing = table_.PtrId(obj.get());
   if (existing.valid()) return existing;
   // Mint a candidate id, take its shard, then race for the object's slot.
-  // The winner emplaces the master record while still holding the shard
+  // Must not be called with another shard guard held (the world is fine:
+  // guards no-op under it).
+  const ObjectId oid = MintId();
+  ObjectTable::ShardGuard guard(table_, oid);
+  return ClaimMaster(obj, oid);
+}
+
+ObjectId Site::ClaimMaster(const std::shared_ptr<Shareable>& obj,
+                           ObjectId oid) {
+  // The winner inserts the master record while still holding the shard
   // guard, so a loser that looks the returned id up blocks until the record
   // exists; a lost race wastes the minted id, which is harmless (ids are
   // never required to be dense), and so does an object another site holds
-  // (the invalid id comes back). Must not be called with another shard
-  // guard held (the world is fine: guards no-op under it).
-  ObjectId oid{id_, next_object_.fetch_add(1, std::memory_order_relaxed)};
-  ObjectTable::ShardGuard guard(table_, oid);
-  ObjectId winner = table_.PtrIdOrInsert(obj.get(), oid);
+  // (the invalid id comes back).
+  const ObjectId winner = table_.PtrIdOrInsert(obj.get(), oid);
   if (winner != oid) return winner;
   MasterEntry entry;
   entry.obj = obj;
   entry.last_update = clock_.Now();
-  table_.EmplaceMaster(oid, std::move(entry));
+  table_.InsertMaster(oid, std::move(entry));
   return oid;
 }
 
@@ -401,28 +406,24 @@ void Site::TouchPin(ProxyInEntry& entry) {
 
 ProxyId Site::NewProxyIn(ObjectId target, std::span<const net::Address> users) {
   std::lock_guard lock(pins_mutex_);
-  return NewProxyInLocked(target, users);
+  return NewProxyInLocked(target, users).first;
 }
 
-ProxyId Site::NewProxyInLocked(ObjectId target,
-                               std::span<const net::Address> users) {
+Site::ProxyInMap::value_type& Site::NewProxyInLocked(
+    ObjectId target, std::span<const net::Address> users) {
   // Reuse an existing single-object proxy-in for the same target; repeated
   // gets of one object do not need distinct channels.
-  if (auto it = pin_by_target_.find(target); it != pin_by_target_.end()) {
-    ProxyInEntry& entry = proxy_ins_.at(it->second);
-    TouchPin(entry);
-    RegisterUsers(entry.users, users);
-    return it->second;
+  auto [it, fresh] = pin_by_target_.try_emplace(target, nullptr);
+  if (fresh) {
+    it->second = &*proxy_ins_.try_emplace(ProxyId{id_, next_pin_++}).first;
+    it->second->second.target = target;
+    telemetry_.proxy_ins_created->Inc();
+    clock_.Sleep(proxy_export_cost_);
   }
-  ProxyId pin{id_, next_pin_++};
-  ProxyInEntry& entry = proxy_ins_[pin];
-  entry.target = target;
-  pin_by_target_.emplace(target, pin);
+  ProxyInEntry& entry = it->second->second;
   TouchPin(entry);
   RegisterUsers(entry.users, users);
-  telemetry_.proxy_ins_created->Inc();
-  clock_.Sleep(proxy_export_cost_);
-  return pin;
+  return *it->second;
 }
 
 ProxyId Site::NewClusterProxyInLocked(ObjectId root,
@@ -448,7 +449,7 @@ std::size_t Site::CollectExpiredProxyIns() {
   for (auto it = proxy_ins_.begin(); it != proxy_ins_.end();) {
     if (it->second.expires_at != 0 && it->second.expires_at <= now) {
       if (auto tit = pin_by_target_.find(it->second.target);
-          tit != pin_by_target_.end() && tit->second == it->first) {
+          tit != pin_by_target_.end() && tit->second == &*it) {
         pin_by_target_.erase(tit);
       }
       it = proxy_ins_.erase(it);
@@ -474,17 +475,17 @@ Result<std::shared_ptr<Shareable>> Site::FindLocal(ObjectId id) const {
 
 // Caller holds the shard guard of `id` (or the world) for as long as the
 // returned pointers are used.
-Result<Site::MetaRef> Site::FindMeta(ObjectId id) {
+Site::MetaRef Site::FindMeta(ObjectId id) {
   auto [master, replica] = table_.Lookup(id);
   if (master != nullptr) {
-    return MetaRef{master->obj, &master->version, &master->policy_state,
+    return MetaRef{master->obj.get(), &master->version, &master->policy_state,
                    &master->holders, master};
   }
   if (replica != nullptr) {
-    return MetaRef{replica->obj, &replica->version, &replica->policy_state,
-                   &replica->holders, nullptr};
+    return MetaRef{replica->obj.get(), &replica->version,
+                   &replica->policy_state, &replica->holders, nullptr};
   }
-  return NotFoundError("object not present: " + ToString(id));
+  return {};
 }
 
 std::size_t Site::master_count() const { return table_.master_count(); }
@@ -505,35 +506,102 @@ void Site::SetConsistencyPolicy(std::unique_ptr<ConsistencyPolicy> policy) {
 // Records: walk, capture and bind references
 // ---------------------------------------------------------------------------
 
-Result<bool> Site::WalkAdd(OutboundBatch& batch, ObjectId id) {
-  const std::size_t first = batch.refs.size();
-  std::shared_ptr<Shareable> obj;
-  {
-    ObjectTable::ShardGuard guard(table_, id);
-    obj = table_.Find(id);
-    if (obj == nullptr) return false;
-    for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
-      batch.refs.push_back({rf.get_const(*obj).local(), ObjectId{}});
-    }
+Status Site::WalkBatch(OutboundBatch& batch, ObjectTable::BatchGuard& guard,
+                       std::span<const ObjectId> roots, const GetRequest* get) {
+  const bool expand = get != nullptr && !get->refresh;
+  std::uint32_t limit = 0;  // 0 = unlimited
+  if (expand && (get->mode.kind == ReplicationMode::Kind::kIncremental ||
+                 get->mode.kind == ReplicationMode::Kind::kCluster)) {
+    limit = std::max<std::uint32_t>(get->mode.count, 1);
   }
-  for (std::size_t k = first; k < batch.refs.size(); ++k) {
-    OutboundBatch::RefTarget& target = batch.refs[k];
-    if (target.local == nullptr) continue;
-    target.id = EnsureId(target.local);
-    if (!target.id.valid()) {
+  // The scratch is sized by the count only up to what this site holds: the
+  // count comes off the wire, and a batch never outgrows the table.
+  const std::size_t expected =
+      expand ? std::min<std::size_t>(
+                   limit, table_.master_count() + table_.replica_count())
+             : roots.size();
+  // Breadth-first from the root, each entry an id and its depth. Boundaries
+  // are refs that are unresolved proxies here (forwarded) or nodes beyond
+  // the batch budget.
+  std::vector<std::pair<ObjectId, std::uint32_t>> queue;
+  if (expand) queue.reserve(expected + 1);  // the root, a target per object
+
+  // One attempt at the walk: false if the guard had to let go.
+  auto attempt = [&]() -> Result<bool> {
+    batch = OutboundBatch{};
+    batch.Reserve(expected);
+    if (!expand) {
+      for (ObjectId id : roots) {
+        if (batch.members.contains(id)) continue;
+        OBIWAN_ASSIGN_OR_RETURN(const Read read, ReadObject(batch, guard, id));
+        if (read == Read::kRestart) return false;
+      }
+      return true;
+    }
+    queue.assign(1, {roots.front(), 0});
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const auto [oid, depth] = queue[head];
+      if (batch.members.contains(oid)) continue;
+      if (limit != 0 && batch.nodes.size() >= limit) break;
+      OBIWAN_ASSIGN_OR_RETURN(const Read read, ReadObject(batch, guard, oid));
+      if (read == Read::kRestart) return false;
+      if (read == Read::kAbsent) continue;
+      if (get->mode.kind == ReplicationMode::Kind::kClusterDepth &&
+          depth >= get->mode.depth) {
+        continue;  // depth-bounded cluster boundary
+      }
+      for (std::size_t k = batch.nodes.back().first_ref; k < batch.refs.size();
+           ++k) {
+        if (batch.refs[k].local != nullptr) {
+          queue.emplace_back(batch.refs[k].id, depth + 1);
+        }
+      }
+    }
+    return true;
+  };
+  for (;;) {
+    OBIWAN_ASSIGN_OR_RETURN(const bool complete, attempt());
+    if (complete) return Status::Ok();
+    guard.Relock();
+  }
+}
+
+Result<Site::Read> Site::ReadObject(OutboundBatch& batch,
+                                    ObjectTable::BatchGuard& guard,
+                                    ObjectId id) {
+  if (!guard.Add(id)) return Read::kRestart;
+  MetaRef meta = FindMeta(id);
+  if (meta.obj == nullptr) return Read::kAbsent;
+  const std::size_t first = batch.refs.size();
+  for (const RefFieldInfo& rf : meta.obj->obiwan_class().refs()) {
+    const RefBase& rb = rf.get_const(*meta.obj);
+    OutboundBatch::Field& field = batch.refs.emplace_back();
+    if (rb.IsProxy()) {
+      field.forwarded = &rb.proxy()->descriptor();
+      continue;
+    }
+    if (!rb.IsLocal()) continue;
+    field.local = rb.local_raw();
+    field.id = table_.PtrId(field.local);
+    if (field.id.valid()) continue;
+    // Name the target under the guard: its fresh id's shard joins the guard
+    // first, so a reader of the id blocks until the master record exists.
+    const ObjectId oid = MintId();
+    if (!guard.Add(oid)) return Read::kRestart;
+    field.id = ClaimMaster(rb.local(), oid);
+    if (!field.id.valid()) {
       return FailedPreconditionError(ToString(id) +
                                      " links to an object of another site");
     }
   }
-  batch.nodes.push_back({id, first, MetaRef{std::move(obj)}});
+  batch.nodes.push_back({id, first, meta});
   batch.ids.push_back(id);
   batch.members.insert(id);
-  return true;
+  return Read::kAdded;
 }
 
-Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
-                          std::span<const net::Address> users,
-                          wire::Writer& w) {
+void Site::CaptureBatch(const OutboundBatch& batch, const GetRequest* get,
+                        std::span<const net::Address> users, wire::Writer& w) {
   const bool fresh_get = get != nullptr && !get->refresh;
   const bool shared_pair = fresh_get && get->mode.SharedProxyPair();
   const bool object_pins = fresh_get && !shared_pair;
@@ -542,44 +610,11 @@ Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
   };
   const net::Address self = address();
   ConsistencyPolicy& policy = consistency_policy();
-  // One consistent snapshot of the batch: fields, versions, policy data and
-  // ref targets all read under the batch's shard guards. Holder registration
-  // rides the same guard with the site mutex nested inside (shard -> site is
-  // the legal lock order), so a concurrent DropHolder sweep, which checks
-  // the holder's health under each shard's guard, never unlinks a
-  // registration that completed before it reached the shard.
-  std::optional<ObjectTable::BatchGuard> guard;
-  std::vector<std::shared_ptr<Shareable>> unnamed;
-  for (;;) {
-    guard.emplace(table_, batch.ids);
-    // Check the walk's targets against the fields as they are now. A field
-    // relinked since the walk to an object that has no id yet cannot be
-    // named under the guard (EnsureId locks the target's shard): name those
-    // after releasing it and look again, when the target is the same but
-    // its id is still to be read.
-    for (OutboundBatch::Node& node : batch.nodes) {
-      OBIWAN_ASSIGN_OR_RETURN(node.meta, FindMeta(node.id));
-      const auto& ref_infos = node.meta.obj->obiwan_class().refs();
-      for (std::size_t j = 0; j < ref_infos.size(); ++j) {
-        OutboundBatch::RefTarget& target = batch.refs[node.first_ref + j];
-        const std::shared_ptr<Shareable>& local =
-            ref_infos[j].get_const(*node.meta.obj).local();
-        if (local == target.local && (local == nullptr || target.id.valid())) {
-          continue;
-        }
-        target = {local, local ? table_.PtrId(local.get()) : ObjectId{}};
-        if (local != nullptr && !target.id.valid()) unnamed.push_back(local);
-      }
-    }
-    if (unnamed.empty()) break;
-    guard.reset();
-    for (const auto& obj : unnamed) {
-      if (!EnsureId(obj).valid()) {
-        return FailedPreconditionError("batch links to an object of another site");
-      }
-    }
-    unnamed.clear();
-  }
+  // Holder registration rides the walk's guard with the site mutex nested
+  // inside (shard -> site is the legal lock order), so a concurrent
+  // DropHolder sweep, which checks the holder's health under each shard's
+  // guard, never unlinks a registration that completed before it reached
+  // the shard.
 
   std::vector<ProxyId> pins;
   pins.reserve(batch.refs.size() + (object_pins ? batch.nodes.size() : 0));
@@ -593,15 +628,15 @@ Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
       const std::size_t end =
           node.first_ref + node.meta.obj->obiwan_class().refs().size();
       for (std::size_t k = node.first_ref; k < end; ++k) {
-        const OutboundBatch::RefTarget& target = batch.refs[k];
-        if (target.local != nullptr && !travels_inline(target.id)) {
-          pins.push_back(NewProxyInLocked(target.id, users));
+        const OutboundBatch::Field& field = batch.refs[k];
+        if (field.local != nullptr && !travels_inline(field.id)) {
+          pins.push_back(NewProxyInLocked(field.id, users).first);
         }
       }
       if (object_pins) {
         // Incremental mode: the per-object proxy pair of §4.2, giving this
         // replica its individual put/refresh channel.
-        pins.push_back(NewProxyInLocked(node.id, users));
+        pins.push_back(NewProxyInLocked(node.id, users).first);
       }
     }
   }
@@ -623,29 +658,32 @@ Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
     ci.EncodeFields(*meta.obj, w);
     fields_hint = w.EndBlob(fields);
 
-    const auto& ref_infos = ci.refs();
-    w.Varint(ref_infos.size());
-    for (std::size_t j = 0; j < ref_infos.size(); ++j) {
-      const RefBase& rb = ref_infos[j].get_const(*meta.obj);
-      const OutboundBatch::RefTarget& target = batch.refs[node.first_ref + j];
-      if (rb.IsProxy()) {
-        const ProxyDescriptor& forwarded = rb.proxy()->descriptor();
-        WriteRef(w, {RefEntry::Tag::kProxy, forwarded.target, ViewOf(forwarded)});
-      } else if (target.local == nullptr) {
+    const std::size_t ref_count = ci.refs().size();
+    w.Varint(ref_count);
+    for (std::size_t k = node.first_ref; k < node.first_ref + ref_count; ++k) {
+      const OutboundBatch::Field& field = batch.refs[k];
+      if (field.forwarded != nullptr) {
+        WriteRef(w, {RefEntry::Tag::kProxy, field.forwarded->target,
+                     ViewOf(*field.forwarded)});
+      } else if (field.local == nullptr) {
         WriteRef(w, {});
-      } else if (travels_inline(target.id)) {
-        WriteRef(w, {RefEntry::Tag::kInline, target.id, {}});
+      } else if (travels_inline(field.id)) {
+        WriteRef(w, {RefEntry::Tag::kInline, field.id, {}});
       } else {
-        WriteRef(w, {RefEntry::Tag::kProxy, target.id,
-                     {pins[next_pin++], self, target.id,
-                      target.local->obiwan_class().name()}});
+        WriteRef(w, {RefEntry::Tag::kProxy, field.id,
+                     {pins[next_pin++], self, field.id,
+                      field.local->obiwan_class().name()}});
       }
     }
     WriteRecordChannel(w, object_pins ? DescriptorView{pins[next_pin++], self,
                                                        node.id, ci.name()}
                                       : DescriptorView{});
     if (get != nullptr) {
-      table_.LinkHolder(node.id, users.front());
+      const std::vector<net::Address>& holders = *meta.holders;
+      if (std::find(holders.begin(), holders.end(), users.front()) ==
+          holders.end()) {
+        table_.LinkHolder(node.id, users.front());
+      }
       if (meta.master != nullptr) ++meta.master->gets_served;
     }
   }
@@ -665,7 +703,6 @@ Status Site::CaptureBatch(OutboundBatch& batch, const GetRequest* get,
   }
   record_bytes_hint_.store(w.size() / batch.nodes.size(),
                            std::memory_order_relaxed);
-  return Status::Ok();
 }
 
 bool Site::BindRef(RefBase& rb, const RefView& entry,
@@ -712,63 +749,24 @@ Result<Bytes> Site::ServeGet(const net::Address& from, const GetRequest& req) {
     if (pin_cluster) pin_members = pit->second.members;
   }
 
-  // --- select the batch -----------------------------------------------------
+  // --- walk and serialize, under one guard ---------------------------------
+  // Refresh returns current state of what the pin covers: the whole cluster
+  // for a cluster pin, the requested root otherwise.
+  const std::span<const ObjectId> roots =
+      req.refresh && pin_cluster ? std::span<const ObjectId>(pin_members)
+                                 : std::span<const ObjectId>(&req.root, 1);
   OutboundBatch batch;
-  if (req.refresh) {
-    // Refresh returns current state of what the pin covers: the whole
-    // cluster for a cluster pin, the requested root otherwise.
-    if (pin_cluster) {
-      batch.Reserve(pin_members.size());
-      for (ObjectId member : pin_members) {
-        OBIWAN_RETURN_IF_ERROR(WalkAdd(batch, member).status());
-      }
-    } else {
-      OBIWAN_ASSIGN_OR_RETURN(const bool added, WalkAdd(batch, req.root));
-      if (!added) return NotFoundError("refresh root not present");
-    }
-    if (batch.nodes.empty()) return NotFoundError("nothing left to refresh");
-  } else {
-    const bool by_count = req.mode.kind == ReplicationMode::Kind::kIncremental ||
-                          req.mode.kind == ReplicationMode::Kind::kCluster;
-    const std::uint32_t limit = by_count ? std::max<std::uint32_t>(req.mode.count, 1)
-                                         : 0;  // 0 = unlimited
-
-    // Breadth-first expansion from the root; boundaries are refs that are
-    // unresolved proxies here (forwarded) or nodes beyond the batch budget.
-    // The scratch is sized by the count only up to what this site holds:
-    // the count comes off the wire, and a batch never outgrows the table.
-    const std::size_t expected = std::min<std::size_t>(
-        limit, table_.master_count() + table_.replica_count());
-    batch.Reserve(expected);
-    std::vector<std::pair<ObjectId, std::uint32_t>> queue;
-    queue.reserve(expected + 1);  // the root and one target per object
-    queue.emplace_back(req.root, 0);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const auto [oid, depth] = queue[head];
-      if (batch.members.contains(oid)) continue;
-      if (limit != 0 && batch.nodes.size() >= limit) break;
-      OBIWAN_ASSIGN_OR_RETURN(const bool added, WalkAdd(batch, oid));
-      if (!added) continue;
-      if (req.mode.kind == ReplicationMode::Kind::kClusterDepth &&
-          depth >= req.mode.depth) {
-        continue;  // depth-bounded cluster boundary
-      }
-      for (std::size_t k = batch.nodes.back().first_ref; k < batch.refs.size();
-           ++k) {
-        if (batch.refs[k].local != nullptr) {
-          queue.emplace_back(batch.refs[k].id, depth + 1);
-        }
-      }
-    }
-    if (batch.nodes.empty()) return NotFoundError("get root not present");
+  ObjectTable::BatchGuard guard(table_);
+  OBIWAN_RETURN_IF_ERROR(WalkBatch(batch, guard, roots, &req));
+  if (batch.nodes.empty()) {
+    return NotFoundError(!req.refresh  ? "get root not present"
+                         : pin_cluster ? "nothing left to refresh"
+                                       : "refresh root not present");
   }
-
-  // --- serialize -------------------------------------------------------------
   wire::Writer reply(batch.nodes.size() *
                          record_bytes_hint_.load(std::memory_order_relaxed) +
                      64);
-  OBIWAN_RETURN_IF_ERROR(CaptureBatch(
-      batch, &req, std::span<const net::Address>(&from, 1), reply));
+  CaptureBatch(batch, &req, std::span<const net::Address>(&from, 1), reply);
   return std::move(reply).Take();
 }
 
@@ -839,7 +837,10 @@ Result<PutReply> Site::ServePut(const net::Address& from, const PutRequest& req)
     std::vector<Target> targets;
     targets.reserve(req.items.size());
     for (const PutItem& item : req.items) {
-      OBIWAN_ASSIGN_OR_RETURN(MetaRef meta, FindMeta(item.id));
+      MetaRef meta = FindMeta(item.id);
+      if (meta.obj == nullptr) {
+        return NotFoundError("object not present: " + ToString(item.id));
+      }
       const ClassInfo& ci = meta.obj->obiwan_class();
       if (req.transactional && item.base_version != *meta.version) {
         return ConflictError("transaction conflict on " + ToString(item.id) +
@@ -915,11 +916,17 @@ Status Site::BuildPushRecord(ObjectId id,
                              std::span<const net::Address> recipients,
                              wire::Writer& body) {
   OutboundBatch batch;
-  OBIWAN_ASSIGN_OR_RETURN(const bool added, WalkAdd(batch, id));
-  if (!added) return NotFoundError("object not present: " + ToString(id));
+  ObjectTable::BatchGuard guard(table_);
+  OBIWAN_RETURN_IF_ERROR(WalkBatch(batch, guard,
+                                   std::span<const ObjectId>(&id, 1),
+                                   /*get=*/nullptr));
+  if (batch.nodes.empty()) {
+    return NotFoundError("object not present: " + ToString(id));
+  }
   // Nothing travels inline: every local target goes out as one shared pin
   // that each recipient of this record can fault through.
-  return CaptureBatch(batch, /*get=*/nullptr, recipients, body);
+  CaptureBatch(batch, /*get=*/nullptr, recipients, body);
+  return Status::Ok();
 }
 
 void Site::PublishUpdates(std::vector<UpdateGroup> groups) {
@@ -1362,7 +1369,7 @@ Status Site::ServeRelease(const net::Address& from, ProxyId pin) {
     const std::vector<ObjectId> affected =
         entry.cluster ? entry.members : std::vector<ObjectId>{entry.target};
     if (auto tit = pin_by_target_.find(entry.target);
-        tit != pin_by_target_.end() && tit->second == pin) {
+        tit != pin_by_target_.end() && tit->second == &*it) {
       pin_by_target_.erase(tit);
     }
     proxy_ins_.erase(it);
@@ -1486,6 +1493,7 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
     std::shared_ptr<Shareable> obj;
     ReplicaEntry* replica = nullptr;  // an existing replica
     bool fresh = false;
+    bool repeated = false;  // its id comes more than once in the batch
   };
   std::vector<Slot> slots(n);
   std::vector<ObjectId> ids(n);
@@ -1513,6 +1521,11 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
   for (std::size_t i = 0; i < n; ++i) by_id[i] = i;
   std::sort(by_id.begin(), by_id.end(),
             [&](std::size_t a, std::size_t b) { return ids[a] < ids[b]; });
+  for (std::size_t i = 1; i < n; ++i) {
+    if (ids[by_id[i]] == ids[by_id[i - 1]]) {
+      slots[by_id[i]].repeated = slots[by_id[i - 1]].repeated = true;
+    }
+  }
   auto member = [&](ObjectId id) -> std::size_t {
     auto it = std::lower_bound(
         by_id.begin(), by_id.end(), id,
@@ -1608,11 +1621,18 @@ Result<std::shared_ptr<Shareable>> Site::Materialize(const BatchView& batch,
         entry.provider = batch.cluster.Owned();
         entry.in_cluster = true;
       }
-      auto [stored, inserted] = table_.EmplaceReplica(rec.id, std::move(entry));
-      if (!inserted) {
+      ReplicaEntry* stored = nullptr;
+      if (!slot.repeated) {
+        // Found absent under this guard above: no second probe.
+        stored = table_.InsertReplica(rec.id, std::move(entry));
+      } else if (auto [first, inserted] =
+                     table_.EmplaceReplica(rec.id, std::move(entry));
+                 inserted) {
+        stored = first;
+      } else {
         // The id came twice in this batch: the first copy's object is the
         // one every reference must alias.
-        slot.obj = stored != nullptr ? stored->obj : table_.Find(rec.id);
+        slot.obj = first != nullptr ? first->obj : table_.Find(rec.id);
         slot.fresh = false;
         continue;
       }

@@ -526,19 +526,30 @@ class Site final : public rmi::Service {
     std::vector<net::Address> users;
   };
 
+  using ProxyInMap = std::unordered_map<ProxyId, ProxyInEntry, ProxyIdHash>;
+
   // Assign an ObjectId to a local object if it does not have one, making it
   // a master of this site. Replicas keep their master's id. The invalid id
   // if another site's table holds the object: the caller fails its
   // operation.
   ObjectId EnsureId(const std::shared_ptr<Shareable>& obj);
+  // Make `obj` a master under `oid`, a fresh id whose shard guard the caller
+  // holds, unless its slot names an id already: the id it goes by (the
+  // invalid id if another site's table holds it). A racing reader of the id
+  // blocks on that shard until the record exists.
+  ObjectId ClaimMaster(const std::shared_ptr<Shareable>& obj, ObjectId oid);
+  ObjectId MintId() {
+    return {id_, next_object_.fetch_add(1, std::memory_order_relaxed)};
+  }
 
   // `users` are registered on the pin (see ProxyInEntry::users). Per-target
   // pins are reused through pin_by_target_, so repeated gets and push-record
   // builds share one pin instead of minting one per call. NewProxyIn locks
   // the pins mutex itself; the Locked variant is for callers already
-  // holding it.
+  // holding it and returns the pin's entry.
   ProxyId NewProxyIn(ObjectId target, std::span<const net::Address> users = {});
-  ProxyId NewProxyInLocked(ObjectId target, std::span<const net::Address> users);
+  ProxyInMap::value_type& NewProxyInLocked(ObjectId target,
+                                           std::span<const net::Address> users);
   ProxyId NewClusterProxyInLocked(ObjectId root, std::vector<ObjectId> members,
                                   std::span<const net::Address> users);
   ProxyDescriptor DescriptorFor(ProxyId pin, ObjectId target,
@@ -562,29 +573,32 @@ class Site final : public rmi::Service {
   // The pointers alias the record inside the object table: the caller must
   // hold the shard guard of `id` (or the world) for as long as it uses them.
   struct MetaRef {
-    std::shared_ptr<Shareable> obj;
+    Shareable* obj = nullptr;  // null: `id` is not present here
     std::uint64_t* version = nullptr;
     Bytes* policy_state = nullptr;
     std::vector<net::Address>* holders = nullptr;
     MasterEntry* master = nullptr;  // null for a re-exported replica
   };
-  Result<MetaRef> FindMeta(ObjectId id);
+  MetaRef FindMeta(ObjectId id);
 
-  // The one record path for gets and pushes. A walk first collects the
-  // batch: each object, and for each of its reference fields the local
-  // target with the id the walk resolved for it (WalkAdd). CaptureBatch
-  // then reads every record under one BatchGuard, mints the batch's pins
-  // under one pins-mutex acquisition, and encodes straight into the
-  // outgoing writer.
+  // The one record path for gets and pushes. WalkBatch reads the batch
+  // under one BatchGuard that grows as the walk meets new shards: each
+  // object's record once, and each of its reference fields once, as null, a
+  // local target with its id, or a proxy to forward. CaptureBatch then mints
+  // the batch's pins under one pins-mutex acquisition and encodes from that
+  // read straight into the outgoing writer, under the same guard.
   struct OutboundBatch {
     struct Node {
       ObjectId id;
       std::size_t first_ref = 0;  // this object's entries in `refs`
-      MetaRef meta;               // filled under CaptureBatch's guard
+      MetaRef meta;
     };
-    struct RefTarget {
-      std::shared_ptr<Shareable> local;  // null unless the field is local
+    // One reference field as the walk read it. Both pointers alias the
+    // object, which the walk's guard keeps as it was.
+    struct Field {
+      const Shareable* local = nullptr;  // a local target, named `id`
       ObjectId id;
+      const ProxyDescriptor* forwarded = nullptr;  // an unresolved proxy
     };
     // Room for `n` objects with a reference field each.
     void Reserve(std::size_t n) {
@@ -596,13 +610,23 @@ class Site final : public rmi::Service {
     std::vector<Node> nodes;
     std::vector<ObjectId> ids;  // nodes' ids, in order
     FlatIdSet members;
-    std::vector<RefTarget> refs;  // every node's fields, back to back
+    std::vector<Field> refs;  // every node's fields, back to back
   };
-  // Append `id` to `batch`: its fields are read under its shard guard, and
-  // ids are assigned to its local targets after the guard is released
-  // (EnsureId may lock other shards). False if `id` is not present here;
-  // kFailedPrecondition if a local target belongs to another site.
-  Result<bool> WalkAdd(OutboundBatch& batch, ObjectId id);
+
+  // Read into `batch`, under `guard`, the objects `roots` names that are
+  // present here; for a fresh `get`, breadth-first from its root through
+  // local targets, within its mode's budget. A local target without an id
+  // is named a master under the guard, in walk order. When the guard has to
+  // let go (BatchGuard::Add), the walk relocks and starts over; objects it
+  // named keep their ids. kFailedPrecondition if a local target belongs to
+  // another site.
+  Status WalkBatch(OutboundBatch& batch, ObjectTable::BatchGuard& guard,
+                   std::span<const ObjectId> roots, const GetRequest* get);
+  // One object of the walk, read under `guard` grown by its shard: added,
+  // absent here, or the guard had to let go (the walk restarts).
+  enum class Read { kAdded, kAbsent, kRestart };
+  Result<Read> ReadObject(OutboundBatch& batch, ObjectTable::BatchGuard& guard,
+                          ObjectId id);
 
   // With `get`, the batch is written as the GetReply to the demander
   // users[0]: record count, records carrying the policy's get data, and the
@@ -616,9 +640,9 @@ class Site final : public rmi::Service {
   // original provider (replica chains). Pins are minted after the cluster
   // channel, in record order — each record's boundary pins, then its own
   // incremental-mode channel — so pin numbers do not depend on the lock
-  // pattern. No shard guard may be held.
-  Status CaptureBatch(OutboundBatch& batch, const GetRequest* get,
-                      std::span<const net::Address> users, wire::Writer& w);
+  // pattern. The walk's guard must still be held.
+  void CaptureBatch(const OutboundBatch& batch, const GetRequest* get,
+                    std::span<const net::Address> users, wire::Writer& w);
 
   // Refresh a pin's lease on any use.
   void TouchPin(ProxyInEntry& entry);
@@ -665,9 +689,9 @@ class Site final : public rmi::Service {
   // code for an id that is not a replica here.
   Status RefreshReplica(ObjectId id, StatusCode absent);
 
-  // Assign ids to every locally referenced object (fixed point), so reports
-  // and snapshots cover the complete edge set. Sweeps shard by shard and
-  // names after each sweep, so it needs no guard held (the world is fine).
+  // Assign ids to every locally referenced object (fixed point), so a
+  // snapshot covers the complete edge set. Sweeps shard by shard and names
+  // after each sweep, so it needs no guard held (the world is fine).
   void EnsureGraphIds();
 
   // Snapshot restore body; the public wrapper clears all tables on failure.
@@ -803,10 +827,13 @@ class Site final : public rmi::Service {
   // cluster membership. A leaf lock like mutex_: never acquire a shard lock
   // or another leaf lock under it.
   mutable TrackedMutex pins_mutex_{"site.pins"};
-  std::unordered_map<ProxyId, ProxyInEntry, ProxyIdHash> proxy_ins_;
+  ProxyInMap proxy_ins_;
   // Per-target index over non-cluster proxy_ins_, so repeated gets and push
-  // records reuse a pin in O(1) instead of scanning the table.
-  std::unordered_map<ObjectId, ProxyId, ObjectIdHash> pin_by_target_;
+  // records reuse a pin in O(1) instead of scanning the table. It points at
+  // the entry (map nodes do not move), so every erase of a pin erases its
+  // row here too.
+  std::unordered_map<ObjectId, ProxyInMap::value_type*, ObjectIdHash>
+      pin_by_target_;
   // Demander-side cluster membership: cluster proxy-in -> member ids.
   std::unordered_map<ProxyId, std::vector<ObjectId>, ProxyIdHash> cluster_members_;
 

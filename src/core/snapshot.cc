@@ -28,6 +28,36 @@ std::vector<const typename Map::value_type*> InKeyOrder(const Map& map) {
 
 }  // namespace
 
+void Site::EnsureGraphIds() {
+  // Naming a target makes it a master whose own refs must be visited too,
+  // so sweep to a fixed point. A sweep reads each object's fields under its
+  // shard's guard and only collects the local targets that have no id yet;
+  // they are named after the sweep, because EnsureId takes a shard guard of
+  // its own. Naming follows sweep order, so under the world (SaveSnapshot)
+  // the ids are the ones a single locked pass would mint. A target another
+  // site holds never gets an id here, so a sweep that names nothing ends
+  // the loop.
+  std::vector<std::shared_ptr<Shareable>> unnamed;
+  auto collect = [&](const std::shared_ptr<Shareable>& obj) {
+    for (const RefFieldInfo& rf : obj->obiwan_class().refs()) {
+      RefBase& rb = rf.get(*obj);
+      if (rb.IsLocal() && !table_.PtrId(rb.local_raw()).valid()) {
+        unnamed.push_back(rb.local());
+      }
+    }
+  };
+  for (;;) {
+    table_.ForEachMaster(
+        [&](ObjectId, const MasterEntry& e) { collect(e.obj); });
+    table_.ForEachReplica(
+        [&](ObjectId, const ReplicaEntry& e) { collect(e.obj); });
+    bool named = false;
+    for (const auto& obj : unnamed) named |= EnsureId(obj).valid();
+    unnamed.clear();
+    if (!named) return;
+  }
+}
+
 Result<Bytes> Site::SaveSnapshot() {
   // The world guard freezes every shard: the snapshot is a consistent global
   // cut, and every helper below (EnsureId, lookups, sweeps) no-ops its own
@@ -291,8 +321,10 @@ Status Site::LoadSnapshotLocked(BytesView snapshot) {
       entry.anchored = r.Bool();
       entry.users = wire::Decode<std::vector<net::Address>>(r);
       TouchPin(entry);  // restart the lease clock after restore
-      if (!entry.cluster) pin_by_target_.emplace(entry.target, pin);
-      proxy_ins_.emplace(pin, std::move(entry));
+      auto& pinned = *proxy_ins_.emplace(pin, std::move(entry)).first;
+      if (!pinned.second.cluster) {
+        pin_by_target_.emplace(pinned.second.target, &pinned);
+      }
     }
 
     std::uint64_t cluster_count = r.Varint();

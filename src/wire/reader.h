@@ -33,6 +33,23 @@ class Reader {
   bool Bool() { return U8() != 0; }
 
   std::uint64_t Varint() {
+    // A one-byte varint, and any varint once at least kMaxVarintBytes
+    // remain, decode without a bounds check per byte.
+    const std::size_t left = failed_ ? 0 : data_.size() - pos_;
+    if (left != 0 && data_[pos_] < 0x80) return data_[pos_++];
+    if (left >= kMaxVarintBytes) {
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+        const std::uint8_t byte = data_[pos_ + i];
+        v |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+        if ((byte & 0x80) == 0) {
+          pos_ += i + 1;
+          return v;
+        }
+      }
+      Fail("malformed varint");
+      return 0;
+    }
     std::uint64_t v = 0;
     int shift = 0;
     while (true) {
@@ -106,14 +123,21 @@ class Reader {
   }
 
  private:
+  // The longest encoding of a 64-bit varint.
+  static constexpr std::size_t kMaxVarintBytes = 10;
+
   bool Require(std::uint64_t n) {
     if (failed_) return false;
-    if (data_.size() - pos_ < n) {
-      Fail("truncated input (need " + std::to_string(n) + " bytes, have " +
-           std::to_string(data_.size() - pos_) + ")");
+    if (data_.size() - pos_ < n) [[unlikely]] {
+      FailTruncated(n);
       return false;
     }
     return true;
+  }
+
+  [[gnu::cold, gnu::noinline]] void FailTruncated(std::uint64_t n) {
+    Fail("truncated input (need " + std::to_string(n) + " bytes, have " +
+         std::to_string(data_.size() - pos_) + ")");
   }
 
   template <typename T>

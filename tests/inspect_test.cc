@@ -210,6 +210,29 @@ TEST_F(InspectTest, ReportCoversRolesEdgesAndPins) {
   EXPECT_NE(core::ToText(at_demander).find("replica"), std::string::npos);
 }
 
+// A report only reads. On a bound, unreplicated chain only the bound head
+// has an id, and Inspect neither names the other nodes nor lists an edge to
+// them; a get names what it walks, and the next report covers it.
+TEST_F(InspectTest, ReportNamesNothing) {
+  auto head = test::MakeChain(3, 32, "n");
+  ASSERT_TRUE(provider_->Bind("list", head).ok());
+  for (int i = 0; i < 2; ++i) {
+    const InspectReport report = provider_->Inspect();
+    EXPECT_EQ(report.masters, 1u);
+    ASSERT_EQ(report.objects.size(), 1u);
+    EXPECT_TRUE(report.objects[0].edges.empty());
+    EXPECT_EQ(provider_->master_count(), 1u);
+  }
+
+  auto ref = Replicate("list", ReplicationMode::Incremental(1));
+  const InspectReport report = provider_->Inspect();
+  EXPECT_EQ(report.masters, 2u);  // the head and its boundary target
+  const InspectEntry* entry = FindEntry(report, ref.id());
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->edges.size(), 1u);
+  EXPECT_FALSE(entry->edges[0].proxy);
+}
+
 TEST_F(InspectTest, RemoteInspectMatchesLocalReport) {
   auto head = test::MakeChain(2, 32, "n");
   ASSERT_TRUE(provider_->Bind("list", head).ok());

@@ -116,6 +116,79 @@ TEST(Reader, MalformedVarintFails) {
   EXPECT_FALSE(r.ok());
 }
 
+// The varint fast paths (a one-byte varint, and any varint once ten bytes
+// remain) and the byte-by-byte path meet at these boundaries: each decodes
+// the same value, and a read past the end fails with the same sticky error.
+TEST(Reader, VarintEndingOnTheBuffersLastByte) {
+  for (std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{127}, std::uint64_t{128},
+        std::uint64_t{1} << 35, std::numeric_limits<std::uint64_t>::max()}) {
+    Writer w;
+    w.U8(0x55);  // the varint does not start the buffer
+    w.Varint(v);
+    Reader r(AsView(w.data()));
+    EXPECT_EQ(r.U8(), 0x55);
+    EXPECT_EQ(r.Varint(), v);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(r.Varint(), 0u);
+    EXPECT_EQ(r.status().message(), "truncated input (need 1 bytes, have 0)");
+    EXPECT_EQ(r.Varint(), 0u);  // sticky
+    EXPECT_EQ(r.status().message(), "truncated input (need 1 bytes, have 0)");
+  }
+}
+
+TEST(Reader, TenByteVarintWithTenAndElevenBytesLeft) {
+  Writer w;
+  w.Varint(std::numeric_limits<std::uint64_t>::max());
+  ASSERT_EQ(w.size(), 10u);
+  for (std::size_t trailing : {0u, 1u}) {
+    Bytes data = w.data();
+    data.resize(10 + trailing, 0x07);
+    Reader r(AsView(data));
+    EXPECT_EQ(r.Varint(), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.remaining(), trailing);
+  }
+  // One byte short: the last continuation bit runs off the end.
+  Reader cut(AsView(w.data()).first(9));
+  EXPECT_EQ(cut.Varint(), 0u);
+  EXPECT_EQ(cut.status().message(), "truncated input (need 1 bytes, have 0)");
+}
+
+TEST(Reader, ElevenByteVarintIsMalformed) {
+  for (std::size_t size : {10u, 11u, 16u}) {
+    Bytes data(size, 0x80);  // ten continuation bytes ...
+    if (size > 10) data[10] = 0x01;  // ... and an eleventh that ends it
+    Reader r(AsView(data));
+    EXPECT_EQ(r.Varint(), 0u);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(), "malformed varint") << size << " bytes";
+    EXPECT_EQ(r.Varint(), 0u);  // sticky
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(r.status().message(), "malformed varint");
+  }
+}
+
+TEST(Reader, BlobLengthOnTheFastPathThenOverrun) {
+  // A one-byte length promising more than follows.
+  Bytes short_blob{5, 'a', 'b'};
+  Reader one(AsView(short_blob));
+  EXPECT_TRUE(one.BlobView().empty());
+  EXPECT_EQ(one.status().message(), "truncated input (need 5 bytes, have 2)");
+  EXPECT_EQ(one.U8(), 0u);  // sticky
+  // A two-byte length read with ten bytes or more left, then the overrun.
+  Writer w;
+  w.Varint(300);
+  for (std::uint8_t i = 0; i < 12; ++i) w.U8(i);
+  Reader two(AsView(w.data()));
+  const std::string overrun = "truncated input (need 300 bytes, have 12)";
+  EXPECT_TRUE(two.Blob().empty());
+  EXPECT_EQ(two.status().message(), overrun);
+  EXPECT_EQ(two.String(), "");
+  EXPECT_EQ(two.status().message(), overrun);
+}
+
 TEST(Reader, HostileStringLength) {
   Writer w;
   w.Varint(std::numeric_limits<std::uint64_t>::max());  // absurd length prefix

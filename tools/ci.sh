@@ -396,8 +396,9 @@ python3 tools/check_chrome_trace.py "$FLIGHT_JSON" \
 # schemas.
 echo "=== [shell] admin endpoint: /metrics exposition + /healthz ==="
 ADMIN_METRICS="$(pwd)/build-ci/admin_metrics.prom"
+ADMIN_METRICS_AFTER="$(pwd)/build-ci/admin_metrics_after_inspect.prom"
 ADMIN_HEALTH="$(pwd)/build-ci/admin_healthz.json"
-rm -f "$ADMIN_METRICS" "$ADMIN_HEALTH"
+rm -f "$ADMIN_METRICS" "$ADMIN_METRICS_AFTER" "$ADMIN_HEALTH"
 { printf 'host-registry\nbind todo admin-doc 3\n'; sleep 6; } | \
     "$SHELL_BIN" --site 7 --port 7472 --admin 7474 >/dev/null &
 ADMIN_SERVER=$!
@@ -406,6 +407,8 @@ curl -fsS http://127.0.0.1:7474/metrics > "$ADMIN_METRICS"
 curl -fsS http://127.0.0.1:7474/healthz > "$ADMIN_HEALTH"
 curl -fsS http://127.0.0.1:7474/inspect.json | python3 -c \
     'import json,sys; d=json.load(sys.stdin); assert d["site"] == 7, d'
+# A report only reads: the scrape after it sees the same tables.
+curl -fsS http://127.0.0.1:7474/metrics > "$ADMIN_METRICS_AFTER"
 curl -fsS http://127.0.0.1:7474/profile.json | python3 -c \
     'import json,sys; d=json.load(sys.stdin); \
      queues={q["queue"] for q in d["queues"]}; \
@@ -434,10 +437,12 @@ curl -fsS http://127.0.0.1:7474/alerts.json | python3 -c \
      assert {"window_s","total","bad","burn_rate"} <= set(a["slow"]), d'
 kill "$ADMIN_SERVER" 2>/dev/null || true
 wait "$ADMIN_SERVER" 2>/dev/null || true
-python3 - "$ADMIN_METRICS" "$ADMIN_HEALTH" <<'EOF'
+python3 - "$ADMIN_METRICS" "$ADMIN_HEALTH" "$ADMIN_METRICS_AFTER" <<'EOF'
 import json, re, sys
 with open(sys.argv[1]) as f:
     lines = [l for l in f.read().splitlines() if l]
+with open(sys.argv[3]) as f:
+    lines_after = [l for l in f.read().splitlines() if l]
 types = {}
 families = {}  # family -> {"samples": n, "buckets": {labels: [counts]}}
 for line in lines:
@@ -500,13 +505,13 @@ for needed in ("obiwan_site_uptime_ns", "obiwan_build_info",
                "obiwan_site_proxy_ins", "obiwan_notify_retry_depth",
                "obiwan_replica_staleness_versions"):
     assert needed in types, f"missing metric family {needed}"
-# No protocol path writes a site gauge; the scrape computes them. This is the
-# first scrape, before /inspect.json assigns ids to the rest of the bound
-# chain, so the bound head is site 7's only master and its anchored bind pin
-# the only proxy-in.
-def sample_values(family, **want):
+# No protocol path writes a site gauge; the scrape computes them. Nothing has
+# replicated the bound chain, so its head is site 7's only master and its
+# anchored bind pin the only proxy-in, before /inspect.json and after it:
+# a report names no object.
+def sample_values(family, scrape=lines, **want):
     values = []
-    for line in lines:
+    for line in scrape:
         if line.startswith("#"):
             continue
         sample = line.split(" # {", 1)[0]
@@ -519,6 +524,10 @@ def sample_values(family, **want):
     return values
 masters = sample_values("obiwan_objects", role="master", site="7")
 assert masters == [1.0], f"site 7 obiwan_objects{{role=master}}: {masters}"
+masters = sample_values("obiwan_objects", scrape=lines_after, role="master",
+                        site="7")
+assert masters == [1.0], \
+    f"site 7 obiwan_objects{{role=master}} after /inspect.json: {masters}"
 pins = sample_values("obiwan_site_proxy_ins", site="7")
 assert pins == [1.0], f"site 7 obiwan_site_proxy_ins: {pins}"
 # The retry queue's depth has one source, the site gauge (the profiler no
